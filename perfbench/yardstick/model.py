@@ -1,0 +1,318 @@
+"""Data model for controlled jump-diffusion systems with scheduled jumps.
+
+A system couples a continuous flow (polynomial drift, diffusion driven by
+Brownian motion, resets driven by Poisson counters) with an instantaneous
+stochastic jump map applied at scheduled instants. Jump instants are
+constrained to gaps of q1..q2 sampling periods; the augmented view adds a
+counter z tracking periods since the last jump.
+"""
+
+from __future__ import annotations
+
+import json
+from dataclasses import dataclass, field
+from typing import Mapping, Sequence
+
+import numpy as np
+
+from .poly import IntervalBox, NoiseMoments, Polynomial
+
+
+@dataclass(frozen=True)
+class JumpParams:
+    """Sampling period and admissible range of inter-jump gaps (in periods)."""
+
+    tau: float
+    q1: int
+    q2: int
+
+    def __post_init__(self):
+        if self.tau <= 0:
+            raise ValueError("tau must be positive")
+        if self.q1 < 1 or self.q2 < 1 or self.q1 > self.q2:
+            raise ValueError(f"need 1 <= q1 <= q2, got q1={self.q1}, q2={self.q2}")
+
+    def to_dict(self) -> dict:
+        return {"tau": self.tau, "q1": self.q1, "q2": self.q2}
+
+    @staticmethod
+    def from_dict(doc: Mapping) -> "JumpParams":
+        return JumpParams(float(doc["tau"]), int(doc["q1"]), int(doc["q2"]))
+
+
+@dataclass(frozen=True)
+class NoiseConfig:
+    """Moment data plus a sampler tag for the jump noise components."""
+
+    moments: tuple[NoiseMoments, ...]
+    sampler: str = "gaussian"
+
+    def to_dict(self) -> dict:
+        return {
+            "sampler": self.sampler,
+            "moments": [list(m.moments) for m in self.moments],
+        }
+
+    @staticmethod
+    def from_dict(doc: Mapping) -> "NoiseConfig":
+        return NoiseConfig(
+            tuple(NoiseMoments(tuple(m)) for m in doc["moments"]),
+            str(doc.get("sampler", "gaussian")),
+        )
+
+
+@dataclass(frozen=True)
+class SHSModel:
+    """Polynomial jump-diffusion model with box-shaped state sets.
+
+    f1[i] lives in (state, input) variables, sigma/rho entries in state
+    variables only, f2[i] in (state, input, noise). X0 and Xu are the
+    initial and unsafe boxes inside the working box X.
+    """
+
+    state_vars: tuple[str, ...]
+    input_vars: tuple[str, ...]
+    noise_vars: tuple[str, ...]
+    f1: tuple[Polynomial, ...]
+    sigma: tuple[tuple[Polynomial, ...], ...]
+    rho: tuple[tuple[Polynomial, ...], ...]
+    rates: tuple[float, ...]
+    f2: tuple[Polynomial, ...]
+    noise: NoiseConfig
+    jump: JumpParams
+    X: IntervalBox
+    X0: IntervalBox
+    Xu: IntervalBox
+
+    @property
+    def n(self) -> int:
+        return len(self.state_vars)
+
+    @property
+    def m(self) -> int:
+        return len(self.input_vars)
+
+    @property
+    def brownian_dim(self) -> int:
+        return len(self.sigma[0]) if self.sigma else 0
+
+    @property
+    def poisson_dim(self) -> int:
+        return len(self.rates)
+
+    def to_dict(self) -> dict:
+        return {
+            "n": self.n,
+            "m": self.m,
+            "state_vars": list(self.state_vars),
+            "input_vars": list(self.input_vars),
+            "noise_vars": list(self.noise_vars),
+            "f1": [p.to_dict() for p in self.f1],
+            "sigma": [[p.to_dict() for p in row] for row in self.sigma],
+            "rho": [[p.to_dict() for p in row] for row in self.rho],
+            "lambda": list(self.rates),
+            "f2": [p.to_dict() for p in self.f2],
+            "noise": self.noise.to_dict(),
+            "jump": self.jump.to_dict(),
+            "X": self.X.to_dict(),
+            "X0": self.X0.to_dict(),
+            "Xu": self.Xu.to_dict(),
+        }
+
+    @staticmethod
+    def from_dict(doc: Mapping) -> "SHSModel":
+        return SHSModel(
+            state_vars=tuple(doc["state_vars"]),
+            input_vars=tuple(doc["input_vars"]),
+            noise_vars=tuple(doc["noise_vars"]),
+            f1=tuple(Polynomial.from_dict(p) for p in doc["f1"]),
+            sigma=tuple(tuple(Polynomial.from_dict(p) for p in row) for row in doc["sigma"]),
+            rho=tuple(tuple(Polynomial.from_dict(p) for p in row) for row in doc["rho"]),
+            rates=tuple(float(v) for v in doc["lambda"]),
+            f2=tuple(Polynomial.from_dict(p) for p in doc["f2"]),
+            noise=NoiseConfig.from_dict(doc["noise"]),
+            jump=JumpParams.from_dict(doc["jump"]),
+            X=IntervalBox.from_dict(doc["X"]),
+            X0=IntervalBox.from_dict(doc["X0"]),
+            Xu=IntervalBox.from_dict(doc["Xu"]),
+        )
+
+    @staticmethod
+    def from_json(text: str) -> "SHSModel":
+        return SHSModel.from_dict(json.loads(text))
+
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), sort_keys=True, indent=2)
+
+
+def validate(model: SHSModel) -> list[str]:
+    """Invariant audit; returns one message per violation (empty = valid)."""
+    bad: list[str] = []
+    n = model.n
+    jp = model.jump
+    if jp.q1 > jp.q2:
+        bad.append("jump: q1 <= q2 violated")
+    if jp.tau <= 0:
+        bad.append("jump: tau > 0 violated")
+    for j, lam in enumerate(model.rates):
+        if lam < 0:
+            bad.append(f"lambda[{j}] >= 0 violated")
+    if not model.X0.subset_of(model.X):
+        bad.append("X0 subset of X violated")
+    if not model.Xu.subset_of(model.X):
+        bad.append("Xu subset of X violated")
+    for name, box in (("X", model.X), ("X0", model.X0), ("Xu", model.Xu)):
+        missing = [v for v in model.state_vars if v not in box]
+        if missing:
+            bad.append(f"{name} missing interval(s) for {missing}")
+    if len(model.f1) != n:
+        bad.append(f"f1 has {len(model.f1)} rows, expected n={n}")
+    if len(model.f2) != n:
+        bad.append(f"f2 has {len(model.f2)} rows, expected n={n}")
+    if len(model.sigma) != n:
+        bad.append(f"sigma has {len(model.sigma)} rows, expected n={n}")
+    elif len({len(row) for row in model.sigma} | {model.brownian_dim}) > 1:
+        bad.append("sigma rows have inconsistent widths")
+    if len(model.rho) != n:
+        bad.append(f"rho has {len(model.rho)} rows, expected n={n}")
+    else:
+        widths = {len(row) for row in model.rho}
+        if len(widths) > 1 or (widths and widths != {model.poisson_dim}):
+            bad.append("rho width does not match number of Poisson rates")
+    if len(model.noise.moments) != len(model.noise_vars):
+        bad.append("noise moment lists do not match noise variables")
+
+    flow_vars = set(model.state_vars) | set(model.input_vars)
+    jump_vars = flow_vars | set(model.noise_vars)
+    state = set(model.state_vars)
+    for i, p in enumerate(model.f1):
+        extra = set(p.effective_vars()) - flow_vars
+        if extra:
+            bad.append(f"f1[{i}] uses undeclared variable(s) {sorted(extra)}")
+    for i, row in enumerate(model.sigma):
+        for j, p in enumerate(row):
+            extra = set(p.effective_vars()) - state
+            if extra:
+                bad.append(f"sigma[{i}][{j}] uses undeclared variable(s) {sorted(extra)}")
+    for i, row in enumerate(model.rho):
+        for j, p in enumerate(row):
+            extra = set(p.effective_vars()) - state
+            if extra:
+                bad.append(f"rho[{i}][{j}] uses undeclared variable(s) {sorted(extra)}")
+    for i, p in enumerate(model.f2):
+        extra = set(p.effective_vars()) - jump_vars
+        if extra:
+            bad.append(f"f2[{i}] uses undeclared variable(s) {sorted(extra)}")
+    return bad
+
+
+@dataclass(frozen=True)
+class AugmentedState:
+    """Continuous state plus periods-since-jump counter capped by q2."""
+
+    x: tuple[float, ...]
+    z: int
+
+    def __post_init__(self):
+        object.__setattr__(self, "x", tuple(float(v) for v in self.x))
+        if self.z < 0:
+            raise ValueError("counter z must be non-negative")
+
+
+FLOW = "flow"
+JUMP = "jump"
+
+
+def ashs_transition(model: SHSModel, state: AugmentedState, scenario: str) -> bool:
+    """Admissibility of a transition scenario at the state's counter.
+
+    Flow is admissible for 0 <= z <= q2-1 (counter increments); jump is
+    admissible for q1 <= z <= q2 (counter resets). Both can be admissible
+    at once; a JumpSchedule resolves the nondeterminism in simulation.
+    """
+    z, jp = state.z, model.jump
+    if scenario == FLOW:
+        return 0 <= z <= jp.q2 - 1
+    if scenario == JUMP:
+        return jp.q1 <= z <= jp.q2
+    raise ValueError(f"unknown scenario {scenario!r}")
+
+
+def next_counter(scenario: str, z: int) -> int:
+    if scenario == FLOW:
+        return z + 1
+    if scenario == JUMP:
+        return 0
+    raise ValueError(f"unknown scenario {scenario!r}")
+
+
+def output_map(state: AugmentedState) -> tuple[float, ...]:
+    """Observation of the augmented state: the continuous part only."""
+    return state.x
+
+
+@dataclass(frozen=True)
+class JumpSchedule:
+    """Resolution of when jumps fire: fixed gap, cyclic gaps, or uniform.
+
+    Gaps count flow transitions between consecutive jumps and must stay in
+    {q1, ..., q2} for the model the schedule is used with.
+    """
+
+    policy: str
+    gaps: tuple[int, ...] = field(default=())
+
+    def __post_init__(self):
+        if self.policy not in ("fixed", "cyclic", "uniform"):
+            raise ValueError(f"unknown schedule policy {self.policy!r}")
+        if self.policy == "fixed" and len(self.gaps) != 1:
+            raise ValueError("fixed schedule needs exactly one gap")
+        if self.policy == "cyclic" and not self.gaps:
+            raise ValueError("cyclic schedule needs at least one gap")
+        if self.policy == "uniform" and self.gaps:
+            raise ValueError("uniform schedule takes no explicit gaps")
+
+    @staticmethod
+    def fixed(d: int) -> "JumpSchedule":
+        return JumpSchedule("fixed", (int(d),))
+
+    @staticmethod
+    def cyclic(ds: Sequence[int]) -> "JumpSchedule":
+        return JumpSchedule("cyclic", tuple(int(d) for d in ds))
+
+    @staticmethod
+    def uniform() -> "JumpSchedule":
+        return JumpSchedule("uniform")
+
+    @staticmethod
+    def parse(text: str) -> "JumpSchedule":
+        """Parse 'fixed:d', 'cyclic:d1,d2,...' or 'uniform'."""
+        head, _, tail = text.partition(":")
+        if head == "fixed":
+            return JumpSchedule.fixed(int(tail))
+        if head == "cyclic":
+            return JumpSchedule.cyclic([int(d) for d in tail.split(",") if d])
+        if head == "uniform":
+            return JumpSchedule.uniform()
+        raise ValueError(f"cannot parse schedule {text!r}")
+
+    def describe(self) -> str:
+        if self.policy == "uniform":
+            return "uniform"
+        return f"{self.policy}:{','.join(str(d) for d in self.gaps)}"
+
+    def validate_for(self, jump: JumpParams) -> None:
+        for d in self.gaps:
+            if not jump.q1 <= d <= jump.q2:
+                raise ValueError(
+                    f"schedule gap {d} outside admissible range "
+                    f"[{jump.q1}, {jump.q2}]"
+                )
+
+    def next_gap(self, jump: JumpParams, index: int, rng: np.random.Generator) -> int:
+        """Gap before the (index+1)-th jump; uniform draws use rng."""
+        if self.policy == "fixed":
+            return self.gaps[0]
+        if self.policy == "cyclic":
+            return self.gaps[index % len(self.gaps)]
+        return int(rng.integers(jump.q1, jump.q2 + 1))
