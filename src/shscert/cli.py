@@ -18,6 +18,7 @@ import hashlib
 import json
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 from . import __version__
@@ -27,7 +28,7 @@ from .cases import load_case
 from .certify import CbcCandidate, check_cbc
 from .model import JumpSchedule, SHSModel, validate
 from .poly import IntervalBox
-from .sim import SimConfig, monte_carlo, simulate, trajectory_csv
+from .sim import BlowUpError, SimConfig, monte_carlo, trajectories, trajectory_csv
 from .synth import SynthTemplate, search
 
 EXIT_OK = 0
@@ -232,21 +233,25 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             x0 = tuple(float(v) for v in args.x0.split(","))
             if len(x0) != model.n:
                 raise ValueError(f"--x0 needs {model.n} component(s)")
-            config = SimConfig(
-                horizon_T=config.horizon_T,
-                n_trajectories=config.n_trajectories,
-                substeps_per_tau=config.substeps_per_tau,
-                master_seed=config.master_seed,
-                schedule=config.schedule,
-                x0=x0,
-            )
+            config = replace(config, x0=x0)
         config.schedule.validate_for(model.jump)
     except ValueError as e:
         raise CliError(EXIT_BAD_INPUT, str(e)) from None
 
-    keep = min(args.runs, args.keep_trajectories)
-    for idx in range(keep):
-        traj = simulate(model, cand, config, acbc=acbc, traj_index=idx)
+    keep = max(0, min(args.runs, args.keep_trajectories))
+    report = None
+    if acbc is not None and args.runs > 1:
+        report = monte_carlo(model, cand, acbc, config, keep=keep)
+        kept = report.kept
+    elif keep:
+        kept = tuple(trajectories(model, cand, replace(config, n_trajectories=keep), acbc, keep))
+    else:
+        kept = ()
+    for idx, traj in enumerate(kept):
+        if isinstance(traj, BlowUpError):
+            print(f"simulate failed: {traj}", file=sys.stderr)
+            run.finish()
+            return EXIT_FAIL
         if args.format == "json":
             doc = [
                 {
@@ -262,8 +267,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             run.write(f"trajectory_{idx:04d}.json", _dump(doc))
         else:
             run.write(f"trajectory_{idx:04d}.csv", trajectory_csv(model, traj))
-    if acbc is not None and args.runs > 1:
-        report = monte_carlo(model, cand, acbc, config)
+    if report is not None:
         run.write("mc_report.json", _dump(report.to_dict()))
         print(
             f"n={report.n_trajectories} p_exceed={report.p_exceed_hat:.4g} "
@@ -362,7 +366,8 @@ def cmd_repro(args: argparse.Namespace) -> int:
             master_seed=args.seed,
             schedule=schedule,
         )
-        mc = monte_carlo(case.model, case.candidate, acbc, config, delta=full.delta)
+        keep = min(args.keep_trajectories, args.runs)
+        mc = monte_carlo(case.model, case.candidate, acbc, config, delta=full.delta, keep=keep)
         summary["monte_carlo"] = mc.to_dict()
         print(
             f"[simulate] schedule={schedule.describe()} n={mc.n_trajectories} "
@@ -370,8 +375,9 @@ def cmd_repro(args: argparse.Namespace) -> int:
             f"p_unsafe={mc.p_unsafe_hat:.4g} delta={mc.delta:.4g} "
             f"violated={mc.bound_violated}"
         )
-        for idx in range(min(args.keep_trajectories, args.runs)):
-            traj = simulate(case.model, case.candidate, config, acbc=acbc, traj_index=idx)
+        for idx, traj in enumerate(mc.kept):
+            if isinstance(traj, BlowUpError):
+                raise traj
             run.write(f"case{case.case_id}_traj_{idx:02d}.csv", trajectory_csv(case.model, traj))
     except (ValueError, RuntimeError) as e:
         print(f"repro failed at stage {stage}: {e}", file=sys.stderr)

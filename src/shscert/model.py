@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from functools import cached_property
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -61,6 +62,16 @@ class NoiseConfig:
         )
 
 
+class CompiledDynamics(NamedTuple):
+    """Positional closures (see ``Polynomial.compiled``): f1 over (state,
+    input), sigma and rho over state, f2 over (state, input, noise)."""
+
+    f1: tuple
+    sigma: tuple
+    rho: tuple
+    f2: tuple
+
+
 @dataclass(frozen=True)
 class SHSModel:
     """Polynomial jump-diffusion model with box-shaped state sets.
@@ -99,6 +110,19 @@ class SHSModel:
     @property
     def poisson_dim(self) -> int:
         return len(self.rates)
+
+    @cached_property
+    def dynamics(self) -> CompiledDynamics:
+        """The model's polynomials compiled once, for the simulator."""
+        sv = self.state_vars
+        flow_vars = sv + self.input_vars
+        jump_vars = flow_vars + self.noise_vars
+        return CompiledDynamics(
+            f1=tuple(p.compiled(flow_vars) for p in self.f1),
+            sigma=tuple(tuple(p.compiled(sv) for p in row) for row in self.sigma),
+            rho=tuple(tuple(p.compiled(sv) for p in row) for row in self.rho),
+            f2=tuple(p.compiled(jump_vars) for p in self.f2),
+        )
 
     def to_dict(self) -> dict:
         return {

@@ -213,6 +213,9 @@ class Polynomial:
         """Closure evaluating the polynomial at positional values.
 
         Values may be scalars or numpy arrays (broadcasting elementwise).
+        Each term is a chain of multiplications, one factor per power, so
+        Python floats and numpy arrays give bitwise equal results (``**``
+        does not) and overflow gives inf instead of raising.
         """
         key = tuple(varorder)
         fn = self._compiled.get(key)
@@ -224,16 +227,15 @@ class Polynomial:
         pos = {v: key.index(v) for v in self.vars if v in key}
         terms = []
         for exp, coef in self.terms.items():
-            powers = tuple((pos[v], e) for v, e in zip(self.vars, exp) if e)
-            terms.append((coef, powers))
+            chain = tuple(pos[v] for v, e in zip(self.vars, exp) for _ in range(e))
+            terms.append((coef, chain))
 
         def fn(vals):
             total = 0.0
-            for coef, powers in terms:
+            for coef, chain in terms:
                 t = coef
-                for p, e in powers:
-                    v = vals[p]
-                    t = t * v if e == 1 else t * v**e
+                for p in chain:
+                    t = t * vals[p]
                 total = total + t
             return total
 
@@ -678,15 +680,15 @@ def nonneg_on_box(
     n = len(eff)
     pts_per_dim = max(2, int(grid_budget ** (1.0 / n)))
     axes = [np.linspace(*box[v], pts_per_dim) for v in eff]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    fn = p.compiled(tuple(eff))
-    values = fn([m for m in mesh])
-    values = np.broadcast_to(values, mesh[0].shape)
-    flat = int(np.argmin(values))
-    gmin = float(values.flat[flat])
+    # open mesh: powers of one variable stay on its axis, and only sums and
+    # mixed products broadcast to the full grid
+    mesh = np.meshgrid(*axes, indexing="ij", sparse=True)
+    values = np.broadcast_to(p.compiled(tuple(eff))(mesh), (pts_per_dim,) * n)
+    at = np.unravel_index(int(np.argmin(values)), values.shape)
+    gmin = float(values[at])
     witness = dict(lows)
-    for v, m in zip(eff, mesh):
-        witness[v] = float(m.flat[flat])
+    for v, axis, i in zip(eff, axes, at):
+        witness[v] = float(axis[i])
     if gmin < 0:
         return NonnegReport("fails", gmin, witness)
     steps = [(box[v][1] - box[v][0]) / (pts_per_dim - 1) for v in eff]

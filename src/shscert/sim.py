@@ -4,7 +4,10 @@ The flow is integrated with Euler-Maruyama (Brownian increments plus exact
 per-substep Poisson counts); jumps apply the stochastic jump map
 instantaneously at scheduled instants. Each trajectory owns a
 counter-based RNG stream derived from the master seed and its index, so
-results are reproducible and independent of execution order.
+results are reproducible and independent of execution order. ``simulate``
+runs one trajectory on Python floats; ``trajectories``, behind
+``monte_carlo``, steps blocks of them together as arrays and gives the
+same trajectories bitwise.
 """
 
 from __future__ import annotations
@@ -13,8 +16,8 @@ import csv
 import io
 import json
 import math
-from dataclasses import dataclass, field
-from typing import Sequence
+from dataclasses import dataclass, field, replace
+from typing import Iterator, Sequence
 
 import numpy as np
 from scipy import stats
@@ -85,6 +88,27 @@ def _controllers(controllers) -> tuple[tuple[Polynomial, ...], tuple[Polynomial,
     return tuple(flow), tuple(jump)
 
 
+def _poisson_mean(model: SHSModel, h: float):
+    """Poisson mean per substep. A single rate goes in as a float: numpy's
+    array-rate path is several times slower and draws the same stream."""
+    return model.rates[0] * h if model.poisson_dim == 1 else np.asarray(model.rates) * h
+
+
+def _flow_noise(rng: np.random.Generator, substeps: int, b: int, r: int, mean):
+    """One period's Brownian increments (substeps, b) and Poisson counts
+    (substeps, r). Both engines draw through here, so each stream is
+    consumed the same way."""
+    dW = rng.normal(0.0, 1.0, size=(substeps, b)) if b else None
+    dP = rng.poisson(mean, size=(substeps, r)) if r else None
+    return dW, dP
+
+
+def _jump_noise(model: SHSModel, rng: np.random.Generator) -> np.ndarray:
+    if model.noise.sampler != "gaussian":
+        raise ValueError(f"unknown noise sampler {model.noise.sampler!r}")
+    return rng.normal(0.0, 1.0, size=len(model.noise_vars))
+
+
 def flow_step(
     model: SHSModel,
     x: Sequence[float],
@@ -103,38 +127,28 @@ def flow_step(
     n, b, r = model.n, model.brownian_dim, model.poisson_dim
     h = tau / substeps
     sqh = math.sqrt(h)
-    sv, iv = model.state_vars, model.input_vars
-    f1 = [p.compiled(sv + iv) for p in model.f1]
-    sig = [[p.compiled(sv) for p in row] for row in model.sigma]
-    rho = [[p.compiled(sv) for p in row] for row in model.rho]
-
-    dW = rng.normal(0.0, 1.0, size=(substeps, b)) if b else None
-    dP = (
-        rng.poisson(np.asarray(model.rates) * h, size=(substeps, r)).astype(float)
-        if r
-        else None
-    )
+    f1, sig, rho, _ = model.dynamics
+    dW, dP = _flow_noise(rng, substeps, b, r, _poisson_mean(model, h))
+    if r:
+        dP = dP.astype(float)
     state = [float(v) for v in x]
     nu = tuple(float(v) for v in nu_value)
     for s in range(substeps):
         vals = tuple(state) + nu
         new = []
-        try:
-            for i in range(n):
-                xi = state[i] + h * f1[i](vals)
-                if b:
-                    row = sig[i]
-                    for j in range(b):
-                        xi += row[j](state) * sqh * dW[s, j]
-                if r:
-                    row = rho[i]
-                    for j in range(r):
-                        c = dP[s, j]
-                        if c:
-                            xi += row[j](state) * c
-                new.append(float(xi))
-        except OverflowError:
-            raise BlowUpError(s) from None
+        for i in range(n):
+            xi = state[i] + h * f1[i](vals)
+            if b:
+                row = sig[i]
+                for j in range(b):
+                    xi += row[j](state) * sqh * dW[s, j]
+            if r:
+                row = rho[i]
+                for j in range(r):
+                    c = dP[s, j]
+                    if c:
+                        xi += row[j](state) * c
+            new.append(float(xi))
         state = new
         for v in state:
             if not math.isfinite(v):
@@ -149,15 +163,9 @@ def jump_step(
     rng: np.random.Generator,
 ) -> tuple[float, ...]:
     """Instantaneous jump: x' = f2(x, nu, noise sample); time is unchanged."""
-    if model.noise.sampler != "gaussian":
-        raise ValueError(f"unknown noise sampler {model.noise.sampler!r}")
-    w = rng.normal(0.0, 1.0, size=len(model.noise_vars))
-    order = model.state_vars + model.input_vars + model.noise_vars
+    w = _jump_noise(model, rng)
     vals = tuple(float(v) for v in x) + tuple(float(v) for v in nu_value) + tuple(w)
-    try:
-        out = tuple(float(p.compiled(order)(vals)) for p in model.f2)
-    except OverflowError:
-        raise BlowUpError(0, "jump map overflowed") from None
+    out = tuple(float(f(vals)) for f in model.dynamics.f2)
     for v in out:
         if not math.isfinite(v):
             raise BlowUpError(0, "jump map produced a non-finite state")
@@ -177,8 +185,11 @@ def simulate(
     The schedule decides when an admissible jump fires; every other
     transition flows for one period with the flow controller's value held
     constant. Unsafe entry (x in Xu) and certificate exceedance
-    (beta(z) B(x) >= eta, when a lifted certificate is supplied) are
-    recorded at transition boundaries only.
+    (beta(z) B(x) >= eta or NaN, when a lifted certificate is supplied)
+    are recorded at transition boundaries only.
+
+    This is the reference for the batched engine behind ``trajectories``,
+    which must give bitwise equal trajectories.
     """
     nu_flow, nu_jump = _controllers(controllers)
     jp = model.jump
@@ -209,11 +220,8 @@ def simulate(
         nonlocal first_unsafe, first_exceed
         bval = None
         if bfun is not None:
-            try:
-                bval = acbc.beta(z) * bfun(x)
-            except OverflowError:
-                bval = math.inf
-            if first_exceed is None and bval >= acbc.eta:
+            bval = acbc.beta(z) * bfun(x)
+            if first_exceed is None and not bval < acbc.eta:
                 first_exceed = k
         if first_unsafe is None and model.Xu.contains_point(dict(zip(sv, x))):
             first_unsafe = k
@@ -224,10 +232,7 @@ def simulate(
         if z == gap:
             if not jp.q1 <= z <= jp.q2:
                 raise ValueError(f"schedule demands a jump at inadmissible z={z}")
-            try:
-                nu = tuple(float(f(x)) for f in jump_fns)
-            except OverflowError:
-                raise BlowUpError(k, "controller value overflowed") from None
+            nu = tuple(float(f(x)) for f in jump_fns)
             x = jump_step(model, x, nu, rng)
             z = 0
             jumps_taken += 1
@@ -236,10 +241,7 @@ def simulate(
         else:
             if z > jp.q2 - 1:
                 raise ValueError(f"flow transition inadmissible at z={z}")
-            try:
-                nu = tuple(float(f(x)) for f in flow_fns)
-            except OverflowError:
-                raise BlowUpError(k, "controller value overflowed") from None
+            nu = tuple(float(f(x)) for f in flow_fns)
             x = flow_step(model, x, nu, jp.tau, config.substeps_per_tau, rng)
             z += 1
             time += jp.tau
@@ -252,6 +254,211 @@ def simulate(
         first_unsafe=first_unsafe,
         first_exceed=first_exceed,
     )
+
+
+# Trajectories integrated together by the batched engine; bounds its memory
+# whatever the number of trajectories.
+BLOCK_SIZE = 256
+
+# Fewer trajectories than this run one by one on ``simulate``: per substep
+# the batched engine pays a fixed numpy overhead, which on the bundled cases
+# pays off from about eight rows.
+BATCH_MIN = 8
+
+
+def trajectories(
+    model: SHSModel,
+    controllers,
+    config: SimConfig,
+    acbc: Acbc | None = None,
+    keep: int = 0,
+) -> Iterator[Trajectory | BlowUpError]:
+    """Trajectories 0..n-1 of ``config`` in index order.
+
+    Each is a ``Trajectory``, or the ``BlowUpError`` that ended it. The
+    first ``keep`` carry their records; the others carry only their
+    first-exceed and first-unsafe indices. Blocks of ``BLOCK_SIZE``
+    trajectories run on the batched engine, which steps a whole block as
+    arrays; a block of fewer than ``BATCH_MIN`` runs on ``simulate``. Both
+    give the same result for every index.
+    """
+    config.schedule.validate_for(model.jump)
+    n = config.n_trajectories
+    for start in range(0, n, BLOCK_SIZE):
+        stop = min(start + BLOCK_SIZE, n)
+        if stop - start >= BATCH_MIN:
+            yield from _simulate_block(model, controllers, config, acbc, start, stop, keep)
+            continue
+        for idx in range(start, stop):
+            try:
+                traj = simulate(model, controllers, config, acbc=acbc, traj_index=idx)
+            except BlowUpError as e:
+                yield e
+                continue
+            yield traj if idx < keep else replace(traj, records=())
+
+
+def _simulate_block(
+    model: SHSModel,
+    controllers,
+    config: SimConfig,
+    acbc: Acbc | None,
+    start: int,
+    stop: int,
+    keep: int,
+) -> list[Trajectory | BlowUpError]:
+    """Trajectories start..stop-1, stepped together as an (N, n) array.
+
+    Every row draws from its own stream with the calls, sizes and order of
+    ``simulate``, and every value goes through the same compiled closures
+    in the same order of operations, so each row equals the scalar
+    trajectory bitwise. A row leaves the block when its state stops being
+    finite.
+    """
+    nu_flow, nu_jump = _controllers(controllers)
+    jp, sv, n = model.jump, model.state_vars, model.n
+    N = stop - start
+    S = config.substeps_per_tau
+    h = jp.tau / S
+    sqh = math.sqrt(h)
+    b, r = model.brownian_dim, model.poisson_dim
+    mean = _poisson_mean(model, h)
+    dyn = model.dynamics
+    flow_fns = [p.compiled(sv) for p in nu_flow]
+    jump_fns = [p.compiled(sv) for p in nu_jump]
+    schedule = config.schedule
+    rngs = [trajectory_rng(config.master_seed, i) for i in range(start, stop)]
+
+    if config.x0 is not None:
+        X = np.tile(np.array([float(v) for v in config.x0]), (N, 1))
+    else:
+        pts = [model.X0.sample(g) for g in rngs]
+        X = np.array([[pt[v] for v in sv] for pt in pts], dtype=float).reshape(N, n)
+    z = np.zeros(N, dtype=np.int64)
+    time = np.zeros(N)
+    jumps = [0] * N
+    gap = np.array([schedule.next_gap(jp, 0, g) for g in rngs], dtype=np.int64)
+    alive = np.ones(N, dtype=bool)
+    errors: list[BlowUpError | None] = [None] * N
+    first_exceed = np.full(N, -1, dtype=np.int64)
+    first_unsafe = np.full(N, -1, dtype=np.int64)
+    n_kept = max(0, min(keep, stop) - start)
+    records: list[list[TransitionRecord]] = [[] for _ in range(n_kept)]
+
+    bfun = acbc.base.Bbar.compiled(sv) if acbc is not None else None
+    beta = np.array([acbc.beta(q) for q in range(jp.q2 + 1)]) if acbc is not None else None
+    unsafe_box = [(sv.index(v), lo, hi) for v, (lo, hi) in model.Xu.intervals.items()]
+
+    def columns(rows) -> list[np.ndarray]:
+        return [X[rows, i] for i in range(n)]
+
+    def record(k: int, jumped: np.ndarray | None) -> None:
+        cols = columns(slice(None))
+        bval = None
+        if bfun is not None:
+            bval = beta[z] * bfun(cols)
+            hit = alive & (first_exceed < 0) & ~(bval < acbc.eta)
+            first_exceed[hit] = k
+        inside = alive & (first_unsafe < 0)
+        for i, lo, hi in unsafe_box:
+            inside &= (lo <= cols[i]) & (cols[i] <= hi)
+        first_unsafe[inside] = k
+        for row in range(n_kept):
+            if alive[row]:
+                scenario = "init" if jumped is None else JUMP if jumped[row] else FLOW
+                records[row].append(
+                    TransitionRecord(
+                        k,
+                        float(time[row]),
+                        int(z[row]),
+                        scenario,
+                        tuple(X[row].tolist()),
+                        None if bval is None else float(bval[row]),
+                    )
+                )
+
+    def jump(J: np.ndarray) -> None:
+        cols = columns(J)
+        nu = [f(cols) for f in jump_fns]
+        W = np.array([_jump_noise(model, rngs[row]) for row in J])
+        vals = cols + nu + [W[:, j] for j in range(len(model.noise_vars))]
+        new = np.empty((len(J), n))
+        for i, f in enumerate(dyn.f2):
+            new[:, i] = f(vals)
+        X[J] = new
+        bad = ~np.isfinite(new).all(axis=1)
+        for row in J[bad]:
+            errors[row] = BlowUpError(0, "jump map produced a non-finite state")
+            alive[row] = False
+        J = J[~bad]
+        z[J] = 0
+        for row in J:
+            jumps[row] += 1
+            gap[row] = schedule.next_gap(jp, jumps[row], rngs[row])
+
+    def flow(F: np.ndarray) -> None:
+        state = columns(F)
+        nu = [f(state) for f in flow_fns]
+        draws = [_flow_noise(rngs[row], S, b, r, mean) for row in F]
+        dW = np.array([d[0] for d in draws]) if b else None  # (|F|, S, b)
+        dP = np.array([d[1] for d in draws], dtype=float) if r else None  # (|F|, S, r)
+        counted = dP.any(axis=(0, 2)) if r else None
+        failed_at = np.full(len(F), -1, dtype=np.int64)
+        for s in range(S):
+            vals = state + nu
+            new = []
+            for i in range(n):
+                xi = state[i] + h * dyn.f1[i](vals)
+                for j in range(b):
+                    xi = xi + dyn.sigma[i][j](state) * sqh * dW[:, s, j]
+                if r and counted[s]:
+                    for j in range(r):
+                        c = dP[:, s, j]
+                        xi = np.where(c != 0, xi + dyn.rho[i][j](state) * c, xi)
+                new.append(xi)
+            state = new
+            finite = np.isfinite(state[0])
+            for xi in state[1:]:
+                finite &= np.isfinite(xi)
+            if not finite.all():
+                failed_at[~finite & (failed_at < 0)] = s
+        for i in range(n):
+            X[F, i] = state[i]
+        for row, s in zip(F[failed_at >= 0], failed_at[failed_at >= 0]):
+            errors[row] = BlowUpError(int(s))
+            alive[row] = False
+        F = F[failed_at < 0]
+        z[F] += 1
+        time[F] += jp.tau
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        record(0, None)
+        for k in range(1, config.horizon_T + 1):
+            live = np.flatnonzero(alive)
+            if not live.size:
+                break
+            jumped = z == gap
+            if jumped[live].any():
+                jump(live[jumped[live]])
+            if not jumped[live].all():
+                flow(live[~jumped[live]])
+            record(k, jumped)
+
+    out: list[Trajectory | BlowUpError] = []
+    for row in range(N):
+        if errors[row] is not None:
+            out.append(errors[row])
+            continue
+        out.append(
+            Trajectory(
+                records=tuple(records[row]) if row < n_kept else (),
+                seed=config.master_seed,
+                traj_index=start + row,
+                first_unsafe=None if first_unsafe[row] < 0 else int(first_unsafe[row]),
+                first_exceed=None if first_exceed[row] < 0 else int(first_exceed[row]),
+            )
+        )
+    return out
 
 
 def trajectory_csv(model: SHSModel, traj: Trajectory) -> str:
@@ -299,6 +506,8 @@ class McReport:
     ci99_unsafe: tuple[float, float]
     delta: float
     bound_violated: bool
+    # the first trajectories asked for with ``keep``; not part of the report
+    kept: tuple[Trajectory | BlowUpError, ...] = field(default=(), compare=False, repr=False)
 
     def to_dict(self) -> dict:
         return {
@@ -327,6 +536,7 @@ def monte_carlo(
     acbc: Acbc,
     config: SimConfig,
     delta: float | None = None,
+    keep: int = 0,
 ) -> McReport:
     """Estimate exceedance and unsafe-entry frequencies over seeded runs.
 
@@ -335,7 +545,9 @@ def monte_carlo(
     state) is counted, conservatively, as both exceeding and unsafe. The
     violation flag compares the 99% exact lower confidence bound of the
     exceedance frequency against delta (computed from the lifted
-    certificate when not supplied).
+    certificate when not supplied). The first ``keep`` trajectories come
+    back in ``kept``, records and all, so callers need not simulate them
+    again.
     """
     if delta is None:
         from .bound import compute_delta_for
@@ -343,10 +555,11 @@ def monte_carlo(
         delta = compute_delta_for(acbc, config.horizon_T).delta
     n = config.n_trajectories
     exceed = unsafe = blowups = 0
-    for idx in range(n):
-        try:
-            traj = simulate(model, controllers, config, acbc=acbc, traj_index=idx)
-        except BlowUpError:
+    kept = []
+    for idx, traj in enumerate(trajectories(model, controllers, config, acbc, keep)):
+        if idx < keep:
+            kept.append(traj)
+        if isinstance(traj, BlowUpError):
             blowups += 1
             exceed += 1
             unsafe += 1
@@ -371,4 +584,5 @@ def monte_carlo(
         ci99_unsafe=ci_u,
         delta=delta,
         bound_violated=ci_e[0] > delta,
+        kept=tuple(kept),
     )

@@ -222,6 +222,44 @@ class TestPipelineRoundTrip:
         assert doc[0]["k"] == 0 and doc[0]["scenario"] == "init"
 
 
+class TestSimulateBlowUp:
+    @pytest.fixture(scope="class")
+    def cubic_files(self, tmp_path_factory):
+        """dx = x^3 dt from x0 = 10: the state leaves the floats in one period."""
+        from conftest import scalar_model
+        from shscert import construct_acbc
+
+        root = tmp_path_factory.mktemp("cubic")
+        x = Polynomial.variable("x")
+        nu = Polynomial.variable("nu")
+        model = scalar_model(
+            f1=x**3 + 0.0 * nu, f2=x, sigma=0.0, rho=0.0, rate=0.0,
+            X=(0.0, 20.0), X0=(10.0, 10.0), Xu=(15.0, 20.0),
+        )
+        cand = CbcCandidate(
+            x**2, 1.0, 0.5, 0.5, 0.01, 0.3, 60.0,
+            (Polynomial.constant(0.0),), (Polynomial.constant(0.0),),
+        )
+        (root / "model.json").write_text(model.to_json())
+        (root / "cand.json").write_text(cand.to_json())
+        acbc = construct_acbc(cand, model.jump, 0.1, 8.0)
+        (root / "acbc.json").write_text(json.dumps(acbc.to_dict()))
+        return root
+
+    @pytest.mark.parametrize("runs", ["1", "12"])
+    def test_blow_up_exits_one_with_manifest(self, cubic_files, tmp_path, capsys, runs):
+        code = main([
+            "simulate", str(cubic_files / "model.json"), str(cubic_files / "cand.json"),
+            "--acbc", str(cubic_files / "acbc.json"), "--runs", runs, "--horizon", "5",
+            "--out", str(tmp_path),
+        ])
+        assert code == 1
+        assert "simulate failed: state became non-finite at substep" in capsys.readouterr().err
+        manifest = json.loads((tmp_path / "simulate_manifest.json").read_text())
+        assert manifest["command"] == "simulate"
+        assert not list(tmp_path.glob("trajectory_*"))
+
+
 class TestSynthesizeCommand:
     def test_warm_start_repair(self, artifacts, tmp_path):
         code = main([

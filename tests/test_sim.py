@@ -1,12 +1,15 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from shscert import (
     BlowUpError,
+    CbcCandidate,
+    JumpParams,
     JumpSchedule,
     Polynomial,
     SimConfig,
@@ -18,7 +21,10 @@ from shscert import (
     simulate,
     trajectory_csv,
 )
-from shscert.sim import trajectory_rng
+from shscert import load_case, sim
+from shscert.model import NoiseConfig, SHSModel
+from shscert.poly import IntervalBox, NoiseMoments
+from shscert.sim import _simulate_block, trajectories, trajectory_rng
 
 from conftest import scalar_model
 
@@ -288,3 +294,134 @@ class TestWeakConvergence:
                 x = flow_step(m, x, (0.0,), 0.1, 100, rng)
             vals.append(x[0] ** 2)
         assert float(np.mean(vals)) == pytest.approx(want, rel=0.05)
+
+
+def _outcome(run):
+    try:
+        return run()
+    except BlowUpError as e:
+        return e
+
+
+def assert_same(model, got, want):
+    """Equal trajectories down to the last bit (CSV uses repr), or equal
+    blow-ups."""
+    if isinstance(want, BlowUpError):
+        assert isinstance(got, BlowUpError)
+        assert (got.step, str(got)) == (want.step, str(want))
+    else:
+        assert got == want
+        assert trajectory_csv(model, got) == trajectory_csv(model, want)
+
+
+def _noisy_plane() -> tuple[SHSModel, CbcCandidate]:
+    """Two states, two Brownian motions, two Poisson counters, state-dependent
+    diffusion and a noisy controlled jump map."""
+    x, y = Polynomial.variable("x"), Polynomial.variable("y")
+    nu, w = Polynomial.variable("nu"), Polynomial.variable("varsigma")
+    const = Polynomial.constant
+    model = SHSModel(
+        state_vars=("x", "y"), input_vars=("nu",), noise_vars=("varsigma",),
+        f1=(y + nu - 0.1 * x**3, -1.0 * x - 0.2 * y),
+        sigma=((0.2 * x, const(0.05)), (const(0.0), 0.1 * y + 0.1)),
+        rho=((const(0.3), const(0.0)), (const(0.0), -0.2 * y)),
+        rates=(1.5, 3.0),
+        f2=(0.8 * x + nu + 0.2 * w, y * w),
+        noise=NoiseConfig((NoiseMoments.standard_normal(8),)),
+        jump=JumpParams(0.1, 1, 7),
+        X=IntervalBox({"x": (-3, 3), "y": (-3, 3)}),
+        X0=IntervalBox({"x": (0.5, 1.5), "y": (-0.5, 0.5)}),
+        Xu=IntervalBox({"x": (1.2, 3), "y": (-3, 3)}),
+    )
+    cand = CbcCandidate(
+        x**2 + y**2, 1.0, 0.5, 0.5, 0.01, 0.3, 1.5,
+        (0.1 * x,), (-0.2 * y + 0.1,),
+    )
+    return model, cand
+
+
+class TestBatchedEngine:
+    """The batched engine against the scalar reference ``simulate``."""
+
+    @pytest.mark.parametrize("schedule", ["uniform", "fixed:7", "fixed:1"])
+    @pytest.mark.parametrize("case_id", [1, 2, 3])
+    def test_bundled_cases_equal_scalar(self, case_id, schedule):
+        case = load_case(case_id)
+        acbc = construct_acbc(case.candidate, case.model.jump, case.eps1, case.eps2)
+        n = 200
+        config = SimConfig(
+            horizon_T=100, n_trajectories=n, master_seed=7,
+            schedule=JumpSchedule.parse(schedule),
+        )
+        batch = _simulate_block(case.model, case.candidate, config, acbc, 0, n, keep=n)
+        scalar = [
+            _outcome(lambda i=i: simulate(case.model, case.candidate, config, acbc, i))
+            for i in range(n)
+        ]
+        blown = {i for i, t in enumerate(scalar) if isinstance(t, BlowUpError)}
+        assert {i for i, t in enumerate(batch) if isinstance(t, BlowUpError)} == blown
+        for got, want in zip(batch, scalar):
+            assert_same(case.model, got, want)
+        # trajectory i does not depend on N or on the rows around it
+        for i in sorted({0, 1, n - 1} | set(sorted(blown)[:2])):
+            (alone,) = _simulate_block(case.model, case.candidate, config, acbc, i, i + 1, keep=i + 1)
+            assert_same(case.model, alone, scalar[i])
+
+    def test_two_states_equal_scalar(self):
+        model, cand = _noisy_plane()
+        acbc = construct_acbc(cand, model.jump, 0.1, 8.0)
+        n = 60
+        config = SimConfig(horizon_T=50, n_trajectories=n, master_seed=3)
+        batch = _simulate_block(model, cand, config, acbc, 0, n, keep=n)
+        for i, got in enumerate(batch):
+            assert_same(model, got, _outcome(lambda: simulate(model, cand, config, acbc, i)))
+        assert any(t.first_exceed is not None for t in batch)
+        assert any(t.first_unsafe is not None for t in batch)
+        (alone,) = _simulate_block(model, cand, config, acbc, 17, 18, keep=18)
+        assert_same(model, alone, batch[17])
+
+    def test_blocks_and_kept_trajectories(self, case3, monkeypatch):
+        # blocks of 9 leave a tail of 2, which runs on the scalar path
+        acbc = construct_acbc(case3.candidate, case3.model.jump, case3.eps1, case3.eps2)
+        n = 38
+        config = SimConfig(
+            horizon_T=100, n_trajectories=n, master_seed=7, schedule=JumpSchedule.uniform()
+        )
+        whole = _simulate_block(case3.model, case3.candidate, config, acbc, 0, n, keep=n)
+        assert any(isinstance(t, BlowUpError) for t in whole)
+        monkeypatch.setattr(sim, "BLOCK_SIZE", 9)
+        blocked = list(trajectories(case3.model, case3.candidate, config, acbc, keep=n))
+        for got, want in zip(blocked, whole, strict=True):
+            assert_same(case3.model, got, want)
+        rep = monte_carlo(case3.model, case3.candidate, acbc, config, keep=5)
+        assert len(rep.kept) == 5
+        for got, want in zip(rep.kept, whole):
+            assert_same(case3.model, got, want)
+        # without keep only the first-exceed and first-unsafe indices remain
+        bare = trajectories(case3.model, case3.candidate, config, acbc)
+        for got, want in zip(bare, whole, strict=True):
+            if not isinstance(want, BlowUpError):
+                want = replace(want, records=())
+            assert_same(case3.model, got, want)
+
+    def test_nan_certificate_value_counts_as_exceedance(self):
+        # x^4 and x^5 both overflow at x = 1e80, so B = x^4 - x^5 is inf - inf
+        m = scalar_model(f1=0.0 * X, f2=X, sigma=0.0, rho=0.0, rate=0.0, X=(0.0, 1e81))
+        cand = CbcCandidate(
+            X**4 - X**5, 1.0, 0.5, 0.5, 0.01, 0.3, 60.0,
+            (Polynomial.constant(0.0),), (Polynomial.constant(0.0),),
+        )
+        acbc = construct_acbc(cand, m.jump, 0.1, 8.0)
+        config = SimConfig(horizon_T=5, n_trajectories=sim.BATCH_MIN, x0=(1e80,))
+        traj = simulate(m, cand, config, acbc=acbc)
+        assert math.isnan(traj.records[0].b_value)
+        assert traj.first_exceed == 0
+        rep = monte_carlo(m, cand, acbc, config, delta=0.5)
+        assert rep.blowup_count == 0
+        assert rep.exceed_count == config.n_trajectories
+
+    def test_float_poisson_rate_draws_the_array_stream(self):
+        a, b = trajectory_rng(7, 0), trajectory_rng(7, 0)
+        for _ in range(100):
+            want = a.poisson(np.asarray((0.5,)) * 0.005, size=(20, 1))
+            assert np.array_equal(b.poisson(0.5 * 0.005, size=(20, 1)), want)
