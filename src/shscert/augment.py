@@ -17,7 +17,13 @@ import math
 from dataclasses import dataclass
 from typing import Mapping
 
-from .certify import CbcCandidate, ConditionCheck, jump_expectation
+from .certify import (
+    CbcCandidate,
+    ConditionCheck,
+    flow_condition,
+    generator,
+    jump_expectation,
+)
 from .model import JumpParams, SHSModel
 from .poly import IntervalBox, NonnegReport, nonneg_on_box
 
@@ -227,7 +233,9 @@ def check_acbc_conditions(
     semi-analytically per counter: the flow scenario uses the exponential
     relaxation bound E[B(x(tau-))] <= exp(-kappa1 tau)(B(x) + tau gamma1),
     the jump scenario the exact post-jump expectation polynomial; each is
-    compared against kappa beta(z) B + gamma on the domain.
+    compared against kappa beta(z) B + gamma on the domain. The relaxation
+    rests on the base flow condition LB <= -kappa1 B + gamma1, so that is
+    checked on the domain as well ("flow[base]").
     """
     dom = domain if domain is not None else model.X
     cand = acbc.base
@@ -257,6 +265,10 @@ def check_acbc_conditions(
             )
         )
 
+    gen = generator(model, B, cand.nu_flow)
+    checks.append(
+        ConditionCheck("flow[base]", nonneg_on_box(flow_condition(cand, gen), dom))
+    )
     decay = math.exp(-cand.kappa1 * jp.tau)
     jexp = jump_expectation(model, B, cand.nu_jump)
     for z in range(jp.q2 + 1):

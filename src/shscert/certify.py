@@ -9,11 +9,13 @@ a polynomial state-feedback controller.
 from __future__ import annotations
 
 import json
+import struct
+from collections import defaultdict
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .model import SHSModel
-from .poly import IntervalBox, NonnegReport, Polynomial, nonneg_on_box
+from .poly import IntervalBox, NonnegReport, Polynomial, interval_candidates, nonneg_on_box
 
 
 @dataclass(frozen=True)
@@ -208,6 +210,82 @@ class CbcReport:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2)
 
 
+def flow_condition(cand: CbcCandidate, gen: Polynomial) -> Polynomial:
+    """-LB - kappa1 B + gamma1, given the generator gen = LB."""
+    return -gen - cand.kappa1 * cand.Bbar + cand.gamma1
+
+
+def _exact(p: Polynomial) -> tuple:
+    """Key equal for two polynomials only if their variables, ordered
+    terms and coefficient bits are; Polynomial.__eq__ ignores term order."""
+    coefs = tuple(p.terms.values())
+    return p.vars, tuple(p.terms), struct.pack(f"{len(coefs)}d", *coefs)
+
+
+class _Last:
+    """The last result of one computation, reused while its key repeats."""
+
+    def __init__(self):
+        self.key = None
+        self.value = None
+
+    def get(self, key, compute, *args):
+        if key != self.key:
+            self.value = compute(*args)
+            self.key = key
+        return self.value
+
+
+class _CandidateSlot(_Last):
+    """interval_candidates, reused while the derivative coefficients and
+    the interval repeat bit for bit."""
+
+    def __call__(self, dp, a, b):
+        key = struct.pack(f"{len(dp) + 2}d", a, b, *dp)
+        return self.get(key, interval_candidates, dp, a, b)
+
+
+class CbcChecker:
+    """Checks candidates of one model on one domain, as check_cbc does.
+
+    It keeps the last generator (keyed on Bbar and nu_flow), the last jump
+    expectation (keyed on Bbar and nu_jump) and, for each condition, the
+    last univariate candidate set, and reuses each while its input repeats
+    bit for bit. So a candidate that shares part of its input with the
+    previous one is checked faster, and every report is bitwise equal to a
+    fresh check. One entry per slot keeps memory bounded.
+    """
+
+    def __init__(self, model: SHSModel, domain: IntervalBox | None = None):
+        self.model = model
+        self.domain = domain if domain is not None else model.X
+        self._gen = _Last()
+        self._jexp = _Last()
+        self._candidates = defaultdict(_CandidateSlot)  # one slot per condition
+
+    def check(self, cand: CbcCandidate) -> CbcReport:
+        model, dom, B = self.model, self.domain, cand.Bbar
+        bkey = _exact(B)
+        gen = self._gen.get(
+            (bkey, tuple(map(_exact, cand.nu_flow))), generator, model, B, cand.nu_flow
+        )
+        jexp = self._jexp.get(
+            (bkey, tuple(map(_exact, cand.nu_jump))), jump_expectation, model, B, cand.nu_jump
+        )
+        checks = (
+            ("initial", cand.alphabar - B, model.X0),
+            ("unsafe", B - cand.etabar, model.Xu),
+            ("flow", flow_condition(cand, gen), dom),
+            ("jump", cand.kappa2 * B + cand.gamma2 - jexp, dom),
+            ("nonneg", B, dom),
+        )
+        results = tuple(
+            ConditionCheck(name, nonneg_on_box(expr, box, candidates=self._candidates[name]))
+            for name, expr, box in checks
+        )
+        return CbcReport(results, dom)
+
+
 def check_cbc(
     model: SHSModel, cand: CbcCandidate, domain: IntervalBox | None = None
 ) -> CbcReport:
@@ -218,21 +296,7 @@ def check_cbc(
     jump: kappa2 B + gamma2 - E[B after jump] on the domain;
     nonneg: B on the domain. The domain defaults to the working box X.
     """
-    dom = domain if domain is not None else model.X
-    B = cand.Bbar
-    gen = generator(model, B, cand.nu_flow)
-    jexp = jump_expectation(model, B, cand.nu_jump)
-    checks = (
-        ("initial", cand.alphabar - B, model.X0),
-        ("unsafe", B - cand.etabar, model.Xu),
-        ("flow", -gen - cand.kappa1 * B + cand.gamma1, dom),
-        ("jump", cand.kappa2 * B + cand.gamma2 - jexp, dom),
-        ("nonneg", B, dom),
-    )
-    results = tuple(
-        ConditionCheck(name, nonneg_on_box(expr, box)) for name, expr, box in checks
-    )
-    return CbcReport(results, dom)
+    return CbcChecker(model, domain).check(cand)
 
 
 @dataclass(frozen=True)

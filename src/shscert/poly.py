@@ -157,12 +157,20 @@ class Polynomial:
     def __pow__(self, k: int) -> "Polynomial":
         if not isinstance(k, int) or k < 0:
             raise ValueError("only non-negative integer powers")
-        result = Polynomial.constant(1.0)
+        if k == 0:
+            return Polynomial.constant(1.0)
+        # square-and-multiply from the lowest set bit of k: no leading
+        # 1 * base and no squaring after the last bit
         base = self
+        while not k & 1:
+            base = base * base
+            k >>= 1
+        result = base
+        k >>= 1
         while k:
+            base = base * base
             if k & 1:
                 result = result * base
-            base = base * base
             k >>= 1
         return result
 
@@ -578,12 +586,27 @@ def _isolate_roots(c: list[float], a: float, b: float, width: float = ROOT_WIDTH
     return sorted(roots)
 
 
-def min_on_interval(p: Polynomial, a: float, b: float) -> tuple[float, float]:
+def interval_candidates(dp: Sequence[float], a: float, b: float) -> list[float]:
+    """Sorted candidate minimizers on [a < b] of a polynomial with derivative dp.
+
+    dp holds dense ascending coefficients. The candidates are the
+    endpoints, every real root of dp inside (a, b) isolated to width 1e-10,
+    and a 33-point grid as a numerical safety net.
+    """
+    candidates = {a, b}
+    candidates.update(x for x in _isolate_roots(dp, a, b) if a < x < b)
+    candidates.update(float(x) for x in np.linspace(a, b, 33))
+    return sorted(candidates)
+
+
+def min_on_interval(
+    p: Polynomial, a: float, b: float, candidates=interval_candidates
+) -> tuple[float, float]:
     """Minimum of a univariate polynomial on [a, b] with its argmin.
 
-    Candidates are the endpoints plus every real root of p' isolated to
-    width 1e-10 (a coarse grid is thrown in as a numerical safety net).
-    Ties are broken toward the smaller argument.
+    p is evaluated at ``candidates(p', a, b)`` (by default
+    interval_candidates) and ties are broken toward the smaller argument.
+    A replacement must return what interval_candidates would.
     """
     if a > b:
         raise ValueError(f"need a <= b, got [{a}, {b}]")
@@ -593,13 +616,9 @@ def min_on_interval(p: Polynomial, a: float, b: float) -> tuple[float, float]:
     if not eff or a == b:
         v = p.eval({eff[0]: a}) if eff else p.constant_value()
         return v, a
-    var = eff[0]
-    c = p.dense_coeffs(var)
-    candidates = {a, b}
-    candidates.update(x for x in _isolate_roots(_polyder(c), a, b) if a < x < b)
-    candidates.update(float(x) for x in np.linspace(a, b, 33))
+    c = p.dense_coeffs(eff[0])
     best_x, best_v = None, math.inf
-    for x in sorted(candidates):
+    for x in candidates(_polyder(c), a, b):
         v = _polyval(c, x)
         if v < best_v:
             best_x, best_v = x, v
@@ -648,11 +667,15 @@ def _lipschitz_bound(p: Polynomial, box: IntervalBox) -> float:
 
 
 def nonneg_on_box(
-    p: Polynomial, box: IntervalBox, grid_budget: int = 200_000
+    p: Polynomial,
+    box: IntervalBox,
+    grid_budget: int = 200_000,
+    candidates=interval_candidates,
 ) -> NonnegReport:
     """Check p >= 0 on the box.
 
-    Univariate polynomials are decided exactly through min_on_interval.
+    Univariate polynomials are decided exactly through min_on_interval,
+    which gets ``candidates``.
     Multivariate ones get a grid scan with a Lipschitz safety margin and
     may come back "inconclusive".
     """
@@ -670,7 +693,7 @@ def nonneg_on_box(
     if len(eff) == 1:
         var = eff[0]
         lo, hi = box[var]
-        value, arg = min_on_interval(p, lo, hi)
+        value, arg = min_on_interval(p, lo, hi, candidates)
         if value >= -1e-9:
             return NonnegReport("holds", value, None)
         witness = dict(lows)

@@ -16,7 +16,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .certify import CbcCandidate, check_cbc
+from .certify import CbcCandidate, CbcChecker, check_cbc
 from .model import SHSModel
 from .poly import IntervalBox, Polynomial, min_on_interval
 
@@ -120,9 +120,10 @@ class _Search:
     def __init__(self, model: SHSModel, template: SynthTemplate, domain: IntervalBox | None):
         self.model = model
         self.t = template
-        self.domain = domain
         self.rng = np.random.default_rng(template.seed)
         self.evals = 0
+        # one checker per search: each evaluation reuses the previous one's work
+        self.checker = CbcChecker(model, domain)
         self.var = model.state_vars[0] if model.n == 1 else None
         self.nb = template.cert_degree + 1
         self.nc = template.controller_degree + 1
@@ -189,7 +190,7 @@ class _Search:
             return _INVALID
         self.evals += 1
         try:
-            return margin_objective(self.model, cand, self.domain)
+            return self.checker.check(cand).min_margin
         except (ValueError, OverflowError):
             return _INVALID
 

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -156,6 +157,24 @@ class TestAcbcConditions:
         rep = check_acbc_conditions(case1.model, a)
         for z in range(7):
             assert rep[f"flow[z={z}]"].status == "holds"
+
+    def test_failed_base_flow_condition_fails_the_lift(self, case3):
+        # the flow relaxation presumes LB <= -kappa1 B + gamma1; under this
+        # flow controller the closed-loop drift is 2 - x and that fails
+        from test_acceptance import proved_certificate
+
+        cand = replace(
+            proved_certificate(case3.model),
+            nu_flow=((2 - X - 0.01 * X**3) * (1 / 0.7),),
+        )
+        base = check_cbc(case3.model, cand)["flow"]
+        assert base.status == "fails" and base.margin == pytest.approx(-0.01567, abs=1e-5)
+        acbc = construct_acbc(cand, case3.model.jump, case3.eps1, case3.eps2)
+        rep = check_acbc_conditions(case3.model, acbc)
+        assert rep["flow[base]"].status == "fails"
+        assert rep["flow[base]"].margin == base.margin
+        assert not rep.all_hold
+        assert all(c.status == "holds" for c in rep.conditions if c.condition != "flow[base]")
 
     def test_equal_levels_fail_constants_check(self, case1):
         a = construct_acbc(case1.candidate, JP, 0.1, 8.0)

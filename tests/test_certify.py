@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from shscert import (
     flow_step,
     generator,
     jump_expectation,
+    load_case,
 )
 from shscert.poly import IntervalBox
 
@@ -277,3 +279,118 @@ class TestAssembleSos:
         mult = SosMultipliers(initial=(Polynomial.constant(1.0),))
         with pytest.raises(ValueError, match="multipliers"):
             assemble_sos(case1.model, case1.candidate, mult)
+
+
+CONSTANTS = ("kappa1", "kappa2", "gamma1", "gamma2", "alphabar", "etabar")
+
+
+def _combine(basis, coeffs):
+    return sum((float(c) * basis[k] for k, c in enumerate(coeffs)), Polynomial.constant(0.0))
+
+
+def _two_state(case):
+    """A weakly coupled two-state copy of a bundled case: the checker takes
+    the multivariate grid path on it."""
+    from shscert.model import SHSModel
+
+    m = case.model
+    x, y = Polynomial.variable("x"), Polynomial.variable("y")
+    model = SHSModel(
+        state_vars=("x", "y"), input_vars=m.input_vars, noise_vars=m.noise_vars,
+        f1=(m.f1[0] + 0.01 * (y - x), m.f1[0].substitute({"x": y}) + 0.01 * (x - y)),
+        sigma=(m.sigma[0], m.sigma[0]), rho=(m.rho[0], m.rho[0]), rates=m.rates,
+        f2=(m.f2[0], m.f2[0].substitute({"x": y})), noise=m.noise, jump=m.jump,
+        X=IntervalBox({"x": m.X["x"], "y": m.X["x"]}),
+        X0=IntervalBox({"x": m.X0["x"], "y": m.X0["x"]}),
+        Xu=IntervalBox({"x": m.Xu["x"], "y": m.X["x"]}),
+    )
+    return model, [x**k + y**k for k in range(5)]
+
+
+class TestCbcChecker:
+    """One checker fed a walk of candidates, each one coordinate away from
+    the previous, reports exactly what a fresh check_cbc does."""
+
+    def walk(self, model, cand, basis, steps, seed, monkeypatch):
+        from shscert import certify
+
+        calls = {"generator": 0, "interval_candidates": 0}
+        for name in calls:
+            original = getattr(certify, name)
+
+            def counted(*args, _name=name, _original=original):
+                calls[_name] += 1
+                return _original(*args)
+
+            monkeypatch.setattr(certify, name, counted)
+
+        rng = np.random.default_rng(seed)
+        var = model.state_vars[0]
+        coeffs = {
+            "Bbar": (
+                cand.Bbar.dense_coeffs(var) if model.n == 1 else [0.2, -0.3, 0.2, -0.05, 0.01]
+            ),
+            "nu_flow": cand.nu_flow[0].dense_coeffs(var),
+            "nu_jump": cand.nu_jump[0].dense_coeffs(var),
+        }
+        consts = {name: getattr(cand, name) for name in CONSTANTS}
+
+        def build():
+            return CbcCandidate(
+                Bbar=_combine(basis, coeffs["Bbar"]),
+                nu_flow=(_combine(basis, coeffs["nu_flow"]),),
+                nu_jump=(_combine(basis, coeffs["nu_jump"]),),
+                **consts,
+            )
+
+        # every kind of move first, then random ones
+        moves = [*CONSTANTS, "Bbar", "nu_flow", "nu_jump", "revisit", "reorder"]
+        kinds = [*CONSTANTS] * 2 + ["Bbar", "nu_flow", "nu_jump", "revisit"]
+        moves += list(rng.choice(kinds, steps - len(moves)))
+        checker = certify.CbcChecker(model)
+        seen = []
+        for move in moves:
+            if move == "revisit":
+                c = seen[int(rng.integers(len(seen) - 2))]
+            elif move == "reorder":
+                # equal under Polynomial.__eq__, but the terms come in reverse order
+                c = seen[-1]
+                c = replace(c, Bbar=Polynomial(c.Bbar.vars, dict(reversed(c.Bbar.terms.items()))))
+                assert c.Bbar == seen[-1].Bbar
+            else:
+                while True:
+                    before = (dict(consts), {k: list(v) for k, v in coeffs.items()})
+                    if move == "kappa1":
+                        consts[move] += 0.05 * rng.standard_normal()
+                    elif move in consts:
+                        consts[move] = abs(consts[move]) * rng.uniform(0.8, 1.25)
+                    else:
+                        k = int(rng.integers(len(coeffs[move])))
+                        step = 0.01 * max(1.0, abs(coeffs[move][k]))
+                        coeffs[move][k] += step * rng.standard_normal()
+                    try:
+                        c = build()
+                        break
+                    except ValueError:
+                        consts, coeffs = before
+            seen.append(c)
+            got = checker.check(c).to_dict()
+            by_checker = dict(calls)
+            assert got == check_cbc(model, c).to_dict()
+            calls.update(by_checker)
+        return calls, len(moves)
+
+    @pytest.mark.parametrize("cid", ["1", "2", "3"])
+    def test_walk_on_bundled_case(self, cid, monkeypatch):
+        case = load_case(cid)
+        basis = [Polynomial.variable("x") ** k for k in range(5)]
+        calls, steps = self.walk(case.model, case.candidate, basis, 200, int(cid), monkeypatch)
+        # the memo was used: most evaluations reused the generator and most
+        # univariate conditions the critical points of the previous one
+        assert 0 < calls["generator"] < steps / 2
+        assert 0 < calls["interval_candidates"] < 5 * steps / 2
+
+    def test_walk_on_two_state_model(self, case1, monkeypatch):
+        model, basis = _two_state(case1)
+        calls, steps = self.walk(model, case1.candidate, basis, 24, 4, monkeypatch)
+        assert 0 < calls["generator"] < steps / 2

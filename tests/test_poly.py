@@ -164,6 +164,23 @@ class TestArithmeticInvariants:
         with pytest.raises(ValueError):
             X ** (-1)
 
+    def test_power_equals_square_and_multiply(self):
+        def reference(base, k):
+            result = Polynomial.constant(1.0)
+            while k:
+                if k & 1:
+                    result = result * base
+                base = base * base
+                k >>= 1
+            return result
+
+        y, nu = Polynomial.variable("y"), Polynomial.variable("nu")
+        for p in (B1, 0.3 * X - 1.7 * y + 0.1, B1 * nu + 2.5 * y, X - X):
+            for k in range(9):
+                got, want = p**k, reference(p, k)
+                assert got.vars == want.vars
+                assert list(got.terms.items()) == list(want.terms.items())
+
     def test_compiled_requires_effective_vars(self):
         p = X + Polynomial.variable("y")
         with pytest.raises(ValueError, match="not in evaluation order"):

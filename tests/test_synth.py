@@ -86,3 +86,18 @@ class TestSearch:
         assert not r.feasible
         assert r.status == "infeasible-at-budget"
         assert r.candidate is not None
+
+
+class TestPinnedResults:
+    """Warm-started searches give the same bits as before the search
+    started reusing its previous evaluation's work."""
+
+    def test_case1_repair(self, case1):
+        r = search(case1.model, SynthTemplate(budget=100_000, seed=1), warm_start=case1.candidate)
+        assert (r.status, r.feasible, r.evaluations, r.restarts) == ("feasible", True, 315, 0)
+        assert r.margin == float.fromhex("0x1.1c41b4eafe700p-11")
+
+    def test_case2_budget_search(self, case2):
+        r = search(case2.model, SynthTemplate(budget=100, seed=1), warm_start=case2.candidate)
+        assert (r.status, r.evaluations, r.restarts) == ("infeasible-at-budget", 100, 0)
+        assert r.margin == float.fromhex("-0x1.87ba57284f2f4p+28")
