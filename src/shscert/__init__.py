@@ -3,7 +3,7 @@ with scheduled stochastic jumps: exact univariate certificate checking,
 lifting to the counter-augmented system, closed-form finite-horizon safety
 bounds, and seeded Monte Carlo validation."""
 
-from .augment import Acbc, AcbcReport, check_acbc_conditions, construct_acbc
+from .augment import Acbc, check_acbc_conditions, construct_acbc
 from .bound import SafetyBound, compute_delta, compute_delta_for
 from .cases import CaseStudy, list_cases, load_case
 from .certify import (
@@ -15,15 +15,7 @@ from .certify import (
     generator,
     jump_expectation,
 )
-from .model import (
-    AugmentedState,
-    JumpParams,
-    JumpSchedule,
-    SHSModel,
-    ashs_transition,
-    output_map,
-    validate,
-)
+from .model import JumpParams, JumpSchedule, SHSModel, validate
 from .poly import (
     IntervalBox,
     NoiseMoments,
@@ -51,8 +43,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Acbc",
-    "AcbcReport",
-    "AugmentedState",
     "BlowUpError",
     "CaseStudy",
     "CbcCandidate",
@@ -71,7 +61,6 @@ __all__ = [
     "SynthResult",
     "SynthTemplate",
     "Trajectory",
-    "ashs_transition",
     "assemble_sos",
     "check_acbc_conditions",
     "check_cbc",
@@ -89,7 +78,6 @@ __all__ = [
     "min_on_interval",
     "monte_carlo",
     "nonneg_on_box",
-    "output_map",
     "search",
     "simulate",
     "sturm_root_count",

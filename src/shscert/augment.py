@@ -12,19 +12,19 @@ The remaining quadrant (kappa1 <= 0, kappa2 >= 1) admits no construction.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
-from typing import Mapping
 
 from .certify import (
     CbcCandidate,
+    CbcReport,
     ConditionCheck,
     flow_condition,
     generator,
     jump_expectation,
 )
-from .model import JumpParams, SHSModel
+from .codec import Codec
+from .model import FLOW, JUMP, JumpParams, SHSModel
 from .poly import IntervalBox, NonnegReport, nonneg_on_box
 
 R1 = "R1"
@@ -46,7 +46,7 @@ def _regime(kappa1: float, kappa2: float) -> str:
 
 
 @dataclass(frozen=True)
-class Acbc:
+class Acbc(Codec):
     """Lifted certificate: base candidate, regime tag, and the constants
     feeding the finite-horizon safety bound."""
 
@@ -71,44 +71,6 @@ class Acbc:
         if self.regime == R2:
             return math.exp(self.base.kappa1 * self.jump.tau * self.eps1 * z)
         return self.base.kappa2 ** (z / self.eps2)
-
-    def to_dict(self) -> dict:
-        return {
-            "base": self.base.to_dict(),
-            "jump": self.jump.to_dict(),
-            "regime": self.regime,
-            "eps1": self.eps1,
-            "eps2": self.eps2,
-            "alpha": self.alpha,
-            "eta": self.eta,
-            "kappa": self.kappa,
-            "gamma": self.gamma,
-            "beta_alpha": self.beta_alpha,
-            "beta_eta": self.beta_eta,
-        }
-
-    @staticmethod
-    def from_dict(doc: Mapping) -> "Acbc":
-        return Acbc(
-            base=CbcCandidate.from_dict(doc["base"]),
-            jump=JumpParams.from_dict(doc["jump"]),
-            regime=str(doc["regime"]),
-            eps1=float(doc["eps1"]),
-            eps2=float(doc["eps2"]),
-            alpha=float(doc["alpha"]),
-            eta=float(doc["eta"]),
-            kappa=float(doc["kappa"]),
-            gamma=float(doc["gamma"]),
-            beta_alpha=float(doc["beta_alpha"]),
-            beta_eta=float(doc["beta_eta"]),
-        )
-
-    @staticmethod
-    def from_json(text: str) -> "Acbc":
-        return Acbc.from_dict(json.loads(text))
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2)
 
 
 def construct_acbc(
@@ -194,38 +156,9 @@ def construct_acbc(
     )
 
 
-def beta(acbc: Acbc, z: int) -> float:
-    return acbc.beta(z)
-
-
-@dataclass(frozen=True)
-class AcbcReport:
-    """Condition-by-condition outcome of the lifted certificate checks."""
-
-    conditions: tuple[ConditionCheck, ...]
-    domain: IntervalBox
-
-    def __getitem__(self, name: str) -> ConditionCheck:
-        for c in self.conditions:
-            if c.condition == name:
-                return c
-        raise KeyError(name)
-
-    @property
-    def all_hold(self) -> bool:
-        return all(c.status == "holds" for c in self.conditions)
-
-    def to_dict(self) -> dict:
-        return {
-            "domain": self.domain.to_dict(),
-            "conditions": [c.to_dict() for c in self.conditions],
-            "all_hold": self.all_hold,
-        }
-
-
 def check_acbc_conditions(
     model: SHSModel, acbc: Acbc, domain: IntervalBox | None = None
-) -> AcbcReport:
+) -> CbcReport:
     """Check the lifted certificate's level and one-step decay conditions.
 
     Level conditions: alpha - beta(0) B on X0, and beta(z) B - eta on Xu
@@ -272,15 +205,15 @@ def check_acbc_conditions(
     decay = math.exp(-cand.kappa1 * jp.tau)
     jexp = jump_expectation(model, B, cand.nu_jump)
     for z in range(jp.q2 + 1):
-        if z <= jp.q2 - 1:
+        if jp.admits(FLOW, z):
             expr = (
                 acbc.kappa * acbc.beta(z) * B
                 + acbc.gamma
                 - acbc.beta(z + 1) * decay * (B + jp.tau * cand.gamma1)
             )
             checks.append(ConditionCheck(f"flow[z={z}]", nonneg_on_box(expr, dom)))
-        if jp.q1 <= z <= jp.q2:
+        if jp.admits(JUMP, z):
             expr = acbc.kappa * acbc.beta(z) * B + acbc.gamma - acbc.beta(0) * jexp
             checks.append(ConditionCheck(f"jump[z={z}]", nonneg_on_box(expr, dom)))
 
-    return AcbcReport(tuple(checks), dom)
+    return CbcReport(tuple(checks), dom)

@@ -14,17 +14,19 @@ clamped one.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from typing import Mapping
+
+from .codec import Codec
 
 FIRST = "first"
 SECOND = "second"
 
 
 @dataclass(frozen=True)
-class SafetyBound:
+class SafetyBound(Codec):
     """delta is clamped to [0, 1]; delta_raw keeps the unclamped value."""
+
+    derived_keys = ("safety_probability",)
 
     delta: float
     delta_raw: float
@@ -38,35 +40,6 @@ class SafetyBound:
     @property
     def safety_probability(self) -> float:
         return 1.0 - self.delta
-
-    def to_dict(self) -> dict:
-        return {
-            "delta": self.delta,
-            "delta_raw": self.delta_raw,
-            "case": self.case,
-            "horizon_T": self.horizon_T,
-            "alpha": self.alpha,
-            "eta": self.eta,
-            "kappa": self.kappa,
-            "gamma": self.gamma,
-            "safety_probability": self.safety_probability,
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2)
-
-    @staticmethod
-    def from_dict(doc: Mapping) -> "SafetyBound":
-        return SafetyBound(
-            delta=float(doc["delta"]),
-            delta_raw=float(doc["delta_raw"]),
-            case=str(doc["case"]),
-            horizon_T=int(doc["horizon_T"]),
-            alpha=float(doc["alpha"]),
-            eta=float(doc["eta"]),
-            kappa=float(doc["kappa"]),
-            gamma=float(doc["gamma"]),
-        )
 
 
 def compute_delta(

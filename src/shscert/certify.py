@@ -8,18 +8,18 @@ a polynomial state-feedback controller.
 
 from __future__ import annotations
 
-import json
 import struct
 from collections import defaultdict
-from dataclasses import dataclass
-from typing import Mapping, Sequence
+from dataclasses import dataclass, field
+from typing import Sequence
 
+from .codec import Codec
 from .model import SHSModel
 from .poly import IntervalBox, NonnegReport, Polynomial, interval_candidates, nonneg_on_box
 
 
 @dataclass(frozen=True)
-class CbcCandidate:
+class CbcCandidate(Codec):
     """Certificate polynomial, its constants, and the two controllers.
 
     kappa1 may have any sign; kappa2 must be positive; the level constants
@@ -45,40 +45,6 @@ class CbcCandidate:
                 raise ValueError(f"{name} >= 0 violated")
         if not self.etabar > self.alphabar:
             raise ValueError("etabar > alphabar violated")
-
-    def to_dict(self) -> dict:
-        return {
-            "Bbar": self.Bbar.to_dict(),
-            "kappa1": self.kappa1,
-            "kappa2": self.kappa2,
-            "gamma1": self.gamma1,
-            "gamma2": self.gamma2,
-            "alphabar": self.alphabar,
-            "etabar": self.etabar,
-            "nu_flow": [p.to_dict() for p in self.nu_flow],
-            "nu_jump": [p.to_dict() for p in self.nu_jump],
-        }
-
-    @staticmethod
-    def from_dict(doc: Mapping) -> "CbcCandidate":
-        return CbcCandidate(
-            Bbar=Polynomial.from_dict(doc["Bbar"]),
-            kappa1=float(doc["kappa1"]),
-            kappa2=float(doc["kappa2"]),
-            gamma1=float(doc["gamma1"]),
-            gamma2=float(doc["gamma2"]),
-            alphabar=float(doc["alphabar"]),
-            etabar=float(doc["etabar"]),
-            nu_flow=tuple(Polynomial.from_dict(p) for p in doc["nu_flow"]),
-            nu_jump=tuple(Polynomial.from_dict(p) for p in doc["nu_jump"]),
-        )
-
-    @staticmethod
-    def from_json(text: str) -> "CbcCandidate":
-        return CbcCandidate.from_dict(json.loads(text))
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2)
 
 
 def _controller_map(model: SHSModel, controller: Sequence[Polynomial]) -> dict:
@@ -158,9 +124,9 @@ def jump_expectation(
 
 
 @dataclass(frozen=True)
-class ConditionCheck:
+class ConditionCheck(Codec):
     condition: str
-    report: NonnegReport
+    report: NonnegReport = field(metadata={"inline": True})
 
     @property
     def status(self) -> str:
@@ -170,13 +136,14 @@ class ConditionCheck:
     def margin(self) -> float:
         return self.report.margin
 
-    def to_dict(self) -> dict:
-        return {"condition": self.condition, **self.report.to_dict()}
-
 
 @dataclass(frozen=True)
-class CbcReport:
-    """Per-condition nonnegativity outcomes for one candidate."""
+class CbcReport(Codec):
+    """Per-condition nonnegativity outcomes of a certificate check: the
+    five base conditions (check_cbc) or the lifted ones
+    (augment.check_acbc_conditions)."""
+
+    derived_keys = ("all_hold",)
 
     conditions: tuple[ConditionCheck, ...]
     domain: IntervalBox
@@ -198,16 +165,6 @@ class CbcReport:
     @property
     def min_margin(self) -> float:
         return min(c.margin for c in self.conditions)
-
-    def to_dict(self) -> dict:
-        return {
-            "domain": self.domain.to_dict(),
-            "conditions": [c.to_dict() for c in self.conditions],
-            "all_hold": self.all_hold,
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2)
 
 
 def flow_condition(cand: CbcCandidate, gen: Polynomial) -> Polynomial:

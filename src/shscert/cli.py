@@ -58,29 +58,16 @@ def _read_json(path: str):
         ) from None
 
 
-def _load_model(path: str) -> SHSModel:
+def _load(path: str, cls, label: str):
+    """Read a JSON file as cls; malformed input exits with EXIT_BAD_INPUT."""
     try:
-        model = SHSModel.from_dict(_read_json(path))
-    except (KeyError, TypeError, ValueError) as e:
-        raise CliError(EXIT_BAD_INPUT, f"invalid model {path}: {e}") from None
-    bad = validate(model)
+        obj = cls.from_dict(_read_json(path))
+    except (KeyError, TypeError, ValueError, OverflowError) as e:
+        raise CliError(EXIT_BAD_INPUT, f"invalid {label} {path}: {e}") from None
+    bad = validate(obj) if cls is SHSModel else []
     if bad:
-        raise CliError(EXIT_BAD_INPUT, f"invalid model {path}: " + "; ".join(bad))
-    return model
-
-
-def _load_candidate(path: str) -> CbcCandidate:
-    try:
-        return CbcCandidate.from_dict(_read_json(path))
-    except (KeyError, TypeError, ValueError) as e:
-        raise CliError(EXIT_BAD_INPUT, f"invalid candidate {path}: {e}") from None
-
-
-def _load_acbc(path: str) -> Acbc:
-    try:
-        return Acbc.from_dict(_read_json(path))
-    except (KeyError, TypeError, ValueError) as e:
-        raise CliError(EXIT_BAD_INPUT, f"invalid lifted certificate {path}: {e}") from None
+        raise CliError(EXIT_BAD_INPUT, f"invalid {label} {path}: " + "; ".join(bad))
+    return obj
 
 
 def _parse_domain(text: str) -> IntervalBox:
@@ -145,8 +132,8 @@ def _dump(doc) -> str:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     run = _Run("verify", args)
-    model = _load_model(args.model)
-    cand = _load_candidate(args.candidate)
+    model = _load(args.model, SHSModel, "model")
+    cand = _load(args.candidate, CbcCandidate, "candidate")
     run.note_input(args.model)
     run.note_input(args.candidate)
     domain = _parse_domain(args.domain) if args.domain else None
@@ -165,8 +152,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def cmd_augment(args: argparse.Namespace) -> int:
     run = _Run("augment", args)
-    model = _load_model(args.model)
-    cand = _load_candidate(args.candidate)
+    model = _load(args.model, SHSModel, "model")
+    cand = _load(args.candidate, CbcCandidate, "candidate")
     run.note_input(args.model)
     run.note_input(args.candidate)
     eps2 = args.eps2 if args.eps2 is not None else float(model.jump.q2 + 1)
@@ -190,7 +177,7 @@ def cmd_augment(args: argparse.Namespace) -> int:
 
 def cmd_bound(args: argparse.Namespace) -> int:
     run = _Run("bound", args)
-    acbc = _load_acbc(args.acbc)
+    acbc = _load(args.acbc, Acbc, "lifted certificate")
     run.note_input(args.acbc)
     try:
         sb = compute_delta_for(acbc, args.horizon)
@@ -219,13 +206,13 @@ def _sim_config(args: argparse.Namespace, horizon: int, runs: int) -> SimConfig:
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     run = _Run("simulate", args)
-    model = _load_model(args.model)
-    cand = _load_candidate(args.candidate)
+    model = _load(args.model, SHSModel, "model")
+    cand = _load(args.candidate, CbcCandidate, "candidate")
     run.note_input(args.model)
     run.note_input(args.candidate)
     acbc = None
     if args.acbc:
-        acbc = _load_acbc(args.acbc)
+        acbc = _load(args.acbc, Acbc, "lifted certificate")
         run.note_input(args.acbc)
     try:
         config = _sim_config(args, args.horizon, args.runs)
@@ -253,17 +240,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             run.finish()
             return EXIT_FAIL
         if args.format == "json":
-            doc = [
-                {
-                    "k": r.k,
-                    "time": r.time,
-                    "z": r.z,
-                    "scenario": r.scenario,
-                    "x": list(r.x),
-                    "B_value": r.b_value,
-                }
-                for r in traj.records
-            ]
+            doc = [r.to_dict() for r in traj.records]
             run.write(f"trajectory_{idx:04d}.json", _dump(doc))
         else:
             run.write(f"trajectory_{idx:04d}.csv", trajectory_csv(model, traj))
@@ -283,19 +260,16 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 def cmd_synthesize(args: argparse.Namespace) -> int:
     run = _Run("synthesize", args)
-    model = _load_model(args.model)
+    model = _load(args.model, SHSModel, "model")
     run.note_input(args.model)
     if args.template:
+        template = _load(args.template, SynthTemplate, "template")
         run.note_input(args.template)
-        try:
-            template = SynthTemplate.from_dict(_read_json(args.template))
-        except ValueError as e:
-            raise CliError(EXIT_BAD_INPUT, f"invalid template: {e}") from None
     else:
         template = SynthTemplate(seed=args.seed)
     warm = None
     if args.warm_start:
-        warm = _load_candidate(args.warm_start)
+        warm = _load(args.warm_start, CbcCandidate, "candidate")
         run.note_input(args.warm_start)
     result = search(model, template, warm_start=warm)
     run.write("synth_report.json", _dump(result.to_dict()))

@@ -1,0 +1,147 @@
+"""One JSON codec for the package's dataclasses.
+
+A dataclass that inherits ``Codec`` is written as a JSON object with one
+key per field and read back by its type hints: scalars through
+``float()``, ``int()``, ``str()`` and ``bool()``, ``tuple[T, ...]``, fixed
+``tuple[A, B]``, ``dict[str, T]``, ``T | None``, and any class with a
+``from_dict``. An object where a list is expected, or the reverse, raises
+``TypeError``. A value with a ``to_dict`` is written by calling it;
+``Polynomial``, ``IntervalBox`` and ``NoiseMoments`` keep their own formats
+that way.
+
+Field metadata covers the shapes that are not a plain field-to-key map:
+``{"key": "lambda"}`` renames the key, ``{"key": None}`` leaves the field
+out, and ``{"inline": True}`` writes the field's own keys into the parent
+object and reads the field from the parent object. The class attribute
+``derived_keys`` names properties written after the fields and ignored
+when reading.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import functools
+import json
+import types
+import typing
+from collections.abc import Mapping
+
+
+class Codec:
+    """Mixin giving a dataclass ``to_dict``, ``to_json`` and ``from_dict``."""
+
+    derived_keys: tuple[str, ...] = ()
+
+    def to_dict(self) -> dict:
+        doc = {}
+        for name, key, inline, _, _ in _plan(type(self)):
+            value = _encode(getattr(self, name))
+            if inline:
+                doc.update(value)
+            else:
+                doc[key] = value
+        for name in self.derived_keys:
+            doc[name] = _encode(getattr(self, name))
+        return doc
+
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), sort_keys=True, indent=2)
+
+    @classmethod
+    def from_dict(cls, doc: Mapping):
+        """Read an object written by ``to_dict``. A missing key takes the
+        field's default, or raises ``KeyError`` if the field has none; a
+        value of the wrong shape raises ``TypeError``."""
+        doc = _object(doc)
+        kwargs = {}
+        for name, key, inline, dec, required in _plan(cls):
+            if inline:
+                kwargs[name] = dec(doc)
+            elif key in doc:
+                try:
+                    kwargs[name] = dec(doc[key])
+                except (TypeError, ValueError, OverflowError) as e:
+                    raise type(e)(f"{key}: {e}") from None
+            elif required:
+                raise KeyError(key)
+        return cls(**kwargs)
+
+
+def _encode(value):
+    """A JSON-ready copy of value: lists for sequences, ``to_dict`` for
+    objects that have one."""
+    if value is None or isinstance(value, (str, int, float)):
+        return value
+    if isinstance(value, (tuple, list)):
+        return [_encode(v) for v in value]
+    if isinstance(value, dict):
+        return {k: _encode(v) for k, v in value.items()}
+    return value.to_dict()
+
+
+def decode(hint, value):
+    """Read value as the type hint ``hint`` (see the module docstring)."""
+    return _decoder(hint)(value)
+
+
+@functools.cache
+def _plan(cls) -> tuple:
+    """(field name, key, inline, decoder, required) for each written field
+    of cls; the type hints are resolved once per class."""
+    hints = typing.get_type_hints(cls)
+    plan = []
+    for f in dataclasses.fields(cls):
+        key = f.metadata.get("key", f.name)
+        if key is None:
+            continue
+        required = f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING
+        plan.append((f.name, key, f.metadata.get("inline", False), _decoder(hints[f.name]), required))
+    return tuple(plan)
+
+
+def _object(value) -> Mapping:
+    if not isinstance(value, Mapping):
+        raise TypeError(f"expected an object, got {type(value).__name__}")
+    return value
+
+
+def _list(value) -> list | tuple:
+    if not isinstance(value, (list, tuple)):
+        raise TypeError(f"expected a list, got {type(value).__name__}")
+    return value
+
+
+def _scalar(cast):
+    def read(value):
+        if isinstance(value, (Mapping, list, tuple)):
+            raise TypeError(f"expected {cast.__name__}, got {type(value).__name__}")
+        return cast(value)
+
+    return read
+
+
+@functools.cache
+def _decoder(hint):
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if origin in (types.UnionType, typing.Union):  # T | None
+        (inner,) = set(args) - {type(None)}
+        dec = _decoder(inner)
+        return lambda v: None if v is None else dec(v)
+    if origin is tuple and args[-1] is Ellipsis:
+        dec = _decoder(args[0])
+        return lambda v: tuple(dec(x) for x in _list(v))
+    if origin is tuple:
+        decs = tuple(_decoder(a) for a in args)
+
+        def fixed(v):
+            if len(_list(v)) != len(decs):
+                raise ValueError(f"expected {len(decs)} items, got {len(v)}")
+            return tuple(d(x) for d, x in zip(decs, v))
+
+        return fixed
+    if origin is dict:
+        dec = _decoder(args[1])
+        return lambda v: {str(k): dec(x) for k, x in _object(v).items()}
+    if hint in (float, int, str, bool):
+        return _scalar(hint)
+    return hint.from_dict

@@ -9,18 +9,22 @@ counter z tracking periods since the last jump.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Mapping, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
+from .codec import Codec
 from .poly import IntervalBox, NoiseMoments, Polynomial
 
 
+FLOW = "flow"
+JUMP = "jump"
+
+
 @dataclass(frozen=True)
-class JumpParams:
+class JumpParams(Codec):
     """Sampling period and admissible range of inter-jump gaps (in periods)."""
 
     tau: float
@@ -33,33 +37,27 @@ class JumpParams:
         if self.q1 < 1 or self.q2 < 1 or self.q1 > self.q2:
             raise ValueError(f"need 1 <= q1 <= q2, got q1={self.q1}, q2={self.q2}")
 
-    def to_dict(self) -> dict:
-        return {"tau": self.tau, "q1": self.q1, "q2": self.q2}
+    def admits(self, scenario: str, z: int) -> bool:
+        """Whether a transition scenario is admissible at counter z.
 
-    @staticmethod
-    def from_dict(doc: Mapping) -> "JumpParams":
-        return JumpParams(float(doc["tau"]), int(doc["q1"]), int(doc["q2"]))
+        Flow is admissible for 0 <= z <= q2-1 (the counter increments);
+        jump is admissible for q1 <= z <= q2 (the counter resets). Both can
+        be admissible at once; a JumpSchedule resolves the nondeterminism
+        in simulation.
+        """
+        if scenario == FLOW:
+            return 0 <= z <= self.q2 - 1
+        if scenario == JUMP:
+            return self.q1 <= z <= self.q2
+        raise ValueError(f"unknown scenario {scenario!r}")
 
 
 @dataclass(frozen=True)
-class NoiseConfig:
+class NoiseConfig(Codec):
     """Moment data plus a sampler tag for the jump noise components."""
 
     moments: tuple[NoiseMoments, ...]
     sampler: str = "gaussian"
-
-    def to_dict(self) -> dict:
-        return {
-            "sampler": self.sampler,
-            "moments": [list(m.moments) for m in self.moments],
-        }
-
-    @staticmethod
-    def from_dict(doc: Mapping) -> "NoiseConfig":
-        return NoiseConfig(
-            tuple(NoiseMoments(tuple(m)) for m in doc["moments"]),
-            str(doc.get("sampler", "gaussian")),
-        )
 
 
 class CompiledDynamics(NamedTuple):
@@ -73,7 +71,7 @@ class CompiledDynamics(NamedTuple):
 
 
 @dataclass(frozen=True)
-class SHSModel:
+class SHSModel(Codec):
     """Polynomial jump-diffusion model with box-shaped state sets.
 
     f1[i] lives in (state, input) variables, sigma/rho entries in state
@@ -81,13 +79,15 @@ class SHSModel:
     initial and unsafe boxes inside the working box X.
     """
 
+    derived_keys = ("n", "m")
+
     state_vars: tuple[str, ...]
     input_vars: tuple[str, ...]
     noise_vars: tuple[str, ...]
     f1: tuple[Polynomial, ...]
     sigma: tuple[tuple[Polynomial, ...], ...]
     rho: tuple[tuple[Polynomial, ...], ...]
-    rates: tuple[float, ...]
+    rates: tuple[float, ...] = field(metadata={"key": "lambda"})
     f2: tuple[Polynomial, ...]
     noise: NoiseConfig
     jump: JumpParams
@@ -124,60 +124,11 @@ class SHSModel:
             f2=tuple(p.compiled(jump_vars) for p in self.f2),
         )
 
-    def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "m": self.m,
-            "state_vars": list(self.state_vars),
-            "input_vars": list(self.input_vars),
-            "noise_vars": list(self.noise_vars),
-            "f1": [p.to_dict() for p in self.f1],
-            "sigma": [[p.to_dict() for p in row] for row in self.sigma],
-            "rho": [[p.to_dict() for p in row] for row in self.rho],
-            "lambda": list(self.rates),
-            "f2": [p.to_dict() for p in self.f2],
-            "noise": self.noise.to_dict(),
-            "jump": self.jump.to_dict(),
-            "X": self.X.to_dict(),
-            "X0": self.X0.to_dict(),
-            "Xu": self.Xu.to_dict(),
-        }
-
-    @staticmethod
-    def from_dict(doc: Mapping) -> "SHSModel":
-        return SHSModel(
-            state_vars=tuple(doc["state_vars"]),
-            input_vars=tuple(doc["input_vars"]),
-            noise_vars=tuple(doc["noise_vars"]),
-            f1=tuple(Polynomial.from_dict(p) for p in doc["f1"]),
-            sigma=tuple(tuple(Polynomial.from_dict(p) for p in row) for row in doc["sigma"]),
-            rho=tuple(tuple(Polynomial.from_dict(p) for p in row) for row in doc["rho"]),
-            rates=tuple(float(v) for v in doc["lambda"]),
-            f2=tuple(Polynomial.from_dict(p) for p in doc["f2"]),
-            noise=NoiseConfig.from_dict(doc["noise"]),
-            jump=JumpParams.from_dict(doc["jump"]),
-            X=IntervalBox.from_dict(doc["X"]),
-            X0=IntervalBox.from_dict(doc["X0"]),
-            Xu=IntervalBox.from_dict(doc["Xu"]),
-        )
-
-    @staticmethod
-    def from_json(text: str) -> "SHSModel":
-        return SHSModel.from_dict(json.loads(text))
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2)
-
 
 def validate(model: SHSModel) -> list[str]:
     """Invariant audit; returns one message per violation (empty = valid)."""
     bad: list[str] = []
     n = model.n
-    jp = model.jump
-    if jp.q1 > jp.q2:
-        bad.append("jump: q1 <= q2 violated")
-    if jp.tau <= 0:
-        bad.append("jump: tau > 0 violated")
     for j, lam in enumerate(model.rates):
         if lam < 0:
             bad.append(f"lambda[{j}] >= 0 violated")
@@ -228,51 +179,6 @@ def validate(model: SHSModel) -> list[str]:
         if extra:
             bad.append(f"f2[{i}] uses undeclared variable(s) {sorted(extra)}")
     return bad
-
-
-@dataclass(frozen=True)
-class AugmentedState:
-    """Continuous state plus periods-since-jump counter capped by q2."""
-
-    x: tuple[float, ...]
-    z: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "x", tuple(float(v) for v in self.x))
-        if self.z < 0:
-            raise ValueError("counter z must be non-negative")
-
-
-FLOW = "flow"
-JUMP = "jump"
-
-
-def ashs_transition(model: SHSModel, state: AugmentedState, scenario: str) -> bool:
-    """Admissibility of a transition scenario at the state's counter.
-
-    Flow is admissible for 0 <= z <= q2-1 (counter increments); jump is
-    admissible for q1 <= z <= q2 (counter resets). Both can be admissible
-    at once; a JumpSchedule resolves the nondeterminism in simulation.
-    """
-    z, jp = state.z, model.jump
-    if scenario == FLOW:
-        return 0 <= z <= jp.q2 - 1
-    if scenario == JUMP:
-        return jp.q1 <= z <= jp.q2
-    raise ValueError(f"unknown scenario {scenario!r}")
-
-
-def next_counter(scenario: str, z: int) -> int:
-    if scenario == FLOW:
-        return z + 1
-    if scenario == JUMP:
-        return 0
-    raise ValueError(f"unknown scenario {scenario!r}")
-
-
-def output_map(state: AugmentedState) -> tuple[float, ...]:
-    """Observation of the augmented state: the continuous part only."""
-    return state.x
 
 
 @dataclass(frozen=True)

@@ -10,12 +10,13 @@ tri-state.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
+
+from .codec import Codec, decode
 
 # Any sign decision closer to zero than this is treated as zero, both in
 # Sturm chains and in coefficient bookkeeping.
@@ -316,13 +317,6 @@ class Polynomial:
         terms = {tuple(t["exp"]): float(t["coef"]) for t in doc["terms"]}
         return Polynomial(vs, terms)
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
-
-    @staticmethod
-    def from_json(text: str) -> "Polynomial":
-        return Polynomial.from_dict(json.loads(text))
-
     # -- univariate helpers ------------------------------------------------
 
     def dense_coeffs(self, var: str | None = None) -> list[float]:
@@ -371,6 +365,14 @@ class NoiseMoments:
                 f"0..{len(self.moments) - 1} available"
             )
         return self.moments[order]
+
+    def to_dict(self) -> list[float]:
+        """The raw moments as a bare list."""
+        return list(self.moments)
+
+    @staticmethod
+    def from_dict(doc) -> "NoiseMoments":
+        return NoiseMoments(decode(tuple[float, ...], doc))
 
     @staticmethod
     def standard_normal(max_order: int) -> "NoiseMoments":
@@ -446,7 +448,7 @@ class IntervalBox:
 
     @staticmethod
     def from_dict(doc: Mapping) -> "IntervalBox":
-        return IntervalBox({v: (float(b[0]), float(b[1])) for v, b in doc.items()})
+        return IntervalBox(decode(dict[str, tuple[float, float]], doc))
 
 
 # ---------------------------------------------------------------------------
@@ -626,7 +628,7 @@ def min_on_interval(
 
 
 @dataclass(frozen=True)
-class NonnegReport:
+class NonnegReport(Codec):
     """Outcome of a nonnegativity check over a box.
 
     status is one of "holds", "fails", "inconclusive". margin is the exact
@@ -641,9 +643,6 @@ class NonnegReport:
     @property
     def ok(self) -> bool:
         return self.status == "holds"
-
-    def to_dict(self) -> dict:
-        return {"status": self.status, "margin": self.margin, "witness": self.witness}
 
 
 def _lipschitz_bound(p: Polynomial, box: IntervalBox) -> float:

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import math
 from dataclasses import dataclass, field, replace
 from typing import Iterator, Sequence
@@ -24,6 +23,7 @@ from scipy import stats
 
 from .augment import Acbc
 from .certify import CbcCandidate
+from .codec import Codec
 from .model import FLOW, JUMP, JumpSchedule, SHSModel
 from .poly import Polynomial
 
@@ -57,13 +57,13 @@ class SimConfig:
 
 
 @dataclass(frozen=True)
-class TransitionRecord:
+class TransitionRecord(Codec):
     k: int
     time: float
     z: int
     scenario: str
     x: tuple[float, ...]
-    b_value: float | None = None
+    b_value: float | None = field(default=None, metadata={"key": "B_value"})
 
 
 @dataclass(frozen=True)
@@ -230,7 +230,7 @@ def simulate(
     record(0, "init")
     for k in range(1, config.horizon_T + 1):
         if z == gap:
-            if not jp.q1 <= z <= jp.q2:
+            if not jp.admits(JUMP, z):
                 raise ValueError(f"schedule demands a jump at inadmissible z={z}")
             nu = tuple(float(f(x)) for f in jump_fns)
             x = jump_step(model, x, nu, rng)
@@ -239,7 +239,7 @@ def simulate(
             gap = config.schedule.next_gap(jp, jumps_taken, rng)
             record(k, JUMP)
         else:
-            if z > jp.q2 - 1:
+            if not jp.admits(FLOW, z):
                 raise ValueError(f"flow transition inadmissible at z={z}")
             nu = tuple(float(f(x)) for f in flow_fns)
             x = flow_step(model, x, nu, jp.tau, config.substeps_per_tau, rng)
@@ -490,7 +490,7 @@ def clopper_pearson(successes: int, trials: int, confidence: float = 0.99) -> tu
 
 
 @dataclass(frozen=True)
-class McReport:
+class McReport(Codec):
     """Aggregate exceedance/unsafe frequencies against the certified bound."""
 
     n_trajectories: int
@@ -507,27 +507,9 @@ class McReport:
     delta: float
     bound_violated: bool
     # the first trajectories asked for with ``keep``; not part of the report
-    kept: tuple[Trajectory | BlowUpError, ...] = field(default=(), compare=False, repr=False)
-
-    def to_dict(self) -> dict:
-        return {
-            "n_trajectories": self.n_trajectories,
-            "horizon_T": self.horizon_T,
-            "master_seed": self.master_seed,
-            "schedule": self.schedule,
-            "exceed_count": self.exceed_count,
-            "unsafe_count": self.unsafe_count,
-            "blowup_count": self.blowup_count,
-            "p_exceed_hat": self.p_exceed_hat,
-            "p_unsafe_hat": self.p_unsafe_hat,
-            "ci99_exceed": list(self.ci99_exceed),
-            "ci99_unsafe": list(self.ci99_unsafe),
-            "delta": self.delta,
-            "bound_violated": self.bound_violated,
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2)
+    kept: tuple[Trajectory | BlowUpError, ...] = field(
+        default=(), compare=False, repr=False, metadata={"key": None}
+    )
 
 
 def monte_carlo(

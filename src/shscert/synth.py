@@ -12,11 +12,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Mapping
 
 import numpy as np
 
 from .certify import CbcCandidate, CbcChecker, check_cbc
+from .codec import Codec
 from .model import SHSModel
 from .poly import IntervalBox, Polynomial, min_on_interval
 
@@ -35,7 +35,7 @@ _CONSTANTS = ("kappa1", "kappa2", "gamma1", "gamma2", "alphabar", "etabar")
 
 
 @dataclass(frozen=True)
-class SynthTemplate:
+class SynthTemplate(Codec):
     """Shape and budget of a certificate search."""
 
     cert_degree: int = 4
@@ -68,26 +68,6 @@ class SynthTemplate:
                 "etabar > alphabar is unreachable"
             )
 
-    @staticmethod
-    def from_dict(doc: Mapping) -> "SynthTemplate":
-        ranges = {k: (float(v[0]), float(v[1])) for k, v in doc.get("ranges", {}).items()}
-        return SynthTemplate(
-            cert_degree=int(doc.get("cert_degree", 4)),
-            controller_degree=int(doc.get("controller_degree", 1)),
-            ranges=ranges,
-            budget=int(doc.get("budget", 10_000)),
-            seed=int(doc.get("seed", 0)),
-        )
-
-    def to_dict(self) -> dict:
-        return {
-            "cert_degree": self.cert_degree,
-            "controller_degree": self.controller_degree,
-            "ranges": {k: list(v) for k, v in self.ranges.items()},
-            "budget": self.budget,
-            "seed": self.seed,
-        }
-
 
 def margin_objective(
     model: SHSModel, cand: CbcCandidate, domain: IntervalBox | None = None
@@ -97,23 +77,13 @@ def margin_objective(
 
 
 @dataclass(frozen=True)
-class SynthResult:
+class SynthResult(Codec):
     candidate: CbcCandidate | None
     feasible: bool
     margin: float
     evaluations: int
     restarts: int
     status: str
-
-    def to_dict(self) -> dict:
-        return {
-            "candidate": None if self.candidate is None else self.candidate.to_dict(),
-            "feasible": self.feasible,
-            "margin": self.margin,
-            "evaluations": self.evaluations,
-            "restarts": self.restarts,
-            "status": self.status,
-        }
 
 
 class _Search:

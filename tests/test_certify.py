@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import replace
 
@@ -196,7 +197,7 @@ class TestCandidateInvariants:
 
     def test_json_round_trip(self, case1):
         c = case1.candidate
-        again = CbcCandidate.from_json(c.to_json())
+        again = CbcCandidate.from_dict(json.loads(c.to_json()))
         assert again.Bbar.allclose(c.Bbar, tol=0.0)
         assert again.kappa1 == c.kappa1
 

@@ -139,6 +139,54 @@ class TestVerify:
         assert str(tmp_path / "verify_report.json") in manifest["outputs"]
 
 
+class TestMalformedInput:
+    """Malformed input files exit 3 with a message, never a traceback."""
+
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("X", [0, 8], "X: expected an object, got list"),
+            ("jump", {"tau": 0.1, "q1": 3, "q2": 2}, "need 1 <= q1 <= q2"),
+        ],
+        ids=["box-as-list", "q1-above-q2"],
+    )
+    def test_bad_model_exit_three(self, artifacts, tmp_path, capsys, key, value, message):
+        doc = json.loads((artifacts / "model1.json").read_text())
+        doc[key] = value
+        bad = tmp_path / "model_bad.json"
+        bad.write_text(json.dumps(doc))
+        code = main([
+            "verify", str(bad), str(artifacts / "cand1.json"), "--out", str(tmp_path),
+        ])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: invalid model") and message in err
+
+    @pytest.mark.parametrize(
+        "template",
+        [{"ranges": {"kappa1": 5}}, [1, 2], {"budget": None}, {"budget": float("inf")}],
+        ids=["range-as-number", "list", "null-budget", "infinite-budget"],
+    )
+    def test_bad_template_exit_three(self, artifacts, tmp_path, capsys, template):
+        bad = tmp_path / "template.json"
+        bad.write_text(json.dumps(template))
+        code = main([
+            "synthesize", str(artifacts / "model1.json"), "--template", str(bad),
+            "--out", str(tmp_path),
+        ])
+        assert code == 3
+        assert capsys.readouterr().err.startswith(f"error: invalid template {bad}")
+
+    def test_missing_template_exit_three(self, artifacts, tmp_path, capsys):
+        missing = tmp_path / "missing.json"
+        code = main([
+            "synthesize", str(artifacts / "model1.json"), "--template", str(missing),
+            "--out", str(tmp_path),
+        ])
+        assert code == 3
+        assert capsys.readouterr().err.startswith(f"error: cannot read {missing}")
+
+
 class TestPipelineRoundTrip:
     def test_artifacts_flow_between_commands(self, artifacts, tmp_path):
         out1 = tmp_path / "augment"

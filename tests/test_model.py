@@ -1,19 +1,12 @@
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
-from shscert import (
-    AugmentedState,
-    JumpParams,
-    JumpSchedule,
-    Polynomial,
-    SHSModel,
-    ashs_transition,
-    output_map,
-    validate,
-)
-from shscert.model import FLOW, JUMP, next_counter
+from shscert import JumpParams, JumpSchedule, Polynomial, SHSModel, validate
+from shscert.model import FLOW, JUMP
 
 from conftest import scalar_model
 
@@ -58,7 +51,7 @@ class TestValidate:
 
     def test_json_round_trip(self, case1):
         doc = case1.model.to_json()
-        again = SHSModel.from_json(doc)
+        again = SHSModel.from_dict(json.loads(doc))
         assert again == case1.model
         assert validate(again) == []
 
@@ -70,23 +63,20 @@ class TestTransitions:
         return scalar_model(f1=-x, f2=0.5 * x, q1=1, q2=7)
 
     def test_fresh_counter_flows_only(self, model):
-        s = AugmentedState((1.0,), 0)
-        assert ashs_transition(model, s, FLOW)
-        assert not ashs_transition(model, s, JUMP)
+        assert model.jump.admits(FLOW, 0)
+        assert not model.jump.admits(JUMP, 0)
 
     def test_saturated_counter_jumps_only(self, model):
-        s = AugmentedState((1.0,), 7)
-        assert not ashs_transition(model, s, FLOW)
-        assert ashs_transition(model, s, JUMP)
+        assert not model.jump.admits(FLOW, 7)
+        assert model.jump.admits(JUMP, 7)
 
     def test_both_admissible_in_between(self, model):
-        s = AugmentedState((1.0,), 3)
-        assert ashs_transition(model, s, FLOW)
-        assert ashs_transition(model, s, JUMP)
+        assert model.jump.admits(FLOW, 3)
+        assert model.jump.admits(JUMP, 3)
 
-    def test_next_counter(self):
-        assert next_counter(FLOW, 3) == 4
-        assert next_counter(JUMP, 5) == 0
+    def test_unknown_scenario_rejected(self, model):
+        with pytest.raises(ValueError, match="unknown scenario"):
+            model.jump.admits("init", 0)
 
     def test_counter_stays_in_range_for_any_admissible_run(self, model):
         rng = np.random.default_rng(0)
@@ -95,8 +85,8 @@ class TestTransitions:
             z = 0
             since_eligible = 0
             for _ in range(200):
-                flow_ok = z <= q2 - 1
-                jump_ok = q1 <= z <= q2
+                flow_ok = model.jump.admits(FLOW, z)
+                jump_ok = model.jump.admits(JUMP, z)
                 assert flow_ok or jump_ok
                 if flow_ok and jump_ok:
                     scenario = FLOW if rng.random() < 0.5 else JUMP
@@ -104,7 +94,7 @@ class TestTransitions:
                     scenario = FLOW
                 else:
                     scenario = JUMP
-                z = next_counter(scenario, z)
+                z = z + 1 if scenario == FLOW else 0
                 assert 0 <= z <= q2
                 # once eligible, a jump must occur within q2 - q1 + 1 steps
                 if z >= q1:
@@ -112,17 +102,6 @@ class TestTransitions:
                     assert since_eligible <= q2 - q1 + 1
                 else:
                     since_eligible = 0
-
-
-class TestOutputMap:
-    def test_scalar(self):
-        assert output_map(AugmentedState((2.0,), 3)) == (2.0,)
-
-    def test_origin(self):
-        assert output_map(AugmentedState((0.0,), 0)) == (0.0,)
-
-    def test_vector(self):
-        assert output_map(AugmentedState((1.0, 2.0), 5)) == (1.0, 2.0)
 
 
 class TestJumpSchedule:
