@@ -28,7 +28,14 @@ from .cases import load_case
 from .certify import CbcCandidate, check_cbc
 from .model import JumpSchedule, SHSModel, validate
 from .poly import IntervalBox
-from .sim import BlowUpError, SimConfig, monte_carlo, trajectories, trajectory_csv
+from .sim import (
+    BlowUpError,
+    SimConfig,
+    check_config,
+    monte_carlo,
+    trajectories,
+    trajectory_csv,
+)
 from .synth import SynthTemplate, search
 
 EXIT_OK = 0
@@ -217,11 +224,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     try:
         config = _sim_config(args, args.horizon, args.runs)
         if args.x0:
-            x0 = tuple(float(v) for v in args.x0.split(","))
-            if len(x0) != model.n:
-                raise ValueError(f"--x0 needs {model.n} component(s)")
-            config = replace(config, x0=x0)
-        config.schedule.validate_for(model.jump)
+            config = replace(config, x0=tuple(float(v) for v in args.x0.split(",")))
+        check_config(model, config)
     except ValueError as e:
         raise CliError(EXIT_BAD_INPUT, str(e)) from None
 

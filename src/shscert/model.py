@@ -9,6 +9,7 @@ counter z tracking periods since the last jump.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import NamedTuple, Sequence
@@ -16,7 +17,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .codec import Codec
-from .poly import IntervalBox, NoiseMoments, Polynomial
+from .poly import IntervalBox, NoiseMoments, Polynomial, bind_names, generated
 
 
 FLOW = "flow"
@@ -60,14 +61,35 @@ class NoiseConfig(Codec):
     sampler: str = "gaussian"
 
 
+class BlowUpError(RuntimeError):
+    """Raised when the integrated state stops being finite."""
+
+    def __init__(self, step: int, message: str | None = None):
+        super().__init__(message or f"state became non-finite at substep {step}")
+        self.step = step
+
+
 class CompiledDynamics(NamedTuple):
-    """Positional closures (see ``Polynomial.compiled``): f1 over (state,
-    input), sigma and rho over state, f2 over (state, input, noise)."""
+    """The model's polynomials as generated code (see ``poly.generated``).
+
+    f1, sigma and rho are ``Polynomial.compiled`` functions of positional
+    values: f1 over (state, input), sigma and rho over state, f2 over
+    (state, input, noise). ``flow(x, u, h, sqh, dW, dP, substeps)`` runs
+    one Euler-Maruyama period from state ``x`` under the held input ``u``
+    with step ``h`` and its square root ``sqh``, taking substep s's
+    Brownian increments from ``dW[s]`` and Poisson counts from ``dP[s]``
+    (``None`` when the model has none). It raises ``BlowUpError(s)`` at the
+    first substep s whose state is not finite. ``jump(x, u, w)`` is the
+    jump map under noise sample ``w``. Both return tuples and take
+    sequences of Python floats.
+    """
 
     f1: tuple
     sigma: tuple
     rho: tuple
     f2: tuple
+    flow: object
+    jump: object
 
 
 @dataclass(frozen=True)
@@ -122,7 +144,69 @@ class SHSModel(Codec):
             sigma=tuple(tuple(p.compiled(sv) for p in row) for row in self.sigma),
             rho=tuple(tuple(p.compiled(sv) for p in row) for row in self.rho),
             f2=tuple(p.compiled(jump_vars) for p in self.f2),
+            flow=_flow_kernel(self),
+            jump=_jump_kernel(self),
         )
+
+
+def _unpack(names: list[str], seq: str, depth: int = 1) -> str:
+    """``a, b, = seq`` at the given indent, or an empty line for no names."""
+    return "    " * depth + "".join(f"{v}, " for v in names) + f"= {seq}" if names else ""
+
+
+def _flow_kernel(model: SHSModel):
+    """One flow period as straight-line code, in the order of operations of
+    Euler-Maruyama term by term: y_i = x_i + h f1_i + sigma_i0 sqh dW_0 +
+    ..., then y_i += rho_ij dP_j for each nonzero count dP_j in turn. A
+    sigma entry free of the state is multiplied by sqh once per period,
+    which is the product every substep would form."""
+    n, b, r = model.n, model.brownian_dim, model.poisson_dim
+    xs = [f"x{i}" for i in range(n)]
+    us = [f"u{j}" for j in range(model.m)]
+    names = bind_names(model.state_vars + model.input_vars, xs + us)
+    state = {v: names[v] for v in model.state_vars}
+    consts: dict[str, float] = {}
+    head = ["def flow(x, u, h, sqh, dW, dP, substeps):", _unpack(xs, "x"), _unpack(us, "u")]
+    body = [
+        "    for s in range(substeps):",
+        _unpack([f"dw{j}" for j in range(b)], "dW[s]", 2),
+        _unpack([f"dp{j}" for j in range(r)], "dP[s]", 2),
+    ]
+    for i in range(n):
+        line = f"        y{i} = x{i} + h * ({model.f1[i].source(names, consts)})"
+        for j, sig in enumerate(model.sigma[i]):
+            if sig.effective_vars():
+                line += f" + ({sig.source(state, consts)}) * sqh * dw{j}"
+            else:
+                head.append(f"    k{i}_{j} = ({sig.source({}, consts)}) * sqh")
+                line += f" + k{i}_{j} * dw{j}"
+        body.append(line)
+    for j in range(r):
+        body.append(f"        if dp{j}:")
+        body += [
+            f"            y{i} = y{i} + ({model.rho[i][j].source(state, consts)}) * dp{j}"
+            for i in range(n)
+        ]
+    body += [
+        f"        {''.join(f'{x}, ' for x in xs)}= {''.join(f'y{i}, ' for i in range(n))}",
+        f"        if not ({' and '.join(f'isfinite({x})' for x in xs)}):",
+        "            raise BlowUpError(s)",
+        f"    return ({''.join(f'{x}, ' for x in xs)})",
+    ]
+    namespace = dict(consts, range=range, isfinite=math.isfinite, BlowUpError=BlowUpError)
+    return generated("\n".join(head + body) + "\n", namespace, "flow")
+
+
+def _jump_kernel(model: SHSModel):
+    """The jump map f2(x, u, w) as straight-line code."""
+    xs = [f"x{i}" for i in range(model.n)]
+    us = [f"u{j}" for j in range(model.m)]
+    ws = [f"w{k}" for k in range(len(model.noise_vars))]
+    names = bind_names(model.state_vars + model.input_vars + model.noise_vars, xs + us + ws)
+    consts: dict[str, float] = {}
+    src = ["def jump(x, u, w):", _unpack(xs, "x"), _unpack(us, "u"), _unpack(ws, "w")]
+    src.append(f"    return ({''.join(f'{p.source(names, consts)}, ' for p in model.f2)})")
+    return generated("\n".join(src) + "\n", consts, "jump")
 
 
 def validate(model: SHSModel) -> list[str]:

@@ -6,6 +6,13 @@ normalized pseudo-remainders, so the answers are exact up to the stated
 sign tolerance and the root-isolation width. Multivariate nonnegativity
 falls back to a Lipschitz-guarded grid check and is deliberately
 tri-state.
+
+Numeric evaluation goes through generated straight-line Python:
+``Polynomial.source`` writes a polynomial as one expression over names the
+caller picks, and ``generated`` turns source into a function that sees no
+builtins. Variable names never enter the source, so names read from input
+files cannot inject code, and the expression's fixed order of operations
+gives bitwise equal values on Python floats and numpy arrays.
 """
 
 from __future__ import annotations
@@ -218,37 +225,44 @@ class Polynomial:
 
     __call__ = eval
 
-    def compiled(self, varorder: tuple[str, ...]):
-        """Closure evaluating the polynomial at positional values.
+    def source(self, names: Mapping[str, str], consts: dict[str, float]) -> str:
+        """One Python expression for the polynomial over caller-chosen names.
 
-        Values may be scalars or numpy arrays (broadcasting elementwise).
-        Each term is a chain of multiplications, one factor per power, so
-        Python floats and numpy arrays give bitwise equal results (``**``
-        does not) and overflow gives inf instead of raising.
+        ``names`` maps each variable to the source text standing for it; the
+        variable names themselves never enter the text. The expression is
+        ``0.0 + t1 + t2 + ...`` in term order, each term ``coef*v*v*...``
+        with one factor per power, so Python floats and numpy arrays give
+        bitwise equal results (``**`` does not) and overflow gives inf
+        instead of raising. Finite coefficients are ``repr`` literals, which
+        read back exactly; a non-finite one is added to ``consts`` under a
+        fresh name.
+        """
+        missing = [v for v in self.effective_vars() if v not in names]
+        if missing:
+            raise ValueError(f"variable(s) {missing} not in evaluation order {tuple(names)}")
+        out = ["0.0"]
+        for exp, coef in self.terms.items():
+            if math.isfinite(coef):
+                lit = repr(coef) if coef > 0 else f"({coef!r})"
+            else:
+                lit = f"_k{len(consts)}"
+                consts[lit] = coef
+            out.append(lit + "".join(f"*{names[v]}" * e for v, e in zip(self.vars, exp)))
+        return " + ".join(out)
+
+    def compiled(self, varorder: tuple[str, ...]):
+        """Function evaluating the polynomial at positional values ``vals``.
+
+        Values may be scalars or numpy arrays (broadcasting elementwise);
+        the arithmetic is that of ``source``.
         """
         key = tuple(varorder)
         fn = self._compiled.get(key)
-        if fn is not None:
-            return fn
-        missing = [v for v in self.effective_vars() if v not in key]
-        if missing:
-            raise ValueError(f"variable(s) {missing} not in evaluation order {key}")
-        pos = {v: key.index(v) for v in self.vars if v in key}
-        terms = []
-        for exp, coef in self.terms.items():
-            chain = tuple(pos[v] for v, e in zip(self.vars, exp) for _ in range(e))
-            terms.append((coef, chain))
-
-        def fn(vals):
-            total = 0.0
-            for coef, chain in terms:
-                t = coef
-                for p in chain:
-                    t = t * vals[p]
-                total = total + t
-            return total
-
-        self._compiled[key] = fn
+        if fn is None:
+            consts: dict[str, float] = {}
+            slots = [f"vals[{i}]" for i in range(len(key))]
+            expr = self.source(bind_names(key, slots), consts)
+            fn = self._compiled[key] = generated(f"lambda vals: {expr}", consts)
         return fn
 
     def derivative(self, var: str) -> "Polynomial":
@@ -334,6 +348,26 @@ class Polynomial:
             k = exp[i] if i is not None else 0
             out[k] += coef
         return out
+
+
+def bind_names(varorder: Sequence[str], slots: Sequence[str]) -> dict[str, str]:
+    """Map each variable of ``varorder`` to the source name in the same
+    position of ``slots``; a variable listed twice takes its first."""
+    names: dict[str, str] = {}
+    for v, slot in zip(varorder, slots):
+        names.setdefault(v, slot)
+    return names
+
+
+def generated(source: str, namespace: Mapping[str, object] = {}, name: str | None = None):
+    """The function that ``source`` defines: an expression (a lambda), or,
+    when ``name`` is given, statements defining ``name``. The code sees no
+    builtins, only ``namespace``."""
+    scope = {"__builtins__": {}, **namespace}
+    if name is None:
+        return eval(source, scope)
+    exec(source, scope)
+    return scope[name]
 
 
 def _as_poly(x) -> Polynomial:

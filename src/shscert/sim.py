@@ -5,9 +5,11 @@ per-substep Poisson counts); jumps apply the stochastic jump map
 instantaneously at scheduled instants. Each trajectory owns a
 counter-based RNG stream derived from the master seed and its index, so
 results are reproducible and independent of execution order. ``simulate``
-runs one trajectory on Python floats; ``trajectories``, behind
-``monte_carlo``, steps blocks of them together as arrays and gives the
-same trajectories bitwise.
+runs one trajectory on Python floats, through the flow-period and jump-map
+kernels that ``SHSModel.dynamics`` generates once per model and caches on
+it; ``trajectories``, behind ``monte_carlo``, steps blocks of them together
+as arrays and gives the same trajectories bitwise, because both evaluate
+every polynomial with the order of operations of ``Polynomial.source``.
 """
 
 from __future__ import annotations
@@ -24,16 +26,8 @@ from scipy import stats
 from .augment import Acbc
 from .certify import CbcCandidate
 from .codec import Codec
-from .model import FLOW, JUMP, JumpSchedule, SHSModel
+from .model import FLOW, JUMP, BlowUpError, JumpSchedule, SHSModel
 from .poly import Polynomial
-
-
-class BlowUpError(RuntimeError):
-    """Raised when the integrated state stops being finite."""
-
-    def __init__(self, step: int, message: str | None = None):
-        super().__init__(message or f"state became non-finite at substep {step}")
-        self.step = step
 
 
 @dataclass(frozen=True)
@@ -120,40 +114,23 @@ def flow_step(
     """One sampling period of Euler-Maruyama flow under a held input.
 
     x <- x + f1(x, nu) h + sigma(x) sqrt(h) N(0, I) + rho(x) dP with
-    h = tau / substeps and dP exact Poisson counts of mean rate*h.
+    h = tau / substeps and dP exact Poisson counts of mean rate*h, through
+    the model's generated ``dynamics.flow`` kernel on Python floats.
     """
     if substeps < 1:
         raise ValueError("substeps must be >= 1")
-    n, b, r = model.n, model.brownian_dim, model.poisson_dim
     h = tau / substeps
-    sqh = math.sqrt(h)
-    f1, sig, rho, _ = model.dynamics
+    b, r = model.brownian_dim, model.poisson_dim
     dW, dP = _flow_noise(rng, substeps, b, r, _poisson_mean(model, h))
-    if r:
-        dP = dP.astype(float)
-    state = [float(v) for v in x]
-    nu = tuple(float(v) for v in nu_value)
-    for s in range(substeps):
-        vals = tuple(state) + nu
-        new = []
-        for i in range(n):
-            xi = state[i] + h * f1[i](vals)
-            if b:
-                row = sig[i]
-                for j in range(b):
-                    xi += row[j](state) * sqh * dW[s, j]
-            if r:
-                row = rho[i]
-                for j in range(r):
-                    c = dP[s, j]
-                    if c:
-                        xi += row[j](state) * c
-            new.append(float(xi))
-        state = new
-        for v in state:
-            if not math.isfinite(v):
-                raise BlowUpError(s)
-    return tuple(state)
+    return model.dynamics.flow(
+        [float(v) for v in x],
+        [float(v) for v in nu_value],
+        h,
+        math.sqrt(h),
+        None if dW is None else dW.tolist(),
+        None if dP is None else dP.tolist(),
+        substeps,
+    )
 
 
 def jump_step(
@@ -164,12 +141,25 @@ def jump_step(
 ) -> tuple[float, ...]:
     """Instantaneous jump: x' = f2(x, nu, noise sample); time is unchanged."""
     w = _jump_noise(model, rng)
-    vals = tuple(float(v) for v in x) + tuple(float(v) for v in nu_value) + tuple(w)
-    out = tuple(float(f(vals)) for f in model.dynamics.f2)
+    out = model.dynamics.jump([float(v) for v in x], [float(v) for v in nu_value], w.tolist())
     for v in out:
         if not math.isfinite(v):
             raise BlowUpError(0, "jump map produced a non-finite state")
     return out
+
+
+def check_config(model: SHSModel, config: SimConfig) -> None:
+    """Raise ``ValueError`` when ``config`` does not fit ``model``: a
+    schedule gap outside [q1, q2], or a fixed start of the wrong length."""
+    config.schedule.validate_for(model.jump)
+    if config.x0 is not None and len(config.x0) != model.n:
+        raise ValueError(f"x0 needs {model.n} component(s)")
+
+
+def _unsafe_box(model: SHSModel) -> list[tuple[int, float, float]]:
+    """(state index, lo, hi) per coordinate of Xu; x is unsafe when every
+    coordinate lies within its bounds."""
+    return [(model.state_vars.index(v), lo, hi) for v, (lo, hi) in model.Xu.intervals.items()]
 
 
 def simulate(
@@ -186,28 +176,31 @@ def simulate(
     transition flows for one period with the flow controller's value held
     constant. Unsafe entry (x in Xu) and certificate exceedance
     (beta(z) B(x) >= eta or NaN, when a lifted certificate is supplied)
-    are recorded at transition boundaries only.
+    are recorded at transition boundaries only. A config that does not fit
+    the model raises ``ValueError`` (see ``check_config``).
 
     This is the reference for the batched engine behind ``trajectories``,
     which must give bitwise equal trajectories.
     """
     nu_flow, nu_jump = _controllers(controllers)
-    jp = model.jump
-    config.schedule.validate_for(jp)
+    jp, sv = model.jump, model.state_vars
+    check_config(model, config)
     rng = trajectory_rng(config.master_seed, traj_index)
 
     if config.x0 is not None:
         x = tuple(float(v) for v in config.x0)
     else:
         pt = model.X0.sample(rng)
-        x = tuple(pt[v] for v in model.state_vars)
+        x = tuple(pt[v] for v in sv)
     z = 0
     time = 0.0
 
-    sv = model.state_vars
     flow_fns = [p.compiled(sv) for p in nu_flow]
     jump_fns = [p.compiled(sv) for p in nu_jump]
-    bfun = acbc.base.Bbar.compiled(sv) if acbc is not None else None
+    if acbc is not None:
+        bfun = acbc.base.Bbar.compiled(sv)
+        beta = [acbc.beta(q) for q in range(jp.q2 + 1)]
+    unsafe_box = _unsafe_box(model)
 
     jumps_taken = 0
     gap = config.schedule.next_gap(jp, 0, rng)
@@ -219,11 +212,11 @@ def simulate(
     def record(k: int, scenario: str) -> None:
         nonlocal first_unsafe, first_exceed
         bval = None
-        if bfun is not None:
-            bval = acbc.beta(z) * bfun(x)
+        if acbc is not None:
+            bval = beta[z] * bfun(x)
             if first_exceed is None and not bval < acbc.eta:
                 first_exceed = k
-        if first_unsafe is None and model.Xu.contains_point(dict(zip(sv, x))):
+        if first_unsafe is None and all(lo <= x[i] <= hi for i, lo, hi in unsafe_box):
             first_unsafe = k
         records.append(TransitionRecord(k, time, z, scenario, x, bval))
 
@@ -232,8 +225,7 @@ def simulate(
         if z == gap:
             if not jp.admits(JUMP, z):
                 raise ValueError(f"schedule demands a jump at inadmissible z={z}")
-            nu = tuple(float(f(x)) for f in jump_fns)
-            x = jump_step(model, x, nu, rng)
+            x = jump_step(model, x, tuple(f(x) for f in jump_fns), rng)
             z = 0
             jumps_taken += 1
             gap = config.schedule.next_gap(jp, jumps_taken, rng)
@@ -241,7 +233,7 @@ def simulate(
         else:
             if not jp.admits(FLOW, z):
                 raise ValueError(f"flow transition inadmissible at z={z}")
-            nu = tuple(float(f(x)) for f in flow_fns)
+            nu = tuple(f(x) for f in flow_fns)
             x = flow_step(model, x, nu, jp.tau, config.substeps_per_tau, rng)
             z += 1
             time += jp.tau
@@ -282,7 +274,7 @@ def trajectories(
     arrays; a block of fewer than ``BATCH_MIN`` runs on ``simulate``. Both
     give the same result for every index.
     """
-    config.schedule.validate_for(model.jump)
+    check_config(model, config)
     n = config.n_trajectories
     for start in range(0, n, BLOCK_SIZE):
         stop = min(start + BLOCK_SIZE, n)
@@ -310,8 +302,8 @@ def _simulate_block(
     """Trajectories start..stop-1, stepped together as an (N, n) array.
 
     Every row draws from its own stream with the calls, sizes and order of
-    ``simulate``, and every value goes through the same compiled closures
-    in the same order of operations, so each row equals the scalar
+    ``simulate``, and every value goes through the same generated
+    expressions in the same order of operations, so each row equals the scalar
     trajectory bitwise. A row leaves the block when its state stops being
     finite.
     """
@@ -347,7 +339,7 @@ def _simulate_block(
 
     bfun = acbc.base.Bbar.compiled(sv) if acbc is not None else None
     beta = np.array([acbc.beta(q) for q in range(jp.q2 + 1)]) if acbc is not None else None
-    unsafe_box = [(sv.index(v), lo, hi) for v, (lo, hi) in model.Xu.intervals.items()]
+    unsafe_box = _unsafe_box(model)
 
     def columns(rows) -> list[np.ndarray]:
         return [X[rows, i] for i in range(n)]

@@ -235,6 +235,15 @@ class TestPipelineRoundTrip:
         first = (tmp_path / "trajectory_0000.csv").read_text().splitlines()[1]
         assert first.split(",")[4] == "1.25"
 
+    @pytest.mark.parametrize("x0", ["1.0,2.0", "0.5,1,2"])
+    def test_fixed_start_of_wrong_length_exit_three(self, artifacts, tmp_path, capsys, x0):
+        code = main([
+            "simulate", str(artifacts / "model1.json"), str(artifacts / "cand1.json"),
+            "--x0", x0, "--runs", "1", "--horizon", "3", "--out", str(tmp_path),
+        ])
+        assert code == 3
+        assert "x0 needs 1 component(s)" in capsys.readouterr().err
+
     def test_augment_failure_exit_one(self, artifacts, tmp_path, capsys):
         doc = json.loads((artifacts / "cand1.json").read_text())
         doc["kappa1"] = -0.1

@@ -14,6 +14,7 @@ import json
 import pytest
 
 from shscert import (
+    BlowUpError,
     SimConfig,
     SynthTemplate,
     check_acbc_conditions,
@@ -23,6 +24,8 @@ from shscert import (
     load_case,
     monte_carlo,
     search,
+    simulate,
+    trajectory_csv,
 )
 from shscert.cli import main
 
@@ -114,3 +117,38 @@ def test_output_bytes_are_pinned(name, tmp_path):
     kind, _, case_id = name.partition("[")
     text = OUTPUTS[kind](load_case(case_id.rstrip("]")), tmp_path)
     assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN[name]
+
+
+# The scalar engine alone: one trajectory per case under its bundled
+# schedule and lifted certificate, at three seeds.
+SIMULATE_CSV = {
+    ("1", 0): "b30a20fcf542cf648b8c2d36d3acf7680062e74e65318c08ac3761eae2b089da",
+    ("1", 1): "0d0e11c5959d1d2ca6f5336de1b313a46110e809257b8a39ec6c261b278d9214",
+    ("1", 7): "18140c855f00d96847b1afbbc9dfc9dbb6593dab9012d0177e115368d9ebebde",
+    ("2", 0): "8aff3b91639f56b06dac1779b27d73c6fc9a50ba5e6becf3bb099f7d1be8ac75",
+    ("2", 1): "1f68b51def0676aae05501d27717274ff0106914ec7828a57014403370fcf579",
+    ("2", 7): "63675e9541425a0356b8bb2bce06c7791b743898d502c86c3271cd3dd3a7a145",
+    ("3", 0): "9d6cf23b2ccc6636cb413bc12a2b188cc1e1fcf5176b240ac3bdb126ec22ba1e",
+    ("3", 1): "2d1fe8e1ad082ef22c8b90b82a1a261daec164d51b8b57745751cf32de2b1b09",
+    ("3", 7): "fea52d21b80a2da04a176a446c0140ccc9ad18a1dcd76c144f26fd99ce4f2bed",
+}
+
+
+@pytest.mark.parametrize("case_id, seed", sorted(SIMULATE_CSV))
+def test_simulate_csv_is_pinned(case_id, seed):
+    case = load_case(case_id)
+    config = SimConfig(horizon_T=case.horizon, master_seed=seed, schedule=case.schedule)
+    traj = simulate(case.model, case.candidate, config, acbc=_acbc(case))
+    text = trajectory_csv(case.model, traj)
+    assert hashlib.sha256(text.encode()).hexdigest() == SIMULATE_CSV[case_id, seed]
+
+
+def test_simulate_blow_up_is_pinned():
+    """Case 2 under the uniform schedule: trajectory 5 of the
+    ``simulate_json`` run above stops being finite within a flow period."""
+    case = load_case("2")
+    config = SimConfig(horizon_T=20, master_seed=7)
+    with pytest.raises(BlowUpError) as err:
+        simulate(case.model, case.candidate, config, acbc=_acbc(case), traj_index=5)
+    assert str(err.value) == "state became non-finite at substep 6"
+    assert err.value.step == 6

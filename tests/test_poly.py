@@ -1,14 +1,18 @@
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from shscert.poly import (
     IntervalBox,
     NoiseMoments,
     Polynomial,
+    generated,
     min_on_interval,
     nonneg_on_box,
     sturm_root_count,
@@ -365,3 +369,79 @@ class TestIntervalBox:
     def test_roundtrip(self):
         box = IntervalBox({"x": (0, 8), "y": (-1, 1)})
         assert IntervalBox.from_dict(box.to_dict()) == box
+
+
+def _chain_value(p: Polynomial, point) -> float:
+    """Reference: 0.0 plus each term in term order, each term its
+    coefficient times one factor per power."""
+    total = 0.0
+    for exp, coef in p.terms.items():
+        t = coef
+        for v, e in zip(p.vars, exp):
+            for _ in range(e):
+                t = t * point[v]
+        total = total + t
+    return total
+
+
+def _same(a: float, b: float) -> bool:
+    return a == b or (math.isnan(a) and math.isnan(b))
+
+
+NAMES = ("x", "y", "z")
+COEFS = st.tuples(st.sampled_from((-1.0, 1.0)), st.floats(-8.0, 4.0)).map(
+    lambda sc: sc[0] * 10.0 ** sc[1]
+)
+# wide enough that degree-6 products overflow to inf (and sums of
+# opposite infinities to nan)
+VALUES = st.one_of(
+    st.floats(-3.0, 3.0), st.floats(-1e80, 1e80), st.sampled_from((0.0, -0.0, 1e300))
+)
+
+
+@st.composite
+def sparse_polynomials(draw):
+    n = draw(st.integers(1, 3))
+    exps = st.tuples(*[st.integers(0, 6)] * n).filter(lambda e: sum(e) <= 6)
+    terms = draw(st.dictionaries(exps, COEFS, max_size=8))
+    return Polynomial(NAMES[:n], terms)
+
+
+class TestGeneratedSource:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        p=sparse_polynomials(),
+        order=st.permutations(NAMES),
+        points=st.lists(st.tuples(VALUES, VALUES, VALUES), min_size=1, max_size=5),
+    )
+    @example(p=Polynomial.constant(0.0), order=NAMES, points=[(1.0, 2.0, 3.0)])
+    @example(p=Polynomial.constant(-2.5e-8), order=NAMES, points=[(1e300, 0.0, 0.0)])
+    @example(
+        p=Polynomial(("x", "y"), {(6, 0): 1e4, (0, 6): -1e4}),
+        order=NAMES,
+        points=[(1e80, 1e80, 0.0)],
+    )
+    def test_matches_multiplication_chains(self, p, order, points):
+        fn = p.compiled(order)
+        for pt in points:
+            got = fn([pt[NAMES.index(v)] for v in order])
+            assert type(got) is float and _same(got, _chain_value(p, dict(zip(NAMES, pt))))
+        columns = [np.array([pt[NAMES.index(v)] for pt in points]) for v in order]
+        want = np.array([_chain_value(p, dict(zip(NAMES, pt))) for pt in points])
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = np.broadcast_to(fn(columns), want.shape)
+        assert np.array_equal(got, want, equal_nan=True)
+
+    def test_non_finite_coefficients_are_bound_by_name(self):
+        p = Polynomial(("x",), {(0,): math.inf, (1,): -2.0, (2,): math.nan})
+        consts: dict[str, float] = {}
+        src = p.source({"x": "a"}, consts)
+        assert "inf" not in src and "nan" not in src
+        assert sorted(consts) == ["_k0", "_k1"]
+        assert math.isnan(p.compiled(("x",))((1.0,)))
+        q = Polynomial(("x",), {(0,): -math.inf, (1,): 2.0})
+        assert q.compiled(("x",))((3.0,)) == -math.inf
+
+    def test_generated_code_sees_no_builtins(self):
+        with pytest.raises(NameError):
+            generated("lambda: open")()

@@ -188,6 +188,17 @@ class TestSimulate:
         traj = simulate(case1.model, case1.candidate, config, traj_index=0)
         assert traj.records[0].x == (1.0,)
 
+    @pytest.mark.parametrize("x0", [(1.0, 2.0), ()])
+    @pytest.mark.parametrize("runs", [1, sim.BATCH_MIN])
+    def test_fixed_start_of_wrong_length_rejected(self, case1, x0, runs):
+        # both engines: simulate itself, and trajectories, which runs a
+        # single trajectory on simulate and BATCH_MIN of them as a block
+        config = SimConfig(horizon_T=5, n_trajectories=runs, x0=x0)
+        with pytest.raises(ValueError, match=r"x0 needs 1 component\(s\)"):
+            simulate(case1.model, case1.candidate, config)
+        with pytest.raises(ValueError, match=r"x0 needs 1 component\(s\)"):
+            next(trajectories(case1.model, case1.candidate, config))
+
     def test_case1_trajectories_stay_in_comfort_zone(self, case1):
         acbc = construct_acbc(case1.candidate, case1.model.jump, 0.1, 8.0)
         config = SimConfig(horizon_T=100, master_seed=2025, schedule=JumpSchedule.uniform())
@@ -425,3 +436,61 @@ class TestBatchedEngine:
         for _ in range(100):
             want = a.poisson(np.asarray((0.5,)) * 0.005, size=(20, 1))
             assert np.array_equal(b.poisson(0.5 * 0.005, size=(20, 1)), want)
+
+
+# Variable names that would break or subvert generated code if they reached
+# it; their sort order is that of the plain names they replace, so every
+# polynomial keeps its variable order and both models do the same arithmetic.
+HOSTILE = {
+    "nu": "1x",
+    "varsigma": "__import__",
+    "x": "x); import os #",
+    "y": "y'] or __import__('os') #",
+}
+
+
+def _renamed(doc, names):
+    if isinstance(doc, dict):
+        return {names.get(k, k): _renamed(v, names) for k, v in doc.items()}
+    if isinstance(doc, list):
+        return [_renamed(v, names) for v in doc]
+    return names.get(doc, doc) if isinstance(doc, str) else doc
+
+
+class TestGeneratedCode:
+    def test_hostile_names_simulate_like_plain_ones(self, monkeypatch):
+        from shscert import model as model_module
+        from shscert import poly
+
+        assert sorted(HOSTILE) == sorted(HOSTILE, key=HOSTILE.get)
+        sources = []
+
+        def recording(source, namespace={}, name=None):
+            sources.append(source)
+            return poly_generated(source, namespace, name)
+
+        poly_generated = poly.generated
+        monkeypatch.setattr(poly, "generated", recording)
+        monkeypatch.setattr(model_module, "generated", recording)
+
+        # both through the codec, which writes terms in its own order
+        model, cand = _noisy_plane()
+        plain = SHSModel.from_dict(model.to_dict())
+        plain_cand = CbcCandidate.from_dict(cand.to_dict())
+        hostile = SHSModel.from_dict(_renamed(model.to_dict(), HOSTILE))
+        hostile_cand = CbcCandidate.from_dict(_renamed(cand.to_dict(), HOSTILE))
+        assert hostile.state_vars == (HOSTILE["x"], HOSTILE["y"])
+        runs = {}
+        pairs = {"plain": (plain, plain_cand), "hostile": (hostile, hostile_cand)}
+        for key, (m, c) in pairs.items():
+            acbc = construct_acbc(c, m.jump, 0.1, 8.0)
+            config = SimConfig(horizon_T=30, n_trajectories=sim.BATCH_MIN, master_seed=4)
+            scalar = [_outcome(lambda i=i: simulate(m, c, config, acbc, i)) for i in range(3)]
+            runs[key] = scalar + list(trajectories(m, c, config, acbc, keep=config.n_trajectories))
+        for got, want in zip(runs["hostile"], runs["plain"], strict=True):
+            assert_same(plain, got, want)
+        assert any(isinstance(t, sim.Trajectory) and len(t.records) == 31 for t in runs["plain"])
+        assert sources
+        for source in sources:
+            for name in HOSTILE.values():
+                assert name not in source
