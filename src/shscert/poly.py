@@ -367,7 +367,9 @@ def generated(source: str, namespace: Mapping[str, object] = {}, name: str | Non
     if name is None:
         return eval(source, scope)
     exec(source, scope)
-    return scope[name]
+    # popped, so that the function and its globals form no reference cycle
+    # and go with their model as soon as it is dropped
+    return scope.pop(name)
 
 
 def _as_poly(x) -> Polynomial:

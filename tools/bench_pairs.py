@@ -53,12 +53,17 @@ def summarize(pairs: list[dict], gated: dict[str, str]) -> dict:
         base = [p["base"][name] for p in pairs]
         head = [p["head"][name] for p in pairs]
         sign = 1.0 if better == "higher" else -1.0
+        b, h = spread(base), spread(head)
         out[name] = {
             "better": better,
-            "base": spread(base),
-            "head": spread(head),
-            "head_wins": sum(sign * (h - b) > 0 for b, h in zip(base, head)),
+            "base": b,
+            "head": h,
+            "head_wins": sum(sign * (y - x) > 0 for x, y in zip(base, head)),
             "pairs": len(pairs),
+            # a gain counts when the medians differ, in the better direction,
+            # by more than the base runs' own interquartile distance
+            "median_gain": sign * (h["median"] - b["median"]),
+            "base_iqr": b["q3"] - b["q1"],
         }
     return out
 
