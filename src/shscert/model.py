@@ -70,24 +70,18 @@ class BlowUpError(RuntimeError):
 
 
 class CompiledDynamics(NamedTuple):
-    """The model's polynomials as generated code (see ``poly.generated``).
+    """The model's flow and jump as generated straight-line code (see
+    ``poly.generated``), for one trajectory on Python floats.
 
-    f1, sigma and rho are ``Polynomial.compiled`` functions of positional
-    values: f1 over (state, input), sigma and rho over state, f2 over
-    (state, input, noise). ``flow(x, u, h, sqh, dW, dP, substeps)`` runs
-    one Euler-Maruyama period from state ``x`` under the held input ``u``
-    with step ``h`` and its square root ``sqh``, taking substep s's
-    Brownian increments from ``dW[s]`` and Poisson counts from ``dP[s]``
-    (``None`` when the model has none). It raises ``BlowUpError(s)`` at the
-    first substep s whose state is not finite. ``jump(x, u, w)`` is the
-    jump map under noise sample ``w``. Both return tuples and take
-    sequences of Python floats.
+    ``flow(x, u, h, sqh, dW, dP, substeps)`` runs one Euler-Maruyama period
+    from state ``x`` under the held input ``u`` with step ``h`` and its
+    square root ``sqh``, taking substep s's Brownian increments from
+    ``dW[s]`` and Poisson counts from ``dP[s]`` (``None`` when the model has
+    none). It raises ``BlowUpError(s)`` at the first substep s whose state
+    is not finite. ``jump(x, u, w)`` is the jump map f2 under the noise
+    sample ``w``. Both take sequences of floats and return tuples.
     """
 
-    f1: tuple
-    sigma: tuple
-    rho: tuple
-    f2: tuple
     flow: object
     jump: object
 
@@ -135,18 +129,8 @@ class SHSModel(Codec):
 
     @cached_property
     def dynamics(self) -> CompiledDynamics:
-        """The model's polynomials compiled once, for the simulator."""
-        sv = self.state_vars
-        flow_vars = sv + self.input_vars
-        jump_vars = flow_vars + self.noise_vars
-        return CompiledDynamics(
-            f1=tuple(p.compiled(flow_vars) for p in self.f1),
-            sigma=tuple(tuple(p.compiled(sv) for p in row) for row in self.sigma),
-            rho=tuple(tuple(p.compiled(sv) for p in row) for row in self.rho),
-            f2=tuple(p.compiled(jump_vars) for p in self.f2),
-            flow=_flow_kernel(self),
-            jump=_jump_kernel(self),
-        )
+        """The model's kernels, generated once, for the simulator."""
+        return CompiledDynamics(flow=_flow_kernel(self), jump=_jump_kernel(self))
 
 
 def _unpack(names: list[str], seq: str, depth: int = 1) -> str:

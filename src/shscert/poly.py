@@ -372,6 +372,19 @@ def generated(source: str, namespace: Mapping[str, object] = {}, name: str | Non
     return scope.pop(name)
 
 
+def compile_tuples(groups: Sequence[Sequence[Polynomial]], varorder: Sequence[str]) -> tuple:
+    """One function per group, ``fn(x)`` giving the tuple of the group's
+    values at the positional values ``x`` of ``varorder``, with the
+    arithmetic of ``Polynomial.source``; all compiled in one go."""
+    names = bind_names(varorder, [f"x[{i}]" for i in range(len(varorder))])
+    consts: dict[str, float] = {}
+    fns = "".join(
+        f"lambda x: ({''.join(f'{p.source(names, consts)}, ' for p in group)}), "
+        for group in groups
+    )
+    return generated(f"({fns})", consts)
+
+
 def _as_poly(x) -> Polynomial:
     if isinstance(x, Polynomial):
         return x

@@ -27,7 +27,7 @@ from .augment import Acbc
 from .certify import CbcCandidate
 from .codec import Codec
 from .model import FLOW, JUMP, BlowUpError, JumpSchedule, SHSModel
-from .poly import Polynomial
+from .poly import Polynomial, compile_tuples
 
 
 @dataclass(frozen=True)
@@ -195,10 +195,9 @@ def simulate(
     z = 0
     time = 0.0
 
-    flow_fns = [p.compiled(sv) for p in nu_flow]
-    jump_fns = [p.compiled(sv) for p in nu_jump]
+    certificate = (acbc.base.Bbar,) if acbc is not None else ()
+    flow_nu, jump_nu, bfun = compile_tuples((nu_flow, nu_jump, certificate), sv)
     if acbc is not None:
-        bfun = acbc.base.Bbar.compiled(sv)
         beta = [acbc.beta(q) for q in range(jp.q2 + 1)]
     unsafe_box = _unsafe_box(model)
 
@@ -213,11 +212,15 @@ def simulate(
         nonlocal first_unsafe, first_exceed
         bval = None
         if acbc is not None:
-            bval = beta[z] * bfun(x)
+            bval = beta[z] * bfun(x)[0]
             if first_exceed is None and not bval < acbc.eta:
                 first_exceed = k
-        if first_unsafe is None and all(lo <= x[i] <= hi for i, lo, hi in unsafe_box):
-            first_unsafe = k
+        if first_unsafe is None:
+            for i, lo, hi in unsafe_box:
+                if not lo <= x[i] <= hi:
+                    break
+            else:
+                first_unsafe = k
         records.append(TransitionRecord(k, time, z, scenario, x, bval))
 
     record(0, "init")
@@ -225,7 +228,7 @@ def simulate(
         if z == gap:
             if not jp.admits(JUMP, z):
                 raise ValueError(f"schedule demands a jump at inadmissible z={z}")
-            x = jump_step(model, x, tuple(f(x) for f in jump_fns), rng)
+            x = jump_step(model, x, jump_nu(x), rng)
             z = 0
             jumps_taken += 1
             gap = config.schedule.next_gap(jp, jumps_taken, rng)
@@ -233,8 +236,7 @@ def simulate(
         else:
             if not jp.admits(FLOW, z):
                 raise ValueError(f"flow transition inadmissible at z={z}")
-            nu = tuple(f(x) for f in flow_fns)
-            x = flow_step(model, x, nu, jp.tau, config.substeps_per_tau, rng)
+            x = flow_step(model, x, flow_nu(x), jp.tau, config.substeps_per_tau, rng)
             z += 1
             time += jp.tau
             record(k, FLOW)
@@ -315,7 +317,11 @@ def _simulate_block(
     sqh = math.sqrt(h)
     b, r = model.brownian_dim, model.poisson_dim
     mean = _poisson_mean(model, h)
-    dyn = model.dynamics
+    flow_vars = sv + model.input_vars
+    f1 = [p.compiled(flow_vars) for p in model.f1]
+    sigma = [[p.compiled(sv) for p in row] for row in model.sigma]
+    rho = [[p.compiled(sv) for p in row] for row in model.rho]
+    f2 = [p.compiled(flow_vars + model.noise_vars) for p in model.f2]
     flow_fns = [p.compiled(sv) for p in nu_flow]
     jump_fns = [p.compiled(sv) for p in nu_jump]
     schedule = config.schedule
@@ -375,7 +381,7 @@ def _simulate_block(
         W = np.array([_jump_noise(model, rngs[row]) for row in J])
         vals = cols + nu + [W[:, j] for j in range(len(model.noise_vars))]
         new = np.empty((len(J), n))
-        for i, f in enumerate(dyn.f2):
+        for i, f in enumerate(f2):
             new[:, i] = f(vals)
         X[J] = new
         bad = ~np.isfinite(new).all(axis=1)
@@ -400,13 +406,13 @@ def _simulate_block(
             vals = state + nu
             new = []
             for i in range(n):
-                xi = state[i] + h * dyn.f1[i](vals)
+                xi = state[i] + h * f1[i](vals)
                 for j in range(b):
-                    xi = xi + dyn.sigma[i][j](state) * sqh * dW[:, s, j]
+                    xi = xi + sigma[i][j](state) * sqh * dW[:, s, j]
                 if r and counted[s]:
                     for j in range(r):
                         c = dP[:, s, j]
-                        xi = np.where(c != 0, xi + dyn.rho[i][j](state) * c, xi)
+                        xi = np.where(c != 0, xi + rho[i][j](state) * c, xi)
                 new.append(xi)
             state = new
             finite = np.isfinite(state[0])

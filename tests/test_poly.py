@@ -12,6 +12,7 @@ from shscert.poly import (
     IntervalBox,
     NoiseMoments,
     Polynomial,
+    compile_tuples,
     generated,
     min_on_interval,
     nonneg_on_box,
@@ -423,9 +424,14 @@ class TestGeneratedSource:
     )
     def test_matches_multiplication_chains(self, p, order, points):
         fn = p.compiled(order)
+        one, pair = compile_tuples(((p,), (2.0 * p, p)), order)
         for pt in points:
-            got = fn([pt[NAMES.index(v)] for v in order])
-            assert type(got) is float and _same(got, _chain_value(p, dict(zip(NAMES, pt))))
+            vals = [pt[NAMES.index(v)] for v in order]
+            want = _chain_value(p, dict(zip(NAMES, pt)))
+            got = fn(vals)
+            assert type(got) is float and _same(got, want)
+            assert _same(one(vals)[0], want) and _same(pair(vals)[1], want)
+            assert _same(pair(vals)[0], _chain_value(2.0 * p, dict(zip(NAMES, pt))))
         columns = [np.array([pt[NAMES.index(v)] for pt in points]) for v in order]
         want = np.array([_chain_value(p, dict(zip(NAMES, pt))) for pt in points])
         with np.errstate(over="ignore", invalid="ignore"):
