@@ -225,7 +225,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         config = _sim_config(args, args.horizon, args.runs)
         if args.x0:
             config = replace(config, x0=tuple(float(v) for v in args.x0.split(",")))
-        check_config(model, config)
+        check_config(model, config, x0_name="--x0")
     except ValueError as e:
         raise CliError(EXIT_BAD_INPUT, str(e)) from None
 

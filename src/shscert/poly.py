@@ -235,7 +235,9 @@ class Polynomial:
         bitwise equal results (``**`` does not) and overflow gives inf
         instead of raising. Finite coefficients are ``repr`` literals, which
         read back exactly; a non-finite one is added to ``consts`` under a
-        fresh name.
+        fresh name ``_k<i>``. A run of more than ``CHAIN_LEN`` terms or
+        factors is split through the accumulators ``_s`` and ``_t`` (see
+        ``_chain``); the caller's names must avoid these three.
         """
         missing = [v for v in self.effective_vars() if v not in names]
         if missing:
@@ -247,8 +249,9 @@ class Polynomial:
             else:
                 lit = f"_k{len(consts)}"
                 consts[lit] = coef
-            out.append(lit + "".join(f"*{names[v]}" * e for v, e in zip(self.vars, exp)))
-        return " + ".join(out)
+            factors = [names[v] for v, e in zip(self.vars, exp) for _ in range(e)]
+            out.append(_chain([lit, *factors], "*", "_t"))
+        return _chain(out, " + ", "_s")
 
     def compiled(self, varorder: tuple[str, ...]):
         """Function evaluating the polynomial at positional values ``vals``.
@@ -372,17 +375,23 @@ def generated(source: str, namespace: Mapping[str, object] = {}, name: str | Non
     return scope.pop(name)
 
 
-def compile_tuples(groups: Sequence[Sequence[Polynomial]], varorder: Sequence[str]) -> tuple:
-    """One function per group, ``fn(x)`` giving the tuple of the group's
-    values at the positional values ``x`` of ``varorder``, with the
-    arithmetic of ``Polynomial.source``; all compiled in one go."""
-    names = bind_names(varorder, [f"x[{i}]" for i in range(len(varorder))])
-    consts: dict[str, float] = {}
-    fns = "".join(
-        f"lambda x: ({''.join(f'{p.source(names, consts)}, ' for p in group)}), "
-        for group in groups
-    )
-    return generated(f"({fns})", consts)
+# Longest run of one operator that ``Polynomial.source`` writes as a single
+# expression. A left-to-right run nests one level per operand, and Python's
+# compiler gives up at about a thousand levels.
+CHAIN_LEN = 256
+
+
+def _chain(operands: Sequence[str], op: str, acc: str) -> str:
+    """``operands`` joined by ``op``, evaluated left to right. A longer run
+    than ``CHAIN_LEN`` becomes a tuple of pieces that each extend the
+    accumulator ``acc`` (``acc := acc op ...``), so the operations and their
+    order stay those of the single run while the nesting stays bounded."""
+    if len(operands) <= CHAIN_LEN:
+        return op.join(operands)
+    pieces = [f"{acc} := {op.join(operands[:CHAIN_LEN])}"]
+    for k in range(CHAIN_LEN, len(operands), CHAIN_LEN):
+        pieces.append(f"{acc} := {op.join([acc, *operands[k : k + CHAIN_LEN]])}")
+    return f"({', '.join(pieces)})[-1]"
 
 
 def _as_poly(x) -> Polynomial:
@@ -462,11 +471,6 @@ class IntervalBox:
 
     def vars(self) -> tuple[str, ...]:
         return tuple(self.intervals)
-
-    def contains_point(self, point: Mapping[str, float], tol: float = 0.0) -> bool:
-        return all(
-            lo - tol <= point[v] <= hi + tol for v, (lo, hi) in self.intervals.items()
-        )
 
     def subset_of(self, other: "IntervalBox") -> bool:
         for v, (lo, hi) in self.intervals.items():

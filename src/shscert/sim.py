@@ -27,7 +27,7 @@ from .augment import Acbc
 from .certify import CbcCandidate
 from .codec import Codec
 from .model import FLOW, JUMP, BlowUpError, JumpSchedule, SHSModel
-from .poly import Polynomial, compile_tuples
+from .poly import Polynomial
 
 
 @dataclass(frozen=True)
@@ -148,12 +148,13 @@ def jump_step(
     return out
 
 
-def check_config(model: SHSModel, config: SimConfig) -> None:
+def check_config(model: SHSModel, config: SimConfig, x0_name: str = "x0") -> None:
     """Raise ``ValueError`` when ``config`` does not fit ``model``: a
-    schedule gap outside [q1, q2], or a fixed start of the wrong length."""
+    schedule gap outside [q1, q2], or a fixed start of the wrong length
+    (the message calls the start ``x0_name``)."""
     config.schedule.validate_for(model.jump)
     if config.x0 is not None and len(config.x0) != model.n:
-        raise ValueError(f"x0 needs {model.n} component(s)")
+        raise ValueError(f"{x0_name} needs {model.n} component(s)")
 
 
 def _unsafe_box(model: SHSModel) -> list[tuple[int, float, float]]:
@@ -195,9 +196,10 @@ def simulate(
     z = 0
     time = 0.0
 
-    certificate = (acbc.base.Bbar,) if acbc is not None else ()
-    flow_nu, jump_nu, bfun = compile_tuples((nu_flow, nu_jump, certificate), sv)
+    flow_fns = [p.compiled(sv) for p in nu_flow]
+    jump_fns = [p.compiled(sv) for p in nu_jump]
     if acbc is not None:
+        bfun = acbc.base.Bbar.compiled(sv)
         beta = [acbc.beta(q) for q in range(jp.q2 + 1)]
     unsafe_box = _unsafe_box(model)
 
@@ -212,7 +214,7 @@ def simulate(
         nonlocal first_unsafe, first_exceed
         bval = None
         if acbc is not None:
-            bval = beta[z] * bfun(x)[0]
+            bval = beta[z] * bfun(x)
             if first_exceed is None and not bval < acbc.eta:
                 first_exceed = k
         if first_unsafe is None:
@@ -228,7 +230,8 @@ def simulate(
         if z == gap:
             if not jp.admits(JUMP, z):
                 raise ValueError(f"schedule demands a jump at inadmissible z={z}")
-            x = jump_step(model, x, jump_nu(x), rng)
+            nu = tuple(f(x) for f in jump_fns)
+            x = jump_step(model, x, nu, rng)
             z = 0
             jumps_taken += 1
             gap = config.schedule.next_gap(jp, jumps_taken, rng)
@@ -236,7 +239,8 @@ def simulate(
         else:
             if not jp.admits(FLOW, z):
                 raise ValueError(f"flow transition inadmissible at z={z}")
-            x = flow_step(model, x, flow_nu(x), jp.tau, config.substeps_per_tau, rng)
+            nu = tuple(f(x) for f in flow_fns)
+            x = flow_step(model, x, nu, jp.tau, config.substeps_per_tau, rng)
             z += 1
             time += jp.tau
             record(k, FLOW)

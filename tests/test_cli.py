@@ -242,7 +242,7 @@ class TestPipelineRoundTrip:
             "--x0", x0, "--runs", "1", "--horizon", "3", "--out", str(tmp_path),
         ])
         assert code == 3
-        assert "x0 needs 1 component(s)" in capsys.readouterr().err
+        assert "--x0 needs 1 component(s)" in capsys.readouterr().err
 
     def test_augment_failure_exit_one(self, artifacts, tmp_path, capsys):
         doc = json.loads((artifacts / "cand1.json").read_text())

@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 from shscert.poly import (
     IntervalBox,
     NoiseMoments,
+    CHAIN_LEN,
     Polynomial,
-    compile_tuples,
     generated,
     min_on_interval,
     nonneg_on_box,
@@ -424,14 +424,11 @@ class TestGeneratedSource:
     )
     def test_matches_multiplication_chains(self, p, order, points):
         fn = p.compiled(order)
-        one, pair = compile_tuples(((p,), (2.0 * p, p)), order)
         for pt in points:
             vals = [pt[NAMES.index(v)] for v in order]
             want = _chain_value(p, dict(zip(NAMES, pt)))
             got = fn(vals)
             assert type(got) is float and _same(got, want)
-            assert _same(one(vals)[0], want) and _same(pair(vals)[1], want)
-            assert _same(pair(vals)[0], _chain_value(2.0 * p, dict(zip(NAMES, pt))))
         columns = [np.array([pt[NAMES.index(v)] for pt in points]) for v in order]
         want = np.array([_chain_value(p, dict(zip(NAMES, pt))) for pt in points])
         with np.errstate(over="ignore", invalid="ignore"):
@@ -447,6 +444,41 @@ class TestGeneratedSource:
         assert math.isnan(p.compiled(("x",))((1.0,)))
         q = Polynomial(("x",), {(0,): -math.inf, (1,): 2.0})
         assert q.compiled(("x",))((3.0,)) == -math.inf
+
+    def test_unused_variables_need_no_name(self):
+        # listed with exponent 0 in every term: left out of the order, or
+        # of every name, the polynomial still compiles
+        p = Polynomial(("x", "y", "z"), {(2, 0, 0): 1.5, (0, 0, 0): -2.0, (1, 0, 0): 0.25})
+        assert p.compiled(("x",))((3.0,)) == _chain_value(p, {"x": 3.0})
+        assert p.compiled(("z", "x"))((9.0, 3.0)) == _chain_value(p, {"x": 3.0})
+        assert Polynomial.univariate("x", [0.6]).source({}, {}) == "0.0 + 0.6"
+        assert Polynomial(("x", "y"), {}).source({}, {}) == "0.0"
+
+    def test_grid_check_ignores_unused_variable(self):
+        p = Polynomial(("x", "y", "z"), {(2, 0, 0): 1.0, (0, 2, 0): 1.0, (0, 0, 0): -0.5})
+        box = IntervalBox({"x": (-1, 1), "y": (-1, 1)})
+        report = nonneg_on_box(p, box, grid_budget=21 * 21)
+        assert report.status == "fails" and report.margin == -0.5
+
+    def test_long_runs_compile_and_keep_their_order(self):
+        # 5000 terms and a term of degree 3 * CHAIN_LEN, past the nesting
+        # a single expression allows; values of mixed sign and magnitude so
+        # that another order of addition would round differently
+        rng = np.random.default_rng(11)
+        terms = {}
+        while len(terms) < 5000:
+            exp = (int(rng.integers(0, 90)), int(rng.integers(0, 90)))
+            terms[exp] = float(rng.normal() * 10.0 ** rng.integers(-6, 6))
+        terms[(3 * CHAIN_LEN, 1)] = 0.75
+        p = Polynomial(("x", "y"), terms)
+        fn = p.compiled(("x", "y"))
+        points = [(1.001, -0.999), (0.997, 1.002), (-1.0, 0.5), (0.0, 1e-3)]
+        for pt in points:
+            want = _chain_value(p, dict(zip(("x", "y"), pt)))
+            assert fn(pt) == want
+        columns = [np.array(c) for c in zip(*points)]
+        want = np.array([_chain_value(p, dict(zip(("x", "y"), pt))) for pt in points])
+        assert np.array_equal(fn(columns), want)
 
     def test_generated_code_sees_no_builtins(self):
         with pytest.raises(NameError):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import math
 from dataclasses import replace
 
@@ -494,3 +495,45 @@ class TestGeneratedCode:
         for source in sources:
             for name in HOSTILE.values():
                 assert name not in source
+
+    def test_unused_variables_simulate_like_the_plain_model(self):
+        # a state-free sigma entry, the certificate and a controller that
+        # list variables with exponent 0 in every term, one of them no
+        # variable of the model at all
+        model, cand = _noisy_plane()
+        idle = Polynomial(("x", "y"), {(0, 0): 0.05})
+        idle_model = replace(model, sigma=((model.sigma[0][0], idle), model.sigma[1]))
+        idle_cand = replace(
+            cand,
+            Bbar=Polynomial(("v", "x", "y"), {(0, 2, 0): 1.0, (0, 0, 2): 1.0}),
+            nu_flow=(Polynomial(("x", "v"), {(1, 0): 0.1}),),
+        )
+        config = SimConfig(horizon_T=30, n_trajectories=sim.BATCH_MIN, master_seed=4)
+        texts = []
+        for m, c in ((model, cand), (idle_model, idle_cand)):
+            acbc = construct_acbc(c, m.jump, 0.1, 8.0)
+            scalar = [simulate(m, c, config, acbc, i) for i in range(config.n_trajectories)]
+            batch = list(trajectories(m, c, config, acbc, keep=config.n_trajectories))
+            for got, want in zip(batch, scalar, strict=True):
+                assert_same(m, got, want)
+            texts.append("".join(trajectory_csv(m, t) for t in scalar))
+        assert texts[1] == texts[0]
+        # the digest of these trajectories before the kernels were generated
+        digest = hashlib.sha256(texts[1].encode()).hexdigest()
+        assert digest == "096cfadd991703f42b2e669b6fd94410b1f7e9976a8685c3c143eead2265389d"
+
+    def test_flow_kernel_takes_a_long_drift(self):
+        # 3000 terms, past the nesting a single expression allows
+        rng = np.random.default_rng(5)
+        terms = {
+            (i, j): float(rng.normal()) / math.factorial(i + j)
+            for i in range(60)
+            for j in range(50)
+        }
+        f1 = Polynomial(("x", "nu"), terms)
+        model = scalar_model(f1, X, sigma=0.0, rate=0.0)
+        fn = f1.compiled(("x", "nu"))
+        x, h = 0.5, 0.1 / 4
+        for _ in range(4):
+            x = x + h * fn((x, 0.2))
+        assert flow_step(model, (0.5,), (0.2,), 0.1, 4, np.random.default_rng(0)) == (x,)
