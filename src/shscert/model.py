@@ -53,9 +53,14 @@ class JumpParams(Codec):
         raise ValueError(f"unknown scenario {scenario!r}")
 
 
+# The jump-noise samplers the simulator knows: i.i.d. standard normals.
+SAMPLERS = ("gaussian",)
+
+
 @dataclass(frozen=True)
 class NoiseConfig(Codec):
-    """Moment data plus a sampler tag for the jump noise components."""
+    """Moment data plus a sampler tag (one of ``SAMPLERS``) for the jump
+    noise components."""
 
     moments: tuple[NoiseMoments, ...]
     sampler: str = "gaussian"
@@ -132,18 +137,36 @@ class SHSModel(Codec):
         """The model's kernels, generated once, for the simulator."""
         return CompiledDynamics(flow=_flow_kernel(self), jump=_jump_kernel(self))
 
+    @cached_property
+    def block_flow(self):
+        """``dynamics.flow`` for a block of rows held as columns, generated on
+        first use so that single trajectories never pay for it (see
+        ``_flow_kernel``)."""
+        return _flow_kernel(self, block=True)
+
 
 def _unpack(names: list[str], seq: str, depth: int = 1) -> str:
     """``a, b, = seq`` at the given indent, or an empty line for no names."""
     return "    " * depth + "".join(f"{v}, " for v in names) + f"= {seq}" if names else ""
 
 
-def _flow_kernel(model: SHSModel):
+def _flow_kernel(model: SHSModel, block: bool = False):
     """One flow period as straight-line code, in the order of operations of
     Euler-Maruyama term by term: y_i = x_i + h f1_i + sigma_i0 sqh dW_0 +
     ..., then y_i += rho_ij dP_j for each nonzero count dP_j in turn. A
     sigma entry free of the state is multiplied by sqh once per period,
-    which is the product every substep would form."""
+    which is the product every substep would form.
+
+    With ``block`` the same expressions run a period of many rows at once
+    (``SHSModel.block_flow``): the state and input are columns, ``dW`` and
+    ``dP`` are (substeps, b, N) and (substeps, r, N) arrays, and the kernel
+    returns the columns at the end of the period. A state-free sigma entry's
+    products with all the period's increments are formed up front, the same
+    products the scalar kernel forms one substep at a time. Count j updates
+    ``where(dP_j != 0, y_i + rho_ij dP_j, y_i)``, and only on substeps where
+    some row counted. No substep tests finiteness: every update has the form
+    ``x_i + ...``, so a non-finite coordinate stays non-finite, and the caller
+    checks the state once at the end of the period."""
     n, b, r = model.n, model.brownian_dim, model.poisson_dim
     xs = [f"x{i}" for i in range(n)]
     us = [f"u{j}" for j in range(model.m)]
@@ -151,34 +174,55 @@ def _flow_kernel(model: SHSModel):
     state = {v: names[v] for v in model.state_vars}
     consts: dict[str, float] = {}
     head = ["def flow(x, u, h, sqh, dW, dP, substeps):", _unpack(xs, "x"), _unpack(us, "u")]
-    body = [
-        "    for s in range(substeps):",
-        _unpack([f"dw{j}" for j in range(b)], "dW[s]", 2),
-        _unpack([f"dp{j}" for j in range(r)], "dP[s]", 2),
-    ]
+    body = ["    for s in range(substeps):"]
+    if block:
+        dws = [f"dW[s, {j}]" for j in range(b)]
+        head += [f"    c{j} = counted(dP, {j})" for j in range(r)]
+    else:
+        dws = [f"dw{j}" for j in range(b)]
+        body += [_unpack(dws, "dW[s]", 2), _unpack([f"dp{j}" for j in range(r)], "dP[s]", 2)]
     for i in range(n):
         line = f"        y{i} = x{i} + h * ({model.f1[i].source(names, consts)})"
         for j, sig in enumerate(model.sigma[i]):
             if sig.effective_vars():
-                line += f" + ({sig.source(state, consts)}) * sqh * dw{j}"
+                line += f" + ({sig.source(state, consts)}) * sqh * {dws[j]}"
+            elif block:
+                head.append(f"    k{i}_{j} = ({sig.source({}, consts)}) * sqh * dW[:, {j}]")
+                line += f" + k{i}_{j}[s]"
             else:
                 head.append(f"    k{i}_{j} = ({sig.source({}, consts)}) * sqh")
                 line += f" + k{i}_{j} * dw{j}"
         body.append(line)
     for j in range(r):
-        body.append(f"        if dp{j}:")
+        rhos = [model.rho[i][j].source(state, consts) for i in range(n)]
+        if block:
+            body += [f"        if c{j}[s]:", f"            dp{j} = dP[s, {j}]", f"            on{j} = dp{j} != 0"]
+            body += [
+                f"            y{i} = where(on{j}, y{i} + ({rho}) * dp{j}, y{i})"
+                for i, rho in enumerate(rhos)
+            ]
+        else:
+            body.append(f"        if dp{j}:")
+            body += [f"            y{i} = y{i} + ({rho}) * dp{j}" for i, rho in enumerate(rhos)]
+    body.append(f"        {''.join(f'{x}, ' for x in xs)}= {''.join(f'y{i}, ' for i in range(n))}")
+    if not block:
         body += [
-            f"            y{i} = y{i} + ({model.rho[i][j].source(state, consts)}) * dp{j}"
-            for i in range(n)
+            f"        if not ({' and '.join(f'isfinite({x})' for x in xs)}):",
+            "            raise BlowUpError(s)",
         ]
-    body += [
-        f"        {''.join(f'{x}, ' for x in xs)}= {''.join(f'y{i}, ' for i in range(n))}",
-        f"        if not ({' and '.join(f'isfinite({x})' for x in xs)}):",
-        "            raise BlowUpError(s)",
-        f"    return ({''.join(f'{x}, ' for x in xs)})",
-    ]
-    namespace = dict(consts, range=range, isfinite=math.isfinite, BlowUpError=BlowUpError)
+    body.append(f"    return ({''.join(f'{x}, ' for x in xs)})")
+    namespace = dict(
+        consts, range=range, isfinite=math.isfinite, BlowUpError=BlowUpError,
+        where=np.where, counted=_counted,
+    )
     return generated("\n".join(head + body) + "\n", namespace, "flow")
+
+
+def _counted(dP: np.ndarray, j: int) -> list[bool]:
+    """Per substep, whether any row's count j is nonzero. Called here rather
+    than in the generated code: numpy may import a module on a method's
+    first call, which code without builtins cannot."""
+    return dP[:, j].any(1).tolist()
 
 
 def _jump_kernel(model: SHSModel):
@@ -224,6 +268,8 @@ def validate(model: SHSModel) -> list[str]:
             bad.append("rho width does not match number of Poisson rates")
     if len(model.noise.moments) != len(model.noise_vars):
         bad.append("noise moment lists do not match noise variables")
+    if model.noise.sampler not in SAMPLERS:
+        bad.append(f"unknown noise sampler {model.noise.sampler!r}")
 
     flow_vars = set(model.state_vars) | set(model.input_vars)
     jump_vars = flow_vars | set(model.noise_vars)

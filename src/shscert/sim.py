@@ -8,8 +8,12 @@ results are reproducible and independent of execution order. ``simulate``
 runs one trajectory on Python floats, through the flow-period and jump-map
 kernels that ``SHSModel.dynamics`` generates once per model and caches on
 it; ``trajectories``, behind ``monte_carlo``, steps blocks of them together
-as arrays and gives the same trajectories bitwise, because both evaluate
-every polynomial with the order of operations of ``Polynomial.source``.
+as arrays, one call of the block variant of the flow kernel
+(``SHSModel.block_flow``) per period and of the jump kernel per jump. Both
+give the same trajectories bitwise, because both evaluate every polynomial
+with the order of operations of ``Polynomial.source``. The block kernel
+skips the per-substep finiteness test; the block checks once per period
+and leaves the substep of a blow-up to the scalar kernel.
 """
 
 from __future__ import annotations
@@ -98,8 +102,6 @@ def _flow_noise(rng: np.random.Generator, substeps: int, b: int, r: int, mean):
 
 
 def _jump_noise(model: SHSModel, rng: np.random.Generator) -> np.ndarray:
-    if model.noise.sampler != "gaussian":
-        raise ValueError(f"unknown noise sampler {model.noise.sampler!r}")
     return rng.normal(0.0, 1.0, size=len(model.noise_vars))
 
 
@@ -258,10 +260,12 @@ def simulate(
 # whatever the number of trajectories.
 BLOCK_SIZE = 256
 
-# Fewer trajectories than this run one by one on ``simulate``: per substep
-# the batched engine pays a fixed numpy overhead, which on the bundled cases
-# pays off from about eight rows.
-BATCH_MIN = 8
+# Fewer trajectories than this run one by one on ``simulate``. A block pays a
+# fixed cost per period, the numpy calls of its kernel, which its cheaper
+# rows repay from about 24 of them. Best of 9 on cases 1-3 (T = 100, 2
+# cores): a block of 16 took 25/21/23 ms against 23/20/20 ms for 16
+# ``simulate`` calls, and a block of 24 took 27/21/17 ms against 34/29/24 ms.
+BATCH_MIN = 24
 
 
 def trajectories(
@@ -308,10 +312,17 @@ def _simulate_block(
     """Trajectories start..stop-1, stepped together as an (N, n) array.
 
     Every row draws from its own stream with the calls, sizes and order of
-    ``simulate``, and every value goes through the same generated
-    expressions in the same order of operations, so each row equals the scalar
-    trajectory bitwise. A row leaves the block when its state stops being
-    finite.
+    ``simulate``, into noise arrays allocated once per block. A flow period
+    is one call of ``SHSModel.block_flow`` on the flowing rows' columns, and
+    a jump one call of ``dynamics.jump`` on the jumping rows' columns; both
+    evaluate every value with the expressions and order of operations of
+    the scalar kernels, so each row equals the scalar trajectory bitwise.
+    The block kernel tests no substep for finiteness. Since a non-finite
+    coordinate stays non-finite, the state is checked once at the end of the
+    period, and a row that fails there runs its period again on
+    ``dynamics.flow``, which names the substep in its ``BlowUpError``. A row
+    leaves the block when its state stops being finite. The kept rows'
+    records are built at the end from copies taken at each transition.
     """
     nu_flow, nu_jump = _controllers(controllers)
     jp, sv, n = model.jump, model.state_vars, model.n
@@ -321,15 +332,14 @@ def _simulate_block(
     sqh = math.sqrt(h)
     b, r = model.brownian_dim, model.poisson_dim
     mean = _poisson_mean(model, h)
-    flow_vars = sv + model.input_vars
-    f1 = [p.compiled(flow_vars) for p in model.f1]
-    sigma = [[p.compiled(sv) for p in row] for row in model.sigma]
-    rho = [[p.compiled(sv) for p in row] for row in model.rho]
-    f2 = [p.compiled(flow_vars + model.noise_vars) for p in model.f2]
     flow_fns = [p.compiled(sv) for p in nu_flow]
     jump_fns = [p.compiled(sv) for p in nu_jump]
     schedule = config.schedule
     rngs = [trajectory_rng(config.master_seed, i) for i in range(start, stop)]
+    # a period's draws of the rows it moves, one row of each after another
+    dW = np.empty((N, S, b))
+    dP = np.empty((N, S, r), dtype=np.int64)
+    W = np.empty((N, len(model.noise_vars)))
 
     if config.x0 is not None:
         X = np.tile(np.array([float(v) for v in config.x0]), (N, 1))
@@ -345,17 +355,15 @@ def _simulate_block(
     first_exceed = np.full(N, -1, dtype=np.int64)
     first_unsafe = np.full(N, -1, dtype=np.int64)
     n_kept = max(0, min(keep, stop) - start)
-    records: list[list[TransitionRecord]] = [[] for _ in range(n_kept)]
+    # per transition: k, and the kept rows' time, z, x, B value and jump flag
+    snapshots: list[tuple] = []
 
     bfun = acbc.base.Bbar.compiled(sv) if acbc is not None else None
     beta = np.array([acbc.beta(q) for q in range(jp.q2 + 1)]) if acbc is not None else None
     unsafe_box = _unsafe_box(model)
 
-    def columns(rows) -> list[np.ndarray]:
-        return [X[rows, i] for i in range(n)]
-
     def record(k: int, jumped: np.ndarray | None) -> None:
-        cols = columns(slice(None))
+        cols = [X[:, i] for i in range(n)]
         bval = None
         if bfun is not None:
             bval = beta[z] * bfun(cols)
@@ -365,71 +373,72 @@ def _simulate_block(
         for i, lo, hi in unsafe_box:
             inside &= (lo <= cols[i]) & (cols[i] <= hi)
         first_unsafe[inside] = k
-        for row in range(n_kept):
-            if alive[row]:
-                scenario = "init" if jumped is None else JUMP if jumped[row] else FLOW
-                records[row].append(
-                    TransitionRecord(
-                        k,
-                        float(time[row]),
-                        int(z[row]),
-                        scenario,
-                        tuple(X[row].tolist()),
-                        None if bval is None else float(bval[row]),
-                    )
-                )
+        if n_kept:
+            snapshots.append((
+                k,
+                time[:n_kept].tolist(),
+                z[:n_kept].tolist(),
+                X[:n_kept].tolist(),
+                None if bval is None else bval[:n_kept].tolist(),
+                None if jumped is None else jumped[:n_kept].tolist(),
+            ))
+
+    def step(rows: np.ndarray, new) -> list[int]:
+        """Store the rows' new states; the positions of those not finite."""
+        cols = np.empty((len(rows), n))
+        for i, col in enumerate(new):
+            cols[:, i] = col
+        X[rows] = cols
+        return np.flatnonzero(~np.isfinite(cols).all(axis=1)).tolist()
 
     def jump(J: np.ndarray) -> None:
-        cols = columns(J)
+        rows = J.tolist()
+        cols = [X[J, i] for i in range(n)]
         nu = [f(cols) for f in jump_fns]
-        W = np.array([_jump_noise(model, rngs[row]) for row in J])
-        vals = cols + nu + [W[:, j] for j in range(len(model.noise_vars))]
-        new = np.empty((len(J), n))
-        for i, f in enumerate(f2):
-            new[:, i] = f(vals)
-        X[J] = new
-        bad = ~np.isfinite(new).all(axis=1)
-        for row in J[bad]:
-            errors[row] = BlowUpError(0, "jump map produced a non-finite state")
-            alive[row] = False
-        J = J[~bad]
+        for c, row in enumerate(rows):
+            W[c] = _jump_noise(model, rngs[row])
+        w = [W[: len(rows), j] for j in range(W.shape[1])]
+        for c in step(J, model.dynamics.jump(cols, nu, w)):
+            errors[rows[c]] = BlowUpError(0, "jump map produced a non-finite state")
+            alive[rows[c]] = False
+        J = J[alive[J]]
         z[J] = 0
-        for row in J:
+        rows = J.tolist()
+        for row in rows:
             jumps[row] += 1
-            gap[row] = schedule.next_gap(jp, jumps[row], rngs[row])
+        gap[J] = [schedule.next_gap(jp, jumps[row], rngs[row]) for row in rows]
 
     def flow(F: np.ndarray) -> None:
-        state = columns(F)
-        nu = [f(state) for f in flow_fns]
-        draws = [_flow_noise(rngs[row], S, b, r, mean) for row in F]
-        dW = np.array([d[0] for d in draws]) if b else None  # (|F|, S, b)
-        dP = np.array([d[1] for d in draws], dtype=float) if r else None  # (|F|, S, r)
-        counted = dP.any(axis=(0, 2)) if r else None
-        failed_at = np.full(len(F), -1, dtype=np.int64)
-        for s in range(S):
-            vals = state + nu
-            new = []
-            for i in range(n):
-                xi = state[i] + h * f1[i](vals)
-                for j in range(b):
-                    xi = xi + sigma[i][j](state) * sqh * dW[:, s, j]
-                if r and counted[s]:
-                    for j in range(r):
-                        c = dP[:, s, j]
-                        xi = np.where(c != 0, xi + rho[i][j](state) * c, xi)
-                new.append(xi)
-            state = new
-            finite = np.isfinite(state[0])
-            for xi in state[1:]:
-                finite &= np.isfinite(xi)
-            if not finite.all():
-                failed_at[~finite & (failed_at < 0)] = s
-        for i in range(n):
-            X[F, i] = state[i]
-        for row, s in zip(F[failed_at >= 0], failed_at[failed_at >= 0]):
-            errors[row] = BlowUpError(int(s))
-            alive[row] = False
-        F = F[failed_at < 0]
+        rows = F.tolist()
+        m = len(rows)
+        cols = [X[F, i] for i in range(n)]
+        nu = [f(cols) for f in flow_fns]
+        for c, row in enumerate(rows):
+            dw, dp = _flow_noise(rngs[row], S, b, r, mean)
+            if b:
+                dW[c] = dw
+            if r:
+                dP[c] = dp
+        # the kernel takes (substeps, b, m) and (substeps, r, m)
+        period = model.block_flow(
+            cols, nu, h, sqh,
+            dW[:m].transpose(1, 2, 0) if b else None,
+            dP[:m].transpose(1, 2, 0) if r else None,
+            S,
+        )
+        for c in step(F, period):
+            x = [float(col[c]) for col in cols]
+            try:
+                model.dynamics.flow(
+                    x, [f(x) for f in flow_fns], h, sqh,
+                    dW[c].tolist() if b else None, dP[c].tolist() if r else None, S,
+                )
+            except BlowUpError as e:
+                errors[rows[c]] = e
+                alive[rows[c]] = False
+            else:
+                raise AssertionError("block and scalar flow kernels disagree")
+        F = F[alive[F]]
         z[F] += 1
         time[F] += jp.tau
 
@@ -440,10 +449,11 @@ def _simulate_block(
             if not live.size:
                 break
             jumped = z == gap
-            if jumped[live].any():
-                jump(live[jumped[live]])
-            if not jumped[live].all():
-                flow(live[~jumped[live]])
+            at_gap = jumped[live]
+            if at_gap.any():
+                jump(live[at_gap])
+            if not at_gap.all():
+                flow(live[~at_gap])
             record(k, jumped)
 
     out: list[Trajectory | BlowUpError] = []
@@ -451,9 +461,22 @@ def _simulate_block(
         if errors[row] is not None:
             out.append(errors[row])
             continue
+        records = ()
+        if row < n_kept:
+            records = tuple(
+                TransitionRecord(
+                    k,
+                    t[row],
+                    zs[row],
+                    "init" if jj is None else JUMP if jj[row] else FLOW,
+                    tuple(xs[row]),
+                    None if bv is None else bv[row],
+                )
+                for k, t, zs, xs, bv, jj in snapshots
+            )
         out.append(
             Trajectory(
-                records=tuple(records[row]) if row < n_kept else (),
+                records=records,
                 seed=config.master_seed,
                 traj_index=start + row,
                 first_unsafe=None if first_unsafe[row] < 0 else int(first_unsafe[row]),

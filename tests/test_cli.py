@@ -147,8 +147,13 @@ class TestMalformedInput:
         [
             ("X", [0, 8], "X: expected an object, got list"),
             ("jump", {"tau": 0.1, "q1": 3, "q2": 2}, "need 1 <= q1 <= q2"),
+            (
+                "noise",
+                {**load_case(1).model.noise.to_dict(), "sampler": "laplace"},
+                "unknown noise sampler 'laplace'",
+            ),
         ],
-        ids=["box-as-list", "q1-above-q2"],
+        ids=["box-as-list", "q1-above-q2", "unknown-sampler"],
     )
     def test_bad_model_exit_three(self, artifacts, tmp_path, capsys, key, value, message):
         doc = json.loads((artifacts / "model1.json").read_text())

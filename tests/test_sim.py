@@ -21,6 +21,7 @@ from shscert import (
     monte_carlo,
     simulate,
     trajectory_csv,
+    validate,
 )
 from shscert import load_case, sim
 from shscert.model import NoiseConfig, SHSModel
@@ -30,6 +31,12 @@ from shscert.sim import _simulate_block, trajectories, trajectory_rng
 from conftest import scalar_model
 
 X = Polynomial.variable("x")
+
+
+@pytest.fixture
+def blocks_of_8(monkeypatch):
+    """Eight trajectories run as one block, whatever ``sim.BATCH_MIN`` is."""
+    monkeypatch.setattr(sim, "BATCH_MIN", 8)
 
 
 class TestFlowStep:
@@ -115,15 +122,13 @@ class TestJumpStep:
         assert float(np.mean(samples)) == pytest.approx(0.0, abs=3 * se)
 
     def test_unknown_sampler_rejected(self, case1):
-        from dataclasses import replace
-        from shscert.model import NoiseConfig
-
+        # the model audit rejects it, before anything draws
         bad = replace(
             case1.model,
             noise=NoiseConfig(case1.model.noise.moments, sampler="cauchy"),
         )
-        with pytest.raises(ValueError, match="sampler"):
-            jump_step(bad, (0.0,), (0.0,), np.random.default_rng(0))
+        assert validate(bad) == ["unknown noise sampler 'cauchy'"]
+        assert validate(case1.model) == []
 
     def test_case_study_jump_mean_at_origin(self, case1):
         rng = np.random.default_rng(9)
@@ -190,10 +195,10 @@ class TestSimulate:
         assert traj.records[0].x == (1.0,)
 
     @pytest.mark.parametrize("x0", [(1.0, 2.0), ()])
-    @pytest.mark.parametrize("runs", [1, sim.BATCH_MIN])
-    def test_fixed_start_of_wrong_length_rejected(self, case1, x0, runs):
+    @pytest.mark.parametrize("runs", [1, 8])
+    def test_fixed_start_of_wrong_length_rejected(self, case1, x0, runs, blocks_of_8):
         # both engines: simulate itself, and trajectories, which runs a
-        # single trajectory on simulate and BATCH_MIN of them as a block
+        # single trajectory on simulate and 8 of them as a block
         config = SimConfig(horizon_T=5, n_trajectories=runs, x0=x0)
         with pytest.raises(ValueError, match=r"x0 needs 1 component\(s\)"):
             simulate(case1.model, case1.candidate, config)
@@ -352,6 +357,34 @@ def _noisy_plane() -> tuple[SHSModel, CbcCandidate]:
     return model, cand
 
 
+def _overflowing(kind: str) -> SHSModel:
+    """Models whose rows leave the block at chosen places: ``drift`` at
+    substep 0, a middle substep and the last one (x' = 60 (x^3 - x) blows up
+    once the noise pushes |x| past 1), ``one-coordinate`` a two-state model
+    where only the second coordinate does, and ``poisson`` one where only
+    the count's update rho(x) dP = 1e200 x^2 dP can overflow."""
+    if kind == "one-coordinate":
+        x, y = Polynomial.variable("x"), Polynomial.variable("y")
+        nu, const = Polynomial.variable("nu"), Polynomial.constant
+        return SHSModel(
+            state_vars=("x", "y"), input_vars=("nu",), noise_vars=("varsigma",),
+            f1=(-1.0 * x + nu, 60.0 * (y**3 - y)),
+            sigma=((const(0.5), const(0.0)), (const(0.0), const(2.0))),
+            rho=((const(0.0),), (const(0.0),)),
+            rates=(0.0,),
+            f2=(x, y),
+            noise=NoiseConfig((NoiseMoments.standard_normal(4),)),
+            jump=JumpParams(0.1, 1, 7),
+            X=IntervalBox({"x": (-8, 8), "y": (-8, 8)}),
+            X0=IntervalBox({"x": (-1.5, 1.5), "y": (-1.5, 1.5)}),
+            Xu=IntervalBox({"x": (7, 8), "y": (7, 8)}),
+        )
+    if kind == "drift":
+        return scalar_model(60.0 * (X**3 - X), X, sigma=2.0, rate=0.0, X=(-8, 8), X0=(-1.5, 1.5))
+    model = scalar_model(-1.0 * X, X, sigma=0.5, rate=5.0, X=(-8, 8), X0=(-1.5, 1.5))
+    return replace(model, rho=((1e200 * X**2,),))
+
+
 class TestBatchedEngine:
     """The batched engine against the scalar reference ``simulate``."""
 
@@ -392,6 +425,25 @@ class TestBatchedEngine:
         (alone,) = _simulate_block(model, cand, config, acbc, 17, 18, keep=18)
         assert_same(model, alone, batch[17])
 
+    @pytest.mark.parametrize("kind", ["drift", "one-coordinate", "poisson"])
+    def test_blow_ups_equal_scalar(self, kind):
+        # the block checks finiteness once per period and re-runs the
+        # failed rows on the scalar kernel for the substep of the error
+        model = _overflowing(kind)
+        zero = (Polynomial.constant(0.0),)
+        n = 64
+        config = SimConfig(horizon_T=6, n_trajectories=n, master_seed=2, substeps_per_tau=10)
+        batch = _simulate_block(model, (zero, zero), config, None, 0, n, keep=n)
+        scalar = [_outcome(lambda i=i: simulate(model, (zero, zero), config, traj_index=i)) for i in range(n)]
+        for got, want in zip(batch, scalar, strict=True):
+            assert_same(model, got, want)
+        # rows that fail at the first, a middle and the last substep of a
+        # period, among rows that never fail
+        steps = {t.step for t in scalar if isinstance(t, BlowUpError)}
+        last = config.substeps_per_tau - 1
+        assert {0, last} <= steps and steps - {0, last}
+        assert any(isinstance(t, sim.Trajectory) for t in scalar)
+
     def test_blocks_and_kept_trajectories(self, case3, monkeypatch):
         # blocks of 9 leave a tail of 2, which runs on the scalar path
         acbc = construct_acbc(case3.candidate, case3.model.jump, case3.eps1, case3.eps2)
@@ -402,6 +454,7 @@ class TestBatchedEngine:
         whole = _simulate_block(case3.model, case3.candidate, config, acbc, 0, n, keep=n)
         assert any(isinstance(t, BlowUpError) for t in whole)
         monkeypatch.setattr(sim, "BLOCK_SIZE", 9)
+        monkeypatch.setattr(sim, "BATCH_MIN", 3)
         blocked = list(trajectories(case3.model, case3.candidate, config, acbc, keep=n))
         for got, want in zip(blocked, whole, strict=True):
             assert_same(case3.model, got, want)
@@ -496,7 +549,7 @@ class TestGeneratedCode:
             for name in HOSTILE.values():
                 assert name not in source
 
-    def test_unused_variables_simulate_like_the_plain_model(self):
+    def test_unused_variables_simulate_like_the_plain_model(self, blocks_of_8):
         # a state-free sigma entry, the certificate and a controller that
         # list variables with exponent 0 in every term, one of them no
         # variable of the model at all
@@ -508,7 +561,7 @@ class TestGeneratedCode:
             Bbar=Polynomial(("v", "x", "y"), {(0, 2, 0): 1.0, (0, 0, 2): 1.0}),
             nu_flow=(Polynomial(("x", "v"), {(1, 0): 0.1}),),
         )
-        config = SimConfig(horizon_T=30, n_trajectories=sim.BATCH_MIN, master_seed=4)
+        config = SimConfig(horizon_T=30, n_trajectories=8, master_seed=4)
         texts = []
         for m, c in ((model, cand), (idle_model, idle_cand)):
             acbc = construct_acbc(c, m.jump, 0.1, 8.0)

@@ -9,9 +9,12 @@ seed ``--seed + i``, base first in even pairs and head first in odd ones,
 so a drift of the machine weighs on both sides alike. The output records
 the machine, both git SHAs, each run's gated end-to-end metrics (the
 ``end_to_end`` names of HEAD's BENCHMARK.json), and per metric the median
-and quartiles of each side and the number of pairs the head wins. Every
-run's full result line also stays in ``.perfbench_out/`` of its checkout.
-``--workload`` may be given more than once.
+and quartiles of each side and the number of pairs the head wins. After
+the pairs of a workload, one ``--trace 1`` run per side on the first pair's
+seed adds the per-layer metrics of its traced replay, with the number of
+operations it traced. Every run's full result line also stays in
+``.perfbench_out/`` of its checkout. ``--workload`` may be given more than
+once.
 """
 
 from __future__ import annotations
@@ -24,11 +27,11 @@ import sys
 from pathlib import Path
 
 
-def run_once(checkout: Path, workload: str, seed: int, seconds: int) -> dict:
+def run_once(checkout: Path, workload: str, seed: int, seconds: int, trace: int = 0) -> dict:
     """The report and result lines of one benchmark run."""
     done = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-         "--seconds", str(seconds), "--trace", "0"],
+         "--seconds", str(seconds), "--trace", str(trace)],
         cwd=checkout, capture_output=True, text=True, check=True,
     )
     *_, report, result = done.stdout.strip().splitlines()
@@ -107,6 +110,18 @@ def main(argv: list[str] | None = None) -> int:
             pairs.append(pair)
             print(json.dumps({"workload": workload, **pair}), flush=True)
         doc["workloads"][workload] = {"pairs": pairs, "summary": summarize(pairs, gated)}
+        args.out.write_text(json.dumps(doc, indent=2) + "\n")
+        trace = {"seed": args.seed}
+        for side in ("base", "head"):
+            run = run_once(sides[side], workload, args.seed, args.seconds, trace=1)
+            result = run["result"]
+            trace[side] = {
+                "correct": result["correct"],
+                # a traced run replays every operation untraced, then traced
+                "operations": result["attempted"] // 2,
+                "metrics": {name: m["value"] for name, m in result["metrics"].items()},
+            }
+        doc["workloads"][workload]["trace"] = trace
         args.out.write_text(json.dumps(doc, indent=2) + "\n")
     return 0
 
