@@ -277,7 +277,8 @@ def trajectories(
 ) -> Iterator[Trajectory | BlowUpError]:
     """Trajectories 0..n-1 of ``config`` in index order.
 
-    Each is a ``Trajectory``, or the ``BlowUpError`` that ended it. The
+    Each is a ``Trajectory``, or the ``BlowUpError`` that ended it, without
+    its traceback, whose frames would keep the run's state alive. The
     first ``keep`` carry their records; the others carry only their
     first-exceed and first-unsafe indices. Blocks of ``BLOCK_SIZE``
     trajectories run on the batched engine, which steps a whole block as
@@ -295,7 +296,7 @@ def trajectories(
             try:
                 traj = simulate(model, controllers, config, acbc=acbc, traj_index=idx)
             except BlowUpError as e:
-                yield e
+                yield e.with_traceback(None)
                 continue
             yield traj if idx < keep else replace(traj, records=())
 
@@ -434,7 +435,7 @@ def _simulate_block(
                     dW[c].tolist() if b else None, dP[c].tolist() if r else None, S,
                 )
             except BlowUpError as e:
-                errors[rows[c]] = e
+                errors[rows[c]] = e.with_traceback(None)
                 alive[rows[c]] = False
             else:
                 raise AssertionError("block and scalar flow kernels disagree")

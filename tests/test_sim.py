@@ -435,8 +435,13 @@ class TestBatchedEngine:
         config = SimConfig(horizon_T=6, n_trajectories=n, master_seed=2, substeps_per_tau=10)
         batch = _simulate_block(model, (zero, zero), config, None, 0, n, keep=n)
         scalar = [_outcome(lambda i=i: simulate(model, (zero, zero), config, traj_index=i)) for i in range(n)]
-        for got, want in zip(batch, scalar, strict=True):
+        # the first rows again, one by one on the scalar path
+        few = replace(config, n_trajectories=8)
+        alone = list(trajectories(model, (zero, zero), few, keep=8))
+        for got, want in zip(batch + alone, scalar + scalar[:8], strict=True):
             assert_same(model, got, want)
+            # an error holds no frames, and with them the run's arrays
+            assert not isinstance(got, BlowUpError) or got.__traceback__ is None
         # rows that fail at the first, a middle and the last substep of a
         # period, among rows that never fail
         steps = {t.step for t in scalar if isinstance(t, BlowUpError)}
