@@ -337,7 +337,7 @@ def _simulate_block(
     jump_fns = [p.compiled(sv) for p in nu_jump]
     schedule = config.schedule
     rngs = [trajectory_rng(config.master_seed, i) for i in range(start, stop)]
-    # a period's draws of the rows it moves, one row of each after another
+    # one period's noise; entry c belongs to the c-th row that moves
     dW = np.empty((N, S, b))
     dP = np.empty((N, S, r), dtype=np.int64)
     W = np.empty((N, len(model.noise_vars)))
