@@ -8,6 +8,7 @@ a polynomial state-feedback controller.
 
 from __future__ import annotations
 
+import math
 import struct
 from collections import defaultdict
 from dataclasses import dataclass, field
@@ -22,9 +23,10 @@ from .poly import IntervalBox, NonnegReport, Polynomial, interval_candidates, no
 class CbcCandidate(Codec):
     """Certificate polynomial, its constants, and the two controllers.
 
-    kappa1 may have any sign; kappa2 must be positive; the level constants
-    satisfy etabar > alphabar >= 0. nu_flow/nu_jump give the input as
-    polynomial state feedback for the flow and jump conditions.
+    The constants are finite; kappa1 may have any sign; kappa2 must be
+    positive; the level constants satisfy etabar > alphabar >= 0.
+    nu_flow/nu_jump give the input as polynomial state feedback for the
+    flow and jump conditions.
     """
 
     Bbar: Polynomial
@@ -38,6 +40,9 @@ class CbcCandidate(Codec):
     nu_jump: tuple[Polynomial, ...]
 
     def __post_init__(self):
+        for name in ("kappa1", "kappa2", "gamma1", "gamma2", "alphabar", "etabar"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if self.kappa2 <= 0:
             raise ValueError("kappa2 > 0 violated")
         for name in ("gamma1", "gamma2", "alphabar", "etabar"):
@@ -164,7 +169,9 @@ class CbcReport(Codec):
 
     @property
     def min_margin(self) -> float:
-        return min(c.margin for c in self.conditions)
+        """The smallest margin, or NaN when any margin is NaN."""
+        margins = [c.margin for c in self.conditions]
+        return math.nan if any(map(math.isnan, margins)) else min(margins)
 
 
 def flow_condition(cand: CbcCandidate, gen: Polynomial) -> Polynomial:

@@ -1,14 +1,16 @@
 """Command-line front end for the certification pipeline.
 
 Subcommands: verify, augment, bound, simulate, synthesize, repro. Every
-run writes a manifest (<command>_manifest.json) recording the command,
-input hashes, seed, version, and wall-clock next to its outputs. All data
+run that returns writes a manifest (<command>_manifest.json) recording
+the command, the sha256 of each input as read, seed, version, and
+wall-clock next to its outputs; malformed input writes none. All data
 outputs are byte-deterministic for fixed inputs and seed; the manifest's
 wall-clock field is the one exception.
 
 Exit codes: 0 success (for verify: all conditions hold), 1 a condition
-fails or a pipeline stage fails, 2 verify was inconclusive, 3 malformed
-input (bad JSON or violated data invariant).
+fails or a pipeline stage fails, 2 verify was inconclusive (a margin the
+check cannot decide, NaN included), 3 malformed input (bad JSON,
+violated data invariant or non-finite bound).
 """
 
 from __future__ import annotations
@@ -50,34 +52,7 @@ class CliError(Exception):
         self.code = code
 
 
-def _read_json(path: str):
-    p = Path(path)
-    try:
-        text = p.read_text()
-    except OSError as e:
-        raise CliError(EXIT_BAD_INPUT, f"cannot read {path}: {e}") from None
-    try:
-        return json.loads(text)
-    except json.JSONDecodeError as e:
-        raise CliError(
-            EXIT_BAD_INPUT,
-            f"malformed JSON in {path} at line {e.lineno}, column {e.colno}: {e.msg}",
-        ) from None
-
-
-def _load(path: str, cls, label: str):
-    """Read a JSON file as cls; malformed input exits with EXIT_BAD_INPUT."""
-    try:
-        obj = cls.from_dict(_read_json(path))
-    except (KeyError, TypeError, ValueError, OverflowError) as e:
-        raise CliError(EXIT_BAD_INPUT, f"invalid {label} {path}: {e}") from None
-    bad = validate(obj) if cls is SHSModel else []
-    if bad:
-        raise CliError(EXIT_BAD_INPUT, f"invalid {label} {path}: " + "; ".join(bad))
-    return obj
-
-
-def _parse_domain(text: str) -> IntervalBox:
+def _parse_domain(text: str, state_vars) -> IntervalBox:
     intervals = {}
     for piece in text.split(","):
         piece = piece.strip()
@@ -92,26 +67,48 @@ def _parse_domain(text: str) -> IntervalBox:
                 EXIT_BAD_INPUT,
                 f"cannot parse domain piece {piece!r}; expected var=lo:hi",
             ) from None
-    if not intervals:
-        raise CliError(EXIT_BAD_INPUT, f"empty domain spec {text!r}")
-    return IntervalBox(intervals)
+    missing = [v for v in state_vars if v not in intervals]
+    if missing:
+        raise CliError(EXIT_BAD_INPUT, f"domain {text!r} misses state variable(s) {missing}")
+    try:
+        return IntervalBox(intervals)
+    except ValueError as e:
+        raise CliError(EXIT_BAD_INPUT, f"invalid domain {text!r}: {e}") from None
 
 
 class _Run:
-    """Output directory plus the manifest bookkeeping for one command."""
+    """Output directory, inputs and manifest of one command."""
 
-    def __init__(self, command: str, args: argparse.Namespace):
-        self.command = command
+    def __init__(self, args: argparse.Namespace):
+        self.command = args.command
         self.outdir = Path(args.out)
         self.outdir.mkdir(parents=True, exist_ok=True)
-        self.seed = getattr(args, "seed", 0)
+        self.seed = args.seed
         self.inputs: dict[str, str] = {}
         self.outputs: list[str] = []
         self.started = time.monotonic()
 
-    def note_input(self, path: str) -> None:
-        digest = hashlib.sha256(Path(path).read_bytes()).hexdigest()
-        self.inputs[str(path)] = digest
+    def load(self, path: str, cls, label: str):
+        """Read a JSON file once as cls and record the sha256 of its bytes;
+        malformed input exits with EXIT_BAD_INPUT."""
+        try:
+            data = Path(path).read_bytes()
+        except OSError as e:
+            raise CliError(EXIT_BAD_INPUT, f"cannot read {path}: {e}") from None
+        try:
+            obj = cls.from_dict(json.loads(data))
+        except json.JSONDecodeError as e:
+            raise CliError(
+                EXIT_BAD_INPUT,
+                f"malformed JSON in {path} at line {e.lineno}, column {e.colno}: {e.msg}",
+            ) from None
+        except (KeyError, TypeError, ValueError, OverflowError) as e:
+            raise CliError(EXIT_BAD_INPUT, f"invalid {label} {path}: {e}") from None
+        bad = validate(obj) if cls is SHSModel else []
+        if bad:
+            raise CliError(EXIT_BAD_INPUT, f"invalid {label} {path}: " + "; ".join(bad))
+        self.inputs[str(path)] = hashlib.sha256(data).hexdigest()
+        return obj
 
     def write(self, name: str, text: str) -> Path:
         path = self.outdir / name
@@ -128,28 +125,22 @@ class _Run:
             "wall_clock_s": round(time.monotonic() - self.started, 6),
             "outputs": sorted(self.outputs),
         }
-        (self.outdir / f"{self.command}_manifest.json").write_text(
-            json.dumps(manifest, sort_keys=True, indent=2) + "\n"
-        )
+        (self.outdir / f"{self.command}_manifest.json").write_text(_dump(manifest))
 
 
 def _dump(doc) -> str:
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
-def cmd_verify(args: argparse.Namespace) -> int:
-    run = _Run("verify", args)
-    model = _load(args.model, SHSModel, "model")
-    cand = _load(args.candidate, CbcCandidate, "candidate")
-    run.note_input(args.model)
-    run.note_input(args.candidate)
-    domain = _parse_domain(args.domain) if args.domain else None
+def cmd_verify(args: argparse.Namespace, run: _Run) -> int:
+    model = run.load(args.model, SHSModel, "model")
+    cand = run.load(args.candidate, CbcCandidate, "candidate")
+    domain = _parse_domain(args.domain, model.state_vars) if args.domain else None
     report = check_cbc(model, cand, domain)
     run.write("verify_report.json", _dump(report.to_dict()))
     for c in report.conditions:
         witness = "" if c.report.witness is None else f" witness={c.report.witness}"
         print(f"{c.condition:8s} {c.status:12s} margin={c.margin:.6g}{witness}")
-    run.finish()
     if report.any_fail:
         return EXIT_FAIL
     if not report.all_hold:
@@ -157,18 +148,14 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_augment(args: argparse.Namespace) -> int:
-    run = _Run("augment", args)
-    model = _load(args.model, SHSModel, "model")
-    cand = _load(args.candidate, CbcCandidate, "candidate")
-    run.note_input(args.model)
-    run.note_input(args.candidate)
+def cmd_augment(args: argparse.Namespace, run: _Run) -> int:
+    model = run.load(args.model, SHSModel, "model")
+    cand = run.load(args.candidate, CbcCandidate, "candidate")
     eps2 = args.eps2 if args.eps2 is not None else float(model.jump.q2 + 1)
     try:
         acbc = construct_acbc(cand, model.jump, args.eps1, eps2)
     except ValueError as e:
         print(f"construction failed: {e}", file=sys.stderr)
-        run.finish()
         return EXIT_FAIL
     run.write("acbc.json", _dump(acbc.to_dict()))
     if args.check:
@@ -178,51 +165,43 @@ def cmd_augment(args: argparse.Namespace) -> int:
         f"regime={acbc.regime} alpha={acbc.alpha:.6g} eta={acbc.eta:.6g} "
         f"kappa={acbc.kappa:.6g} gamma={acbc.gamma:.6g}"
     )
-    run.finish()
     return EXIT_OK
 
 
-def cmd_bound(args: argparse.Namespace) -> int:
-    run = _Run("bound", args)
-    acbc = _load(args.acbc, Acbc, "lifted certificate")
-    run.note_input(args.acbc)
+def cmd_bound(args: argparse.Namespace, run: _Run) -> int:
+    acbc = run.load(args.acbc, Acbc, "lifted certificate")
     try:
         sb = compute_delta_for(acbc, args.horizon)
     except ValueError as e:
         print(f"bound computation failed: {e}", file=sys.stderr)
-        run.finish()
         return EXIT_FAIL
     run.write("bound.json", _dump(sb.to_dict()))
     print(
         f"delta={sb.delta:.6g} (raw {sb.delta_raw:.6g}, {sb.case} branch) "
         f"safety>={sb.safety_probability:.6g} over T={sb.horizon_T}"
     )
-    run.finish()
     return EXIT_OK
 
 
-def _sim_config(args: argparse.Namespace, horizon: int, runs: int) -> SimConfig:
+def _sim_config(
+    args: argparse.Namespace, horizon: int, schedule: JumpSchedule | None = None
+) -> SimConfig:
+    """The run's SimConfig; --schedule, when given, overrides ``schedule``."""
     return SimConfig(
         horizon_T=horizon,
-        n_trajectories=runs,
+        n_trajectories=args.runs,
         substeps_per_tau=args.substeps,
         master_seed=args.seed,
-        schedule=JumpSchedule.parse(args.schedule),
+        schedule=schedule if args.schedule is None else JumpSchedule.parse(args.schedule),
     )
 
 
-def cmd_simulate(args: argparse.Namespace) -> int:
-    run = _Run("simulate", args)
-    model = _load(args.model, SHSModel, "model")
-    cand = _load(args.candidate, CbcCandidate, "candidate")
-    run.note_input(args.model)
-    run.note_input(args.candidate)
-    acbc = None
-    if args.acbc:
-        acbc = _load(args.acbc, Acbc, "lifted certificate")
-        run.note_input(args.acbc)
+def cmd_simulate(args: argparse.Namespace, run: _Run) -> int:
+    model = run.load(args.model, SHSModel, "model")
+    cand = run.load(args.candidate, CbcCandidate, "candidate")
+    acbc = run.load(args.acbc, Acbc, "lifted certificate") if args.acbc else None
     try:
-        config = _sim_config(args, args.horizon, args.runs)
+        config = _sim_config(args, args.horizon)
         if args.x0:
             config = replace(config, x0=tuple(float(v) for v in args.x0.split(",")))
         check_config(model, config, x0_name="--x0")
@@ -241,7 +220,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     for idx, traj in enumerate(kept):
         if isinstance(traj, BlowUpError):
             print(f"simulate failed: {traj}", file=sys.stderr)
-            run.finish()
             return EXIT_FAIL
         if args.format == "json":
             doc = [r.to_dict() for r in traj.records]
@@ -258,23 +236,16 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         )
     else:
         print(f"wrote {keep} trajectorie(s) to {run.outdir}")
-    run.finish()
     return EXIT_OK
 
 
-def cmd_synthesize(args: argparse.Namespace) -> int:
-    run = _Run("synthesize", args)
-    model = _load(args.model, SHSModel, "model")
-    run.note_input(args.model)
+def cmd_synthesize(args: argparse.Namespace, run: _Run) -> int:
+    model = run.load(args.model, SHSModel, "model")
     if args.template:
-        template = _load(args.template, SynthTemplate, "template")
-        run.note_input(args.template)
+        template = run.load(args.template, SynthTemplate, "template")
     else:
         template = SynthTemplate(seed=args.seed)
-    warm = None
-    if args.warm_start:
-        warm = _load(args.warm_start, CbcCandidate, "candidate")
-        run.note_input(args.warm_start)
+    warm = run.load(args.warm_start, CbcCandidate, "candidate") if args.warm_start else None
     result = search(model, template, warm_start=warm)
     run.write("synth_report.json", _dump(result.to_dict()))
     if result.candidate is not None:
@@ -283,12 +254,10 @@ def cmd_synthesize(args: argparse.Namespace) -> int:
         f"status={result.status} margin={result.margin:.6g} "
         f"evaluations={result.evaluations} restarts={result.restarts}"
     )
-    run.finish()
     return EXIT_OK if result.feasible else EXIT_FAIL
 
 
-def cmd_repro(args: argparse.Namespace) -> int:
-    run = _Run("repro", args)
+def cmd_repro(args: argparse.Namespace, run: _Run) -> int:
     case = load_case(args.case)
     summary: dict = {"case": case.case_id, "seed": args.seed}
     stage = "verify"
@@ -331,24 +300,15 @@ def cmd_repro(args: argparse.Namespace) -> int:
                 f"reported {target} within 1e-4",
                 file=sys.stderr,
             )
-            run.finish()
             return EXIT_FAIL
 
         stage = "simulate"
-        schedule = JumpSchedule.parse(args.schedule) if args.schedule else case.schedule
-        schedule.validate_for(case.model.jump)
-        config = SimConfig(
-            horizon_T=case.horizon,
-            n_trajectories=args.runs,
-            substeps_per_tau=args.substeps,
-            master_seed=args.seed,
-            schedule=schedule,
-        )
+        config = _sim_config(args, case.horizon, case.schedule)
         keep = min(args.keep_trajectories, args.runs)
         mc = monte_carlo(case.model, case.candidate, acbc, config, delta=full.delta, keep=keep)
         summary["monte_carlo"] = mc.to_dict()
         print(
-            f"[simulate] schedule={schedule.describe()} n={mc.n_trajectories} "
+            f"[simulate] schedule={config.schedule.describe()} n={mc.n_trajectories} "
             f"p_exceed={mc.p_exceed_hat:.4g} ci99_low={mc.ci99_exceed[0]:.4g} "
             f"p_unsafe={mc.p_unsafe_hat:.4g} delta={mc.delta:.4g} "
             f"violated={mc.bound_violated}"
@@ -359,11 +319,9 @@ def cmd_repro(args: argparse.Namespace) -> int:
             run.write(f"case{case.case_id}_traj_{idx:02d}.csv", trajectory_csv(case.model, traj))
     except (ValueError, RuntimeError) as e:
         print(f"repro failed at stage {stage}: {e}", file=sys.stderr)
-        run.finish()
         return EXIT_FAIL
 
     run.write(f"case{case.case_id}_summary.json", _dump(summary))
-    run.finish()
     return EXIT_OK
 
 
@@ -379,10 +337,6 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--out", default="out", help="output directory (default: out)")
         p.add_argument("--seed", type=int, default=0, help="master seed (default: 0)")
-        p.add_argument(
-            "--format", choices=("json", "csv"), default="csv",
-            help="trajectory output format (default: csv)",
-        )
 
     p = sub.add_parser("verify", help="check the five certificate conditions")
     p.add_argument("model", help="model JSON file")
@@ -416,6 +370,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--schedule", default="uniform", help="fixed:d | cyclic:d1,d2,... | uniform")
     p.add_argument("--x0", help="fix the start state, e.g. 1.0 (default: uniform on X0)")
     p.add_argument("--keep-trajectories", type=int, default=10, help="trajectory files to write")
+    p.add_argument(
+        "--format", choices=("json", "csv"), default="csv",
+        help="trajectory output format (default: csv)",
+    )
     common(p)
     p.set_defaults(func=cmd_simulate)
 
@@ -439,13 +397,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    run = _Run(args)
     try:
-        return args.func(args)
+        code = args.func(args, run)
     except CliError as e:
         print(f"error: {e}", file=sys.stderr)
         return e.code
+    run.finish()
+    return code
 
 
 if __name__ == "__main__":

@@ -270,6 +270,11 @@ def validate(model: SHSModel) -> list[str]:
         bad.append("noise moment lists do not match noise variables")
     if model.noise.sampler not in SAMPLERS:
         bad.append(f"unknown noise sampler {model.noise.sampler!r}")
+    elif model.noise.sampler == "gaussian":
+        # the simulator draws standard normals; the checker must assume them too
+        for k, m in enumerate(model.noise.moments):
+            if m != NoiseMoments.standard_normal(len(m.moments) - 1):
+                bad.append(f"noise moments[{k}] differ from the gaussian sampler's N(0,1)")
 
     flow_vars = set(model.state_vars) | set(model.input_vars)
     jump_vars = flow_vars | set(model.noise_vars)

@@ -324,7 +324,7 @@ class Polynomial:
             "vars": list(self.vars),
             "terms": [
                 {"exp": list(exp), "coef": coef}
-                for exp, coef in sorted(self.terms.items())
+                for exp, coef in self.terms.items()
             ],
         }
 
@@ -448,6 +448,8 @@ class IntervalBox:
         clean: dict[str, tuple[float, float]] = {}
         for v, (lo, hi) in intervals.items():
             lo, hi = float(lo), float(hi)
+            if not (math.isfinite(lo) and math.isfinite(hi)):
+                raise ValueError(f"non-finite interval for {v!r}: [{lo}, {hi}]")
             if lo > hi:
                 raise ValueError(f"empty interval for {v!r}: [{lo}, {hi}]")
             clean[v] = (lo, hi)
@@ -661,13 +663,19 @@ def min_on_interval(
 
     p is evaluated at ``candidates(p', a, b)`` (by default
     interval_candidates) and ties are broken toward the smaller argument.
-    A replacement must return what interval_candidates would.
+    A replacement must return what interval_candidates would. A
+    polynomial with a non-finite coefficient has no reliable minimum and
+    gives NaN at a; with finite coefficients no value is NaN.
     """
+    if not (math.isfinite(a) and math.isfinite(b)):
+        raise ValueError(f"need finite endpoints, got [{a}, {b}]")
     if a > b:
         raise ValueError(f"need a <= b, got [{a}, {b}]")
     eff = p.effective_vars()
     if len(eff) > 1:
         raise ValueError(f"polynomial is multivariate in {eff}")
+    if not all(map(math.isfinite, p.terms.values())):
+        return math.nan, a
     if not eff or a == b:
         v = p.eval({eff[0]: a}) if eff else p.constant_value()
         return v, a
@@ -687,6 +695,8 @@ class NonnegReport(Codec):
     status is one of "holds", "fails", "inconclusive". margin is the exact
     interval minimum in the univariate case and the sampled grid minimum
     otherwise. witness points at a negative value when status is "fails".
+    A non-finite coefficient makes the status "inconclusive" with margin
+    NaN, and so does a NaN on the grid.
     """
 
     status: str
@@ -735,6 +745,9 @@ def nonneg_on_box(
     missing = [v for v in eff if v not in box]
     if missing:
         raise ValueError(f"box does not cover variable(s) {missing}")
+
+    if not all(map(math.isfinite, p.terms.values())):
+        return NonnegReport("inconclusive", math.nan, None)
 
     lows = {v: box[v][0] for v in box}
     if len(eff) == 0:

@@ -58,6 +58,8 @@ class SynthTemplate(Codec):
         object.__setattr__(self, "ranges", merged)
         for name in _CONSTANTS:
             lo, hi = merged[name]
+            if not (math.isfinite(lo) and math.isfinite(hi)):
+                raise ValueError(f"range for {name} must be finite: [{lo}, {hi}]")
             if lo > hi:
                 raise ValueError(f"range for {name} is empty: [{lo}, {hi}]")
         if merged["kappa2"][1] <= 0:

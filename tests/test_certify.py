@@ -195,6 +195,14 @@ class TestCandidateInvariants:
         with pytest.raises(ValueError, match="kappa2"):
             CbcCandidate(X**2, 0.1, 0.0, 0.0, 0.0, 0.1, 1.0, (X,), (X,))
 
+    @pytest.mark.parametrize(
+        "name", ["kappa1", "kappa2", "gamma1", "gamma2", "alphabar", "etabar"]
+    )
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_constants_finite(self, case1, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            replace(case1.candidate, **{name: value})
+
     def test_json_round_trip(self, case1):
         c = case1.candidate
         again = CbcCandidate.from_dict(json.loads(c.to_json()))
@@ -245,6 +253,26 @@ class TestCheckCbc:
         rep = check_cbc(easy_model, easy_candidate)
         assert rep.all_hold
         assert rep.min_margin > 0
+
+    def test_nan_certificate_holds_nowhere(self, case1):
+        # a NaN coefficient makes every value NaN; no condition may hold
+        c = case1.candidate
+        terms = dict(c.Bbar.terms)
+        terms[next(iter(terms))] = math.nan
+        rep = check_cbc(case1.model, replace(c, Bbar=Polynomial(c.Bbar.vars, terms)))
+        assert {cond.status for cond in rep.conditions} == {"inconclusive"}
+        assert math.isnan(rep.min_margin)
+
+    @pytest.mark.parametrize("at", [0, 2, 4])
+    def test_min_margin_is_nan_wherever_the_nan_sits(self, case1, at):
+        rep = check_cbc(case1.model, case1.candidate)
+        margins = [1.0, 2.0, 3.0, 4.0, 5.0]
+        margins[at] = math.nan
+        conds = tuple(
+            replace(cond, report=replace(cond.report, margin=m))
+            for cond, m in zip(rep.conditions, margins, strict=True)
+        )
+        assert math.isnan(replace(rep, conditions=conds).min_margin)
 
 
 class TestAssembleSos:

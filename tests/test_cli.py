@@ -1,9 +1,16 @@
 from __future__ import annotations
 
+import hashlib
 import json
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import shscert
 from shscert import Polynomial, load_case
 from shscert.certify import CbcCandidate
 from shscert.cli import main
@@ -41,6 +48,48 @@ def easy_files(tmp_path_factory, ):
     return root
 
 
+@pytest.fixture(scope="module")
+def inconclusive_files(tmp_path_factory):
+    """Two-dimensional model: the grid check cannot certify the tight
+    nonnegativity condition and reports inconclusive."""
+    root = tmp_path_factory.mktemp("inconclusive")
+    x, y = Polynomial.variable("x"), Polynomial.variable("y")
+    nu = Polynomial.variable("nu")
+    w = Polynomial.variable("varsigma")
+    model = SHSModel(
+        state_vars=("x", "y"), input_vars=("nu",), noise_vars=("varsigma",),
+        f1=(-1.0 * x + 0.0 * nu, -1.0 * y),
+        sigma=((Polynomial.constant(0.0),), (Polynomial.constant(0.0),)),
+        rho=((Polynomial.constant(0.0),), (Polynomial.constant(0.0),)),
+        rates=(0.0,),
+        f2=(0.0 * x + 0.0 * w, 0.0 * y),
+        noise=NoiseConfig((NoiseMoments.standard_normal(8),)),
+        jump=JumpParams(0.1, 1, 7),
+        X=IntervalBox({"x": (-1, 5), "y": (-1, 5)}),
+        X0=IntervalBox({"x": (0, 0), "y": (0, 0)}),
+        Xu=IntervalBox({"x": (3, 4), "y": (3, 4)}),
+    )
+    B = (x - y) ** 2 + x + y + 2.0
+    cand = CbcCandidate(
+        B, 1.0, 0.5, 2.5, 2.5, 2.5, 7.0,
+        (Polynomial.constant(0.0),), (Polynomial.constant(0.0),),
+    )
+    (root / "model.json").write_text(model.to_json())
+    (root / "cand.json").write_text(cand.to_json())
+    return root
+
+
+def run_bounded(argv: list[str], timeout: float = 60.0) -> tuple[int, str]:
+    """Run the CLI in a subprocess and return its exit code and stderr; a
+    command that hangs fails the test instead of stalling the suite."""
+    env = {**os.environ, "PYTHONPATH": str(Path(shscert.__file__).resolve().parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-m", "shscert.cli", *argv],
+        env=env, capture_output=True, text=True, timeout=timeout,
+    )
+    return proc.returncode, proc.stderr
+
+
 class TestVerify:
     def test_failing_conditions_exit_one(self, artifacts, tmp_path):
         code = main([
@@ -60,41 +109,28 @@ class TestVerify:
         ])
         assert code == 0
 
-    def test_inconclusive_exit_two(self, tmp_path):
-        # two-dimensional model: the grid check cannot certify the tight
-        # nonnegativity condition and reports inconclusive
-        x, y = Polynomial.variable("x"), Polynomial.variable("y")
-        nu = Polynomial.variable("nu")
-        w = Polynomial.variable("varsigma")
-        model = SHSModel(
-            state_vars=("x", "y"), input_vars=("nu",), noise_vars=("varsigma",),
-            f1=(-1.0 * x + 0.0 * nu, -1.0 * y),
-            sigma=((Polynomial.constant(0.0),), (Polynomial.constant(0.0),)),
-            rho=((Polynomial.constant(0.0),), (Polynomial.constant(0.0),)),
-            rates=(0.0,),
-            f2=(0.0 * x + 0.0 * w, 0.0 * y),
-            noise=NoiseConfig((NoiseMoments.standard_normal(8),)),
-            jump=JumpParams(0.1, 1, 7),
-            X=IntervalBox({"x": (-1, 5), "y": (-1, 5)}),
-            X0=IntervalBox({"x": (0, 0), "y": (0, 0)}),
-            Xu=IntervalBox({"x": (3, 4), "y": (3, 4)}),
-        )
-        B = (x - y) ** 2 + x + y + 2.0
-        cand = CbcCandidate(
-            B, 1.0, 0.5, 2.5, 2.5, 2.5, 7.0,
-            (Polynomial.constant(0.0),), (Polynomial.constant(0.0),),
-        )
-        (tmp_path / "model.json").write_text(model.to_json())
-        (tmp_path / "cand.json").write_text(cand.to_json())
+    def test_inconclusive_exit_two(self, inconclusive_files, tmp_path):
         code = main([
-            "verify", str(tmp_path / "model.json"), str(tmp_path / "cand.json"),
-            "--out", str(tmp_path / "out"),
+            "verify", str(inconclusive_files / "model.json"),
+            str(inconclusive_files / "cand.json"), "--out", str(tmp_path / "out"),
         ])
         assert code == 2
         report = json.loads((tmp_path / "out" / "verify_report.json").read_text())
         statuses = {c["condition"]: c["status"] for c in report["conditions"]}
         assert "fails" not in statuses.values()
         assert "inconclusive" in statuses.values()
+
+    def test_nan_certificate_exit_two(self, artifacts, tmp_path, capsys):
+        doc = json.loads((artifacts / "cand1.json").read_text())
+        doc["Bbar"]["terms"][0]["coef"] = math.nan
+        bad = tmp_path / "cand_nan.json"
+        bad.write_text(json.dumps(doc))
+        code = main([
+            "verify", str(artifacts / "model1.json"), str(bad), "--out", str(tmp_path),
+        ])
+        assert code == 2
+        out = capsys.readouterr().out
+        assert "holds" not in out and out.count("inconclusive margin=nan") == 5
 
     def test_malformed_json_exit_three(self, artifacts, tmp_path, capsys):
         bad = tmp_path / "bad.json"
@@ -138,6 +174,33 @@ class TestVerify:
         assert "wall_clock_s" in manifest
         assert str(tmp_path / "verify_report.json") in manifest["outputs"]
 
+    @pytest.mark.parametrize(
+        "files, names, exit_code",
+        [
+            ("easy_files", ("model.json", "cand.json"), 0),
+            ("artifacts", ("model1.json", "cand1.json"), 1),
+            ("inconclusive_files", ("model.json", "cand.json"), 2),
+        ],
+        ids=["exit0", "exit1", "exit2"],
+    )
+    def test_manifest_hashes_the_input_bytes(self, request, tmp_path, files, names, exit_code):
+        paths = [request.getfixturevalue(files) / name for name in names]
+        code = main(["verify", *map(str, paths), "--out", str(tmp_path)])
+        assert code == exit_code
+        manifest = json.loads((tmp_path / "verify_manifest.json").read_text())
+        assert manifest["inputs"] == {
+            str(p): hashlib.sha256(p.read_bytes()).hexdigest() for p in paths
+        }
+
+    def test_no_manifest_on_malformed_input(self, artifacts, tmp_path):
+        # the model loads, the candidate does not
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"vars": [')
+        out = tmp_path / "out"
+        code = main(["verify", str(artifacts / "model1.json"), str(bad), "--out", str(out)])
+        assert code == 3
+        assert not (out / "verify_manifest.json").exists()
+
 
 class TestMalformedInput:
     """Malformed input files exit 3 with a message, never a traceback."""
@@ -152,8 +215,14 @@ class TestMalformedInput:
                 {**load_case(1).model.noise.to_dict(), "sampler": "laplace"},
                 "unknown noise sampler 'laplace'",
             ),
+            (
+                "noise",
+                {"moments": [[1, 0, 4, 0, 48]], "sampler": "gaussian"},
+                "noise moments[0] differ from the gaussian sampler's N(0,1)",
+            ),
+            ("X", {"x": [math.nan, 8]}, "X: non-finite interval for 'x': [nan, 8.0]"),
         ],
-        ids=["box-as-list", "q1-above-q2", "unknown-sampler"],
+        ids=["box-as-list", "q1-above-q2", "unknown-sampler", "wide-moments", "nan-bound"],
     )
     def test_bad_model_exit_three(self, artifacts, tmp_path, capsys, key, value, message):
         doc = json.loads((artifacts / "model1.json").read_text())
@@ -169,8 +238,14 @@ class TestMalformedInput:
 
     @pytest.mark.parametrize(
         "template",
-        [{"ranges": {"kappa1": 5}}, [1, 2], {"budget": None}, {"budget": float("inf")}],
-        ids=["range-as-number", "list", "null-budget", "infinite-budget"],
+        [
+            {"ranges": {"kappa1": 5}},
+            [1, 2],
+            {"budget": None},
+            {"budget": float("inf")},
+            {"ranges": {"kappa1": [0, float("inf")]}},
+        ],
+        ids=["range-as-number", "list", "null-budget", "infinite-budget", "infinite-range"],
     )
     def test_bad_template_exit_three(self, artifacts, tmp_path, capsys, template):
         bad = tmp_path / "template.json"
@@ -181,6 +256,51 @@ class TestMalformedInput:
         ])
         assert code == 3
         assert capsys.readouterr().err.startswith(f"error: invalid template {bad}")
+
+    @pytest.mark.parametrize("name, value", [("gamma1", math.nan), ("etabar", math.inf)])
+    def test_non_finite_constant_exit_three(self, artifacts, tmp_path, capsys, name, value):
+        doc = json.loads((artifacts / "cand1.json").read_text())
+        doc[name] = value
+        bad = tmp_path / "cand_bad.json"
+        bad.write_text(json.dumps(doc))
+        code = main([
+            "verify", str(artifacts / "model1.json"), str(bad), "--out", str(tmp_path),
+        ])
+        assert code == 3
+        assert f"{name} must be finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "domain, message",
+        [
+            ("x=5:1", "invalid domain 'x=5:1': empty interval for 'x': [5.0, 1.0]"),
+            ("y=0:1", "domain 'y=0:1' misses state variable(s) ['x']"),
+        ],
+        ids=["reversed", "other-variable"],
+    )
+    def test_bad_domain_exit_three(self, artifacts, tmp_path, capsys, domain, message):
+        code = main([
+            "verify", str(artifacts / "model1.json"), str(artifacts / "cand1.json"),
+            "--domain", domain, "--out", str(tmp_path),
+        ])
+        assert code == 3
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("where", ["domain", "model"])
+    def test_infinite_bound_exit_three(self, artifacts, tmp_path, where):
+        # an unbounded interval once sent the root isolation into an endless
+        # bisection, so this runs in a subprocess with a timeout
+        model, extra = artifacts / "model1.json", ["--domain", "x=0:inf"]
+        if where == "model":
+            doc = json.loads(model.read_text())
+            doc["X"] = {"x": [0, math.inf]}
+            model, extra = tmp_path / "model_inf.json", []
+            model.write_text(json.dumps(doc))
+        code, err = run_bounded([
+            "verify", str(model), str(artifacts / "cand1.json"), *extra,
+            "--out", str(tmp_path / "out"),
+        ])
+        assert code == 3
+        assert "non-finite interval for 'x': [0.0, inf]" in err
 
     def test_missing_template_exit_three(self, artifacts, tmp_path, capsys):
         missing = tmp_path / "missing.json"
@@ -282,6 +402,22 @@ class TestPipelineRoundTrip:
         assert code == 0
         doc = json.loads((tmp_path / "trajectory_0000.json").read_text())
         assert doc[0]["k"] == 0 and doc[0]["scenario"] == "init"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "m.json", "c.json"],
+            ["augment", "m.json", "c.json"],
+            ["bound", "a.json", "--horizon", "10"],
+            ["synthesize", "m.json"],
+            ["repro", "1"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_format_only_on_simulate(self, tmp_path, capsys, argv):
+        with pytest.raises(SystemExit):
+            main([*argv, "--format", "json", "--out", str(tmp_path)])
+        assert "unrecognized arguments: --format json" in capsys.readouterr().err
 
 
 class TestSimulateBlowUp:

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -48,6 +49,16 @@ class TestValidate:
         x = Polynomial.variable("x")
         m = scalar_model(f1=-x + Polynomial.variable("y"), f2=0.5 * x)
         assert any("f1[0]" in v for v in validate(m))
+
+    def test_gaussian_sampler_needs_standard_normal_moments(self, case1):
+        from shscert.model import NoiseConfig
+        from shscert.poly import NoiseMoments
+
+        wide = NoiseConfig((NoiseMoments((1.0, 0.0, 4.0, 0.0, 48.0)),))
+        bad = validate(replace(case1.model, noise=wide))
+        assert bad == ["noise moments[0] differ from the gaussian sampler's N(0,1)"]
+        short = NoiseConfig((NoiseMoments.standard_normal(4),))
+        assert validate(replace(case1.model, noise=short)) == []
 
     def test_json_round_trip(self, case1):
         doc = case1.model.to_json()

@@ -167,6 +167,12 @@ class TestArithmeticInvariants:
         p = B1 * Polynomial.variable("nu") + 2.5
         assert Polynomial.from_dict(json.loads(json.dumps(p.to_dict()))).allclose(p, tol=0.0)
 
+    def test_json_keeps_term_order(self):
+        # the order of the terms is the order of the sum, down to the last bit
+        p = Polynomial(("x", "y"), {(0, 1): 1.0, (2, 0): -0.5, (1, 0): 0.25})
+        again = Polynomial.from_dict(json.loads(json.dumps(p.to_dict())))
+        assert tuple(again.terms) == tuple(p.terms) == ((0, 1), (2, 0), (1, 0))
+
     def test_negative_power_rejected(self):
         with pytest.raises(ValueError):
             X ** (-1)
@@ -291,6 +297,26 @@ class TestMinOnInterval:
         _, arg = min_on_interval(p, 0, 4)
         assert arg == pytest.approx(1.0, abs=1e-6)
 
+    @pytest.mark.parametrize(
+        "coeffs, a, b",
+        [
+            ([math.nan, 1.0], 0, 8),
+            ([math.nan] * 3, 0, 8),
+            ([1.0, 0.0, math.nan], 0, 8),
+            ([math.inf, 1.0], 0, 8),
+            ([math.nan, 1.0], 2, 2),
+            ([math.nan], 0, 8),
+        ],
+    )
+    def test_non_finite_coefficient_gives_nan(self, coeffs, a, b):
+        value, arg = min_on_interval(Polynomial.univariate("x", coeffs), a, b)
+        assert math.isnan(value) and arg == a
+
+    @pytest.mark.parametrize("a, b", [(0, math.inf), (-math.inf, 0), (math.nan, 8)])
+    def test_non_finite_endpoints_rejected(self, a, b):
+        with pytest.raises(ValueError, match="finite endpoints"):
+            min_on_interval(X - 3, a, b)
+
 
 class TestNonnegOnBox:
     def test_univariate_holds(self):
@@ -333,6 +359,25 @@ class TestNonnegOnBox:
         with pytest.raises(ValueError, match="does not cover"):
             nonneg_on_box(X + Polynomial.variable("y"), IntervalBox({"x": (0, 1)}))
 
+    @pytest.mark.parametrize(
+        "p",
+        [
+            Polynomial.constant(math.nan),
+            Polynomial.univariate("x", [math.nan, 0.0, 1.0]),
+            (X - 1) ** 2 + math.nan,
+            X * Polynomial.variable("y") + math.nan,
+            (X - 1) ** 2 + math.inf,
+            X * Polynomial.variable("y") + math.inf,
+        ],
+        ids=[
+            "constant", "univariate-all-nan", "univariate-constant-term", "multivariate",
+            "univariate-infinite", "multivariate-infinite",
+        ],
+    )
+    def test_non_finite_coefficient_is_inconclusive(self, p):
+        rep = nonneg_on_box(p, IntervalBox({"x": (0, 8), "y": (0, 1)}))
+        assert rep.status == "inconclusive" and math.isnan(rep.margin)
+
 
 class TestNoiseMoments:
     def test_standard_normal_values(self):
@@ -354,6 +399,11 @@ class TestIntervalBox:
     def test_empty_interval_rejected(self):
         with pytest.raises(ValueError):
             IntervalBox({"x": (2, 1)})
+
+    @pytest.mark.parametrize("bounds", [(0, math.inf), (-math.inf, 0), (math.nan, 8), (0, math.nan)])
+    def test_non_finite_interval_rejected(self, bounds):
+        with pytest.raises(ValueError, match="non-finite interval"):
+            IntervalBox({"x": bounds})
 
     def test_subset(self):
         inner = IntervalBox({"x": (0, 1.5)})

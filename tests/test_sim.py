@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import hashlib
+import json
 import math
 from dataclasses import replace
 
@@ -532,7 +533,7 @@ class TestGeneratedCode:
         monkeypatch.setattr(poly, "generated", recording)
         monkeypatch.setattr(model_module, "generated", recording)
 
-        # both through the codec, which writes terms in its own order
+        # both through the codec, so that only the names differ
         model, cand = _noisy_plane()
         plain = SHSModel.from_dict(model.to_dict())
         plain_cand = CbcCandidate.from_dict(cand.to_dict())
@@ -579,6 +580,19 @@ class TestGeneratedCode:
         # the digest of these trajectories before the kernels were generated
         digest = hashlib.sha256(texts[1].encode()).hexdigest()
         assert digest == "096cfadd991703f42b2e669b6fd94410b1f7e9976a8685c3c143eead2265389d"
+
+    def test_codec_round_trip_simulates_like_the_model(self):
+        # the codec keeps each polynomial's term order, and with it the
+        # order in which the kernels add the terms
+        model, cand = _noisy_plane()
+        loaded = SHSModel.from_dict(json.loads(model.to_json()))
+        config = SimConfig(horizon_T=30, n_trajectories=20, master_seed=4)
+        acbc = construct_acbc(cand, model.jump, 0.1, 8.0)
+        texts = [
+            "".join(trajectory_csv(m, t) for t in trajectories(m, cand, config, acbc, keep=20))
+            for m in (model, loaded)
+        ]
+        assert texts[1] == texts[0]
 
     def test_flow_kernel_takes_a_long_drift(self):
         # 3000 terms, past the nesting a single expression allows
