@@ -62,6 +62,11 @@ class Acbc(Codec):
     beta_alpha: float
     beta_eta: float
 
+    def __post_init__(self):
+        for name in ("eps1", "eps2", "alpha", "eta", "kappa", "gamma", "beta_alpha", "beta_eta"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
+
     def beta(self, z: int) -> float:
         """Counter weight beta(z); defined for 0 <= z <= q2."""
         if not 0 <= z <= self.jump.q2:
@@ -82,7 +87,7 @@ def construct_acbc(
     """Build the lifted certificate constants for the candidate's regime.
 
     eps1 must lie in (0, 1) and eps2 above q2 (default q2 + 1). Raises if
-    the regime is unsupported, the separation condition
+    the regime is unsupported, a constant overflows, the separation condition
     beta_eta * etabar > beta_alpha * alphabar fails, the per-counter decay
     condition ln(kappa2) - kappa1 tau z < 0 fails for some z in q1..q2, or
     the resulting kappa leaves (0, 1).
@@ -98,33 +103,38 @@ def construct_acbc(
     tau, q1, q2 = jump.tau, jump.q1, jump.q2
     regime = _regime(k1, k2)
 
-    if regime == R1:
-        beta_eta = 1.0
-        beta_alpha = 1.0
-        kappa = max(math.exp(-k1 * tau), k2)
-        gamma = max(math.exp(-k1 * tau) * tau * cand.gamma1, cand.gamma2)
-    elif regime == R2:
-        beta_eta = math.exp(k1 * tau * eps1 * q1)
-        beta_alpha = math.exp(k1 * tau * eps1 * q2)
-        kappa = max(
-            math.exp(-k1 * tau * (1 - eps1)),
-            math.exp(-k1 * tau * eps1 * q1) * k2,
-        )
-        gamma = max(
-            math.exp(k1 * tau * eps1 * q2) * math.exp(-k1 * tau) * tau * cand.gamma1,
-            cand.gamma2,
-        )
-    else:
-        beta_eta = k2 ** (q2 / eps2)
-        beta_alpha = k2 ** (q1 / eps2)
-        kappa = max(
-            math.exp(-k1 * tau) * k2 ** (1 / eps2),
-            k2 ** ((eps2 - q2) / eps2),
-        )
-        gamma = max(
-            k2 ** (1 / eps2) * math.exp(-k1 * tau) * tau * cand.gamma1,
-            cand.gamma2,
-        )
+    try:
+        if regime == R1:
+            beta_eta = 1.0
+            beta_alpha = 1.0
+            kappa = max(math.exp(-k1 * tau), k2)
+            gamma = max(math.exp(-k1 * tau) * tau * cand.gamma1, cand.gamma2)
+        elif regime == R2:
+            beta_eta = math.exp(k1 * tau * eps1 * q1)
+            beta_alpha = math.exp(k1 * tau * eps1 * q2)
+            kappa = max(
+                math.exp(-k1 * tau * (1 - eps1)),
+                math.exp(-k1 * tau * eps1 * q1) * k2,
+            )
+            gamma = max(
+                math.exp(k1 * tau * eps1 * q2) * math.exp(-k1 * tau) * tau * cand.gamma1,
+                cand.gamma2,
+            )
+        else:
+            beta_eta = k2 ** (q2 / eps2)
+            beta_alpha = k2 ** (q1 / eps2)
+            kappa = max(
+                math.exp(-k1 * tau) * k2 ** (1 / eps2),
+                k2 ** ((eps2 - q2) / eps2),
+            )
+            gamma = max(
+                k2 ** (1 / eps2) * math.exp(-k1 * tau) * tau * cand.gamma1,
+                cand.gamma2,
+            )
+    except OverflowError:
+        raise ValueError(
+            f"lifted constants overflow for kappa1={k1}, kappa2={k2}, tau={tau}"
+        ) from None
 
     if not beta_eta * cand.etabar > beta_alpha * cand.alphabar:
         raise ValueError(

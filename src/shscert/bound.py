@@ -14,6 +14,7 @@ clamped one.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .codec import Codec
@@ -48,8 +49,8 @@ def compute_delta(
     """Evaluate the exceedance bound for the given constants and horizon.
 
     Preconditions mirror the certificate definition: 0 < kappa < 1,
-    eta > alpha >= 0, gamma >= 0, horizon >= 0. Ties eta = gamma/(1-kappa)
-    route to the first branch.
+    eta > alpha >= 0, finite gamma >= 0, horizon >= 0. Ties
+    eta = gamma/(1-kappa) route to the first branch.
     """
     if not 0 < kappa < 1:
         raise ValueError(f"0 < kappa < 1 violated (kappa={kappa})")
@@ -57,8 +58,8 @@ def compute_delta(
         raise ValueError(f"alpha >= 0 violated (alpha={alpha})")
     if not eta > alpha:
         raise ValueError(f"eta > alpha violated (eta={eta}, alpha={alpha})")
-    if gamma < 0:
-        raise ValueError(f"gamma >= 0 violated (gamma={gamma})")
+    if not 0 <= gamma < math.inf:
+        raise ValueError(f"0 <= gamma < inf violated (gamma={gamma})")
     if eta <= 0:
         raise ValueError(f"eta > 0 violated (eta={eta})")
     if horizon < 0 or int(horizon) != horizon:

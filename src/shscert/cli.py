@@ -9,8 +9,8 @@ wall-clock field is the one exception.
 
 Exit codes: 0 success (for verify: all conditions hold), 1 a condition
 fails or a pipeline stage fails, 2 verify was inconclusive (a margin the
-check cannot decide, NaN included), 3 malformed input (bad JSON,
-violated data invariant or non-finite bound).
+check cannot decide, NaN included), 3 malformed input (a usage error,
+bad JSON, a violated data invariant or a non-finite number).
 """
 
 from __future__ import annotations
@@ -50,6 +50,15 @@ class CliError(Exception):
     def __init__(self, code: int, message: str):
         super().__init__(message)
         self.code = code
+
+
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors exit with EXIT_BAD_INPUT, not
+    argparse's 2, which here means "verify was inconclusive"."""
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_BAD_INPUT, f"{self.prog}: error: {message}\n")
 
 
 def _parse_domain(text: str, state_vars) -> IntervalBox:
@@ -151,9 +160,8 @@ def cmd_verify(args: argparse.Namespace, run: _Run) -> int:
 def cmd_augment(args: argparse.Namespace, run: _Run) -> int:
     model = run.load(args.model, SHSModel, "model")
     cand = run.load(args.candidate, CbcCandidate, "candidate")
-    eps2 = args.eps2 if args.eps2 is not None else float(model.jump.q2 + 1)
     try:
-        acbc = construct_acbc(cand, model.jump, args.eps1, eps2)
+        acbc = construct_acbc(cand, model.jump, args.eps1, args.eps2)
     except ValueError as e:
         print(f"construction failed: {e}", file=sys.stderr)
         return EXIT_FAIL
@@ -326,7 +334,7 @@ def cmd_repro(args: argparse.Namespace, run: _Run) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="shscert",
         description="certificate checking, lifting, bounds, and simulation "
         "for jump-diffusion systems with scheduled stochastic jumps",

@@ -33,8 +33,8 @@ class JumpParams(Codec):
     q2: int
 
     def __post_init__(self):
-        if self.tau <= 0:
-            raise ValueError("tau must be positive")
+        if not 0 < self.tau < math.inf:
+            raise ValueError(f"tau must be finite and positive, got {self.tau}")
         if self.q1 < 1 or self.q2 < 1 or self.q1 > self.q2:
             raise ValueError(f"need 1 <= q1 <= q2, got q1={self.q1}, q2={self.q2}")
 
@@ -242,8 +242,8 @@ def validate(model: SHSModel) -> list[str]:
     bad: list[str] = []
     n = model.n
     for j, lam in enumerate(model.rates):
-        if lam < 0:
-            bad.append(f"lambda[{j}] >= 0 violated")
+        if not 0 <= lam < math.inf:
+            bad.append(f"lambda[{j}] must be finite and >= 0, got {lam}")
     if not model.X0.subset_of(model.X):
         bad.append("X0 subset of X violated")
     if not model.Xu.subset_of(model.X):
@@ -352,7 +352,7 @@ class JumpSchedule:
 
     def validate_for(self, jump: JumpParams) -> None:
         for d in self.gaps:
-            if not jump.q1 <= d <= jump.q2:
+            if not jump.admits(JUMP, d):
                 raise ValueError(
                     f"schedule gap {d} outside admissible range "
                     f"[{jump.q1}, {jump.q2}]"

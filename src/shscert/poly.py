@@ -471,9 +471,6 @@ class IntervalBox:
         body = ", ".join(f"{v}=[{lo}, {hi}]" for v, (lo, hi) in self.intervals.items())
         return f"IntervalBox({body})"
 
-    def vars(self) -> tuple[str, ...]:
-        return tuple(self.intervals)
-
     def subset_of(self, other: "IntervalBox") -> bool:
         for v, (lo, hi) in self.intervals.items():
             if v not in other:
@@ -598,16 +595,11 @@ def _sign_variations(chain: list[list[float]], x: float) -> int:
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
-def _coerce_univariate(p: Polynomial) -> list[float]:
-    c = _trim(p.dense_coeffs())
-    return c
-
-
 def sturm_root_count(p: Polynomial, a: float, b: float) -> int:
     """Number of distinct real roots of p in the half-open interval (a, b]."""
     if a >= b:
         raise ValueError(f"need a < b, got [{a}, {b}]")
-    c = _coerce_univariate(p)
+    c = _trim(p.dense_coeffs())
     if not c:
         raise ValueError("root counting of the zero polynomial is undefined")
     if len(c) == 1:
@@ -702,10 +694,6 @@ class NonnegReport(Codec):
     status: str
     margin: float
     witness: dict[str, float] | None = None
-
-    @property
-    def ok(self) -> bool:
-        return self.status == "holds"
 
 
 def _lipschitz_bound(p: Polynomial, box: IntervalBox) -> float:

@@ -28,6 +28,7 @@ import numpy as np
 from scipy import stats
 
 from .augment import Acbc
+from .bound import compute_delta_for
 from .certify import CbcCandidate
 from .codec import Codec
 from .model import FLOW, JUMP, BlowUpError, JumpSchedule, SHSModel
@@ -230,8 +231,6 @@ def simulate(
     record(0, "init")
     for k in range(1, config.horizon_T + 1):
         if z == gap:
-            if not jp.admits(JUMP, z):
-                raise ValueError(f"schedule demands a jump at inadmissible z={z}")
             nu = tuple(f(x) for f in jump_fns)
             x = jump_step(model, x, nu, rng)
             z = 0
@@ -239,8 +238,6 @@ def simulate(
             gap = config.schedule.next_gap(jp, jumps_taken, rng)
             record(k, JUMP)
         else:
-            if not jp.admits(FLOW, z):
-                raise ValueError(f"flow transition inadmissible at z={z}")
             nu = tuple(f(x) for f in flow_fns)
             x = flow_step(model, x, nu, jp.tau, config.substeps_per_tau, rng)
             z += 1
@@ -558,8 +555,6 @@ def monte_carlo(
     again.
     """
     if delta is None:
-        from .bound import compute_delta_for
-
         delta = compute_delta_for(acbc, config.horizon_T).delta
     n = config.n_trajectories
     exceed = unsafe = blowups = 0

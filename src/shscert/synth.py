@@ -89,6 +89,11 @@ class SynthResult(Codec):
 
 
 class _Search:
+    """State of one search over a parameter vector theta laid out as the
+    nb coefficients of Bbar | m flow controller rows | m jump controller
+    rows (nc coefficients each) | the six constants in ``_CONSTANTS``
+    order."""
+
     def __init__(self, model: SHSModel, template: SynthTemplate, domain: IntervalBox | None):
         self.model = model
         self.t = template
@@ -96,65 +101,43 @@ class _Search:
         self.evals = 0
         # one checker per search: each evaluation reuses the previous one's work
         self.checker = CbcChecker(model, domain)
-        self.var = model.state_vars[0] if model.n == 1 else None
         self.nb = template.cert_degree + 1
         self.nc = template.controller_degree + 1
         self.m = model.m
+        self.ncoef = self.nb + 2 * self.m * self.nc
+        self.size = self.ncoef + len(_CONSTANTS)
+        sv = model.state_vars
+        self.var = sv[0] if model.n == 1 else None
+        if self.var is None:
+            # coefficients weight an isotropic basis: 1, sum x_i, sum x_i^2, ...
+            self.basis = [Polynomial.constant(1.0)] + [
+                sum((Polynomial.variable(v) ** k for v in sv), Polynomial.constant(0.0))
+                for k in range(1, max(self.nb, self.nc))
+            ]
 
-    # parameter vector layout: cert coeffs | flow ctrl coeffs | jump ctrl
-    # coeffs | six constants
-    def split(self, theta: np.ndarray):
-        nb, nc, m = self.nb, self.nc, self.m
-        b = theta[:nb]
-        flow = theta[nb : nb + m * nc].reshape(m, nc)
-        jump = theta[nb + m * nc : nb + 2 * m * nc].reshape(m, nc)
-        consts = theta[nb + 2 * m * nc :]
-        return b, flow, jump, consts
-
-    def size(self) -> int:
-        return self.nb + 2 * self.m * self.nc + len(_CONSTANTS)
+    def poly(self, coeffs: np.ndarray) -> Polynomial:
+        """Bbar or a controller row from its slice of theta."""
+        if self.var is not None:
+            return Polynomial.univariate(self.var, list(coeffs))
+        return sum(
+            (float(c) * self.basis[i] for i, c in enumerate(coeffs)), Polynomial.constant(0.0)
+        )
 
     def build(self, theta: np.ndarray) -> CbcCandidate | None:
-        b, flow, jump, consts = self.split(theta)
-        c = dict(zip(_CONSTANTS, consts))
-        if c["kappa2"] <= 0 or not c["etabar"] > c["alphabar"]:
+        """The candidate theta encodes, or None when its leading coefficient
+        is not positive or its constants make no candidate."""
+        if theta[self.nb - 1] <= 0:
             return None
-        if min(c["gamma1"], c["gamma2"], c["alphabar"], c["etabar"]) < 0:
-            return None
-        if b[-1] <= 0:
-            return None
-        sv = self.model.state_vars
-        if self.model.n == 1:
-            B = Polynomial.univariate(sv[0], list(b))
-            ctrl_f = tuple(Polynomial.univariate(sv[0], list(row)) for row in flow)
-            ctrl_j = tuple(Polynomial.univariate(sv[0], list(row)) for row in jump)
-        else:
-            # coefficients weight an isotropic basis: 1, sum x_i, sum x_i^2, ...
-            basis = [Polynomial.constant(1.0)]
-            for k in range(1, self.nb):
-                basis.append(
-                    sum((Polynomial.variable(v) ** k for v in sv), Polynomial.constant(0.0))
-                )
-            B = sum((float(ci) * basis[i] for i, ci in enumerate(b)), Polynomial.constant(0.0))
-            ctrl_f = tuple(
-                sum((float(ci) * basis[i] for i, ci in enumerate(row)), Polynomial.constant(0.0))
-                for row in flow
+        ctrl = [self.poly(row) for row in theta[self.nb : self.ncoef].reshape(-1, self.nc)]
+        try:
+            return CbcCandidate(
+                Bbar=self.poly(theta[: self.nb]),
+                nu_flow=tuple(ctrl[: self.m]),
+                nu_jump=tuple(ctrl[self.m :]),
+                **dict(zip(_CONSTANTS, map(float, theta[self.ncoef :]))),
             )
-            ctrl_j = tuple(
-                sum((float(ci) * basis[i] for i, ci in enumerate(row)), Polynomial.constant(0.0))
-                for row in jump
-            )
-        return CbcCandidate(
-            Bbar=B,
-            kappa1=float(c["kappa1"]),
-            kappa2=float(c["kappa2"]),
-            gamma1=float(c["gamma1"]),
-            gamma2=float(c["gamma2"]),
-            alphabar=float(c["alphabar"]),
-            etabar=float(c["etabar"]),
-            nu_flow=ctrl_f,
-            nu_jump=ctrl_j,
-        )
+        except ValueError:
+            return None
 
     def score(self, theta: np.ndarray) -> float:
         cand = self.build(theta)
@@ -168,10 +151,9 @@ class _Search:
 
     def derive_levels(self, theta: np.ndarray) -> None:
         """Set alphabar/etabar just inside the certificate's actual extrema."""
-        cand = self.build_levels_probe(theta)
-        if cand is None or self.model.n != 1:
+        if self.var is None or theta[self.nb - 1] <= 0:
             return
-        B = cand
+        B = self.poly(theta[: self.nb])
         lo0, hi0 = self.model.X0[self.var]
         lou, hiu = self.model.Xu[self.var]
         max0 = -min_on_interval(-B, lo0, hi0)[0]
@@ -183,54 +165,41 @@ class _Search:
         theta[-2] = min(max(max0 + 0.25 * gap, r["alphabar"][0]), r["alphabar"][1])
         theta[-1] = min(max(minu - 0.25 * gap, r["etabar"][0]), r["etabar"][1])
 
-    def build_levels_probe(self, theta: np.ndarray) -> Polynomial | None:
-        b = self.split(theta)[0]
-        if b[-1] <= 0 or self.model.n != 1:
-            return None
-        return Polynomial.univariate(self.var, list(b))
-
     def random_theta(self) -> np.ndarray:
-        theta = np.zeros(self.size())
+        theta = np.zeros(self.size)
         b = self.rng.uniform(-1.0, 1.0, self.nb)
         b[-1] = abs(b[-1]) + 0.05
         theta[: self.nb] = b
-        theta[self.nb : self.nb + 2 * self.m * self.nc] = self.rng.uniform(
-            -2.0, 2.0, 2 * self.m * self.nc
-        )
-        for i, name in enumerate(_CONSTANTS):
-            lo, hi = self.t.ranges[name]
-            theta[self.nb + 2 * self.m * self.nc + i] = self.rng.uniform(lo, hi)
+        theta[self.nb : self.ncoef] = self.rng.uniform(-2.0, 2.0, self.ncoef - self.nb)
+        theta[self.ncoef :] = [self.rng.uniform(*self.t.ranges[name]) for name in _CONSTANTS]
         self.derive_levels(theta)
         return theta
 
     def theta_from(self, cand: CbcCandidate) -> np.ndarray:
-        theta = np.zeros(self.size())
-        b = cand.Bbar.dense_coeffs(self.var) if self.model.n == 1 else None
-        if b is None:
+        if self.var is None:
             raise ValueError("warm start is only supported for one-dimensional state")
+        b = cand.Bbar.dense_coeffs(self.var)
         if len(b) > self.nb:
             raise ValueError(
                 f"warm-start degree {len(b) - 1} exceeds template degree "
                 f"{self.t.cert_degree}"
             )
+        if len(cand.nu_flow) != self.m or len(cand.nu_jump) != self.m:
+            raise ValueError(f"warm-start controllers must have {self.m} outputs")
+        theta = np.zeros(self.size)
         theta[: len(b)] = b
-        for j in range(self.m):
-            cf = cand.nu_flow[j].dense_coeffs(self.var)
-            cj = cand.nu_jump[j].dense_coeffs(self.var)
-            if max(len(cf), len(cj)) > self.nc:
+        rows = theta[self.nb : self.ncoef].reshape(-1, self.nc)  # a view into theta
+        for row, p in zip(rows, cand.nu_flow + cand.nu_jump):
+            c = p.dense_coeffs(self.var)
+            if len(c) > self.nc:
                 raise ValueError("warm-start controller degree exceeds template")
-            theta[self.nb + j * self.nc : self.nb + j * self.nc + len(cf)] = cf
-            base = self.nb + self.m * self.nc
-            theta[base + j * self.nc : base + j * self.nc + len(cj)] = cj
-        for i, name in enumerate(_CONSTANTS):
-            theta[self.nb + 2 * self.m * self.nc + i] = getattr(cand, name)
+            row[: len(c)] = c
+        theta[self.ncoef :] = [getattr(cand, name) for name in _CONSTANTS]
         return theta
 
     def bracket(self, index: int, value: float) -> tuple[float, float]:
-        ncoef = self.nb + 2 * self.m * self.nc
-        if index >= ncoef:
-            lo, hi = self.t.ranges[_CONSTANTS[index - ncoef]]
-            return lo, hi
+        if index >= self.ncoef:
+            return self.t.ranges[_CONSTANTS[index - self.ncoef]]
         w = max(1.0, abs(value))
         return value - w, value + w
 
@@ -239,8 +208,7 @@ class _Search:
         positive, a sweep stalls, or the budget runs out."""
         invphi = (math.sqrt(5.0) - 1.0) / 2.0
         # constants are cheap knobs; try them before touching coefficients
-        ncoef = self.nb + 2 * self.m * self.nc
-        order = list(range(ncoef, self.size())) + list(range(ncoef))
+        order = list(range(self.ncoef, self.size)) + list(range(self.ncoef))
         improved = True
         while improved and score <= 0 and self.evals < budget:
             improved = False
@@ -296,17 +264,9 @@ def search(
     best_theta: np.ndarray | None = None
     best_score = -math.inf
     restarts = 0
-
-    starts: list[np.ndarray] = []
-    if warm_start is not None:
-        starts.append(s.theta_from(warm_start))
-
-    while True:
-        if starts:
-            theta = starts.pop(0)
-        else:
-            if s.evals >= template.budget:
-                break
+    theta = s.theta_from(warm_start) if warm_start is not None else None
+    while theta is not None or s.evals < template.budget:
+        if theta is None:
             theta = s.random_theta()
             restarts += 1
         score = s.score(theta)
@@ -316,8 +276,9 @@ def search(
             theta, score = s.refine(theta, score, template.budget)
             if score > best_score:
                 best_score, best_theta = score, theta.copy()
-        if best_score > 0 or s.evals >= template.budget:
+        if best_score > 0:
             break
+        theta = None
 
     cand = s.build(best_theta) if best_theta is not None else None
     if cand is None:

@@ -91,6 +91,17 @@ class TestConstruction:
         with pytest.raises(ValueError, match="kappa"):
             construct_acbc(cand, JP, 0.1, 8.0)
 
+    def test_overflowing_constants_named(self):
+        with pytest.raises(ValueError, match="lifted constants overflow"):
+            construct_acbc(make_candidate(1e6, 1.5), JP, 0.1, 8.0)
+
+    @pytest.mark.parametrize("name", ["gamma", "eta", "beta_alpha"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_constant_rejected(self, case1, name, value):
+        a = construct_acbc(case1.candidate, JP, 0.1, 8.0)
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            replace(a, **{name: value})
+
     def test_constructed_instances_satisfy_invariants(self, case1, case2, case3):
         for case in (case1, case2, case3):
             a = construct_acbc(case.candidate, case.model.jump, case.eps1, case.eps2)

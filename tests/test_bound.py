@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
@@ -86,6 +88,8 @@ class TestPreconditions:
             ((1.0, 1.0, 0.5, 0.0, 10), "eta > alpha"),
             ((0.1, 1.0, 0.5, -0.1, 10), "gamma"),
             ((0.1, 1.0, 0.5, 0.1, -1), "horizon"),
+            ((0.1, 1.0, 0.5, math.nan, 10), "gamma"),
+            ((0.1, 1.0, 0.5, math.inf, 10), "gamma"),
         ],
     )
     def test_violations_named(self, args, match):

@@ -221,8 +221,14 @@ class TestMalformedInput:
                 "noise moments[0] differ from the gaussian sampler's N(0,1)",
             ),
             ("X", {"x": [math.nan, 8]}, "X: non-finite interval for 'x': [nan, 8.0]"),
+            ("jump", {"tau": math.nan, "q1": 1, "q2": 7}, "tau must be finite and positive"),
+            ("jump", {"tau": math.inf, "q1": 1, "q2": 7}, "tau must be finite and positive"),
+            ("lambda", [math.nan], "lambda[0] must be finite and >= 0, got nan"),
         ],
-        ids=["box-as-list", "q1-above-q2", "unknown-sampler", "wide-moments", "nan-bound"],
+        ids=[
+            "box-as-list", "q1-above-q2", "unknown-sampler", "wide-moments", "nan-bound",
+            "nan-tau", "infinite-tau", "nan-rate",
+        ],
     )
     def test_bad_model_exit_three(self, artifacts, tmp_path, capsys, key, value, message):
         doc = json.loads((artifacts / "model1.json").read_text())
@@ -381,6 +387,35 @@ class TestPipelineRoundTrip:
         assert code == 1
         assert "unsupported regime" in capsys.readouterr().err
 
+    def test_augment_overflow_exit_one(self, artifacts, tmp_path, capsys):
+        doc = json.loads((artifacts / "cand1.json").read_text())
+        doc["kappa1"] = 1e6
+        doc["kappa2"] = 1.5  # R2: exp(kappa1 tau eps1 q1) overflows
+        bad = tmp_path / "cand_steep.json"
+        bad.write_text(json.dumps(doc))
+        code = main([
+            "augment", str(artifacts / "model1.json"), str(bad), "--out", str(tmp_path),
+        ])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("construction failed: lifted constants overflow")
+        assert not (tmp_path / "acbc.json").exists()
+
+    @pytest.mark.parametrize("gamma", [math.nan, math.inf])
+    def test_non_finite_lifted_constant_exit_three(self, artifacts, tmp_path, capsys, gamma):
+        out1 = tmp_path / "a"
+        main([
+            "augment", str(artifacts / "model1.json"), str(artifacts / "cand1.json"),
+            "--out", str(out1),
+        ])
+        doc = json.loads((out1 / "acbc.json").read_text())
+        doc["gamma"] = gamma
+        bad = tmp_path / "acbc_bad.json"
+        bad.write_text(json.dumps(doc))
+        code = main(["bound", str(bad), "--horizon", "100", "--out", str(tmp_path)])
+        assert code == 3
+        assert "gamma must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "bound.json").exists()
+
     def test_bound_precondition_exit_one(self, artifacts, tmp_path, capsys):
         out1 = tmp_path / "a"
         main([
@@ -415,9 +450,17 @@ class TestPipelineRoundTrip:
         ids=lambda argv: argv[0],
     )
     def test_format_only_on_simulate(self, tmp_path, capsys, argv):
-        with pytest.raises(SystemExit):
+        with pytest.raises(SystemExit) as exc:
             main([*argv, "--format", "json", "--out", str(tmp_path)])
+        assert exc.value.code == 3
         assert "unrecognized arguments: --format json" in capsys.readouterr().err
+
+    def test_missing_argument_exit_three(self, capsys):
+        # a usage error is malformed input, not exit 2 ("inconclusive")
+        with pytest.raises(SystemExit) as exc:
+            main(["verify"])
+        assert exc.value.code == 3
+        assert "required: model, candidate" in capsys.readouterr().err
 
 
 class TestSimulateBlowUp:

@@ -1,8 +1,11 @@
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
-from shscert import SynthTemplate, check_cbc, margin_objective, search
+from shscert import SynthResult, SynthTemplate, check_cbc, margin_objective, search
+from test_certify import _two_state
 
 
 class TestTemplate:
@@ -78,6 +81,21 @@ class TestSearch:
         t = SynthTemplate(cert_degree=2, budget=10, seed=0)
         with pytest.raises(ValueError, match="exceeds template degree"):
             search(case1.model, t, warm_start=case1.candidate)
+
+    def test_two_state_controller_above_certificate_degree(self, case1):
+        # the isotropic basis reaches the controller degree, not only Bbar's
+        model, _ = _two_state(case1)
+        t = SynthTemplate(cert_degree=2, controller_degree=3, budget=40, seed=2)
+        r = search(model, t)
+        assert isinstance(r, SynthResult)
+        assert r.evaluations == 40
+        assert [p.degree() for p in r.candidate.nu_flow + r.candidate.nu_jump] == [3, 3]
+
+    def test_warm_start_controllers_must_match_inputs(self, case1):
+        c = case1.candidate
+        twice = replace(c, nu_flow=c.nu_flow * 2, nu_jump=c.nu_jump * 2)
+        with pytest.raises(ValueError, match="must have 1 outputs"):
+            search(case1.model, SynthTemplate(budget=10), warm_start=twice)
 
     def test_budget_exhaustion_is_structured(self, case2):
         # one evaluation cannot repair anything: structured infeasible result
