@@ -16,6 +16,7 @@ bad JSON, a violated data invariant or a non-finite number).
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
@@ -254,7 +255,10 @@ def cmd_synthesize(args: argparse.Namespace, run: _Run) -> int:
     else:
         template = SynthTemplate(seed=args.seed)
     warm = run.load(args.warm_start, CbcCandidate, "candidate") if args.warm_start else None
-    result = search(model, template, warm_start=warm)
+    try:
+        result = search(model, template, warm_start=warm)
+    except ValueError as e:  # search raises it only for a warm start that does not fit
+        raise CliError(EXIT_BAD_INPUT, f"invalid warm start {args.warm_start}: {e}") from None
     run.write("synth_report.json", _dump(result.to_dict()))
     if result.candidate is not None:
         run.write("synthesized_candidate.json", _dump(result.candidate.to_dict()))
@@ -333,6 +337,7 @@ def cmd_repro(args: argparse.Namespace, run: _Run) -> int:
     return EXIT_OK
 
 
+@functools.cache  # one parser per process: parsing leaves it unchanged
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="shscert",

@@ -18,6 +18,7 @@ gives bitwise equal values on Python floats and numpy arrays.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
@@ -65,21 +66,42 @@ class Polynomial:
         self.vars: tuple[str, ...] = order
         self.terms: dict[tuple[int, ...], float] = clean
         self._compiled: dict[tuple[str, ...], object] = {}
+        self._effective: tuple[str, ...] | None = None
+
+    @classmethod
+    def _unchecked(
+        cls, variables: tuple[str, ...], terms: Mapping[tuple[int, ...], float]
+    ) -> "Polynomial":
+        """Arithmetic's constructor, for distinct sorted ``variables`` and
+        terms with distinct keys of non-negative ints aligned with them:
+        what ``__init__`` keeps of such input, the nonzero ``float``
+        coefficients in term order, without its checks."""
+        p = object.__new__(cls)
+        clean: dict[tuple[int, ...], float] = {}
+        for exp, coef in terms.items():
+            c = float(coef)
+            if c != 0.0:
+                clean[exp] = c
+        p.vars = variables
+        p.terms = clean
+        p._compiled = {}
+        p._effective = None
+        return p
 
     # -- constructors ----------------------------------------------------
 
     @staticmethod
     def constant(value: float) -> "Polynomial":
-        return Polynomial((), {(): float(value)} if value else {})
+        return Polynomial._unchecked((), {(): value})
 
     @staticmethod
     def variable(name: str) -> "Polynomial":
-        return Polynomial((name,), {(1,): 1.0})
+        return Polynomial._unchecked((name,), {(1,): 1.0})
 
     @staticmethod
     def univariate(name: str, coeffs: Sequence[float]) -> "Polynomial":
         """Build from dense ascending coefficients c0 + c1*v + c2*v^2 + ..."""
-        return Polynomial((name,), {(k,): c for k, c in enumerate(coeffs)})
+        return Polynomial._unchecked((name,), {(k,): c for k, c in enumerate(coeffs)})
 
     # -- bookkeeping ------------------------------------------------------
 
@@ -97,12 +119,10 @@ class Polynomial:
 
     def effective_vars(self) -> tuple[str, ...]:
         """Variables that actually occur with a positive exponent."""
-        used = [False] * len(self.vars)
-        for exp in self.terms:
-            for i, e in enumerate(exp):
-                if e:
-                    used[i] = True
-        return tuple(v for v, u in zip(self.vars, used) if u)
+        if self._effective is None:
+            used = [any(col) for col in zip(*self.terms)] if self.terms else []
+            self._effective = tuple(v for v, u in zip(self.vars, used) if u)
+        return self._effective
 
     def constant_value(self) -> float:
         """Value of a polynomial with no effective variables."""
@@ -116,6 +136,8 @@ class Polynomial:
         allvars = tuple(sorted(set(self.vars) | set(other.vars)))
 
         def remap(p: "Polynomial") -> dict:
+            if p.vars == allvars:
+                return p.terms
             pos = [allvars.index(v) for v in p.vars]
             out: dict[tuple[int, ...], float] = {}
             for exp, c in p.terms.items():
@@ -135,12 +157,12 @@ class Polynomial:
         out = dict(a)
         for exp, c in b.items():
             out[exp] = out.get(exp, 0.0) + c
-        return Polynomial(allvars, out)
+        return Polynomial._unchecked(allvars, out)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial(self.vars, {e: -c for e, c in self.terms.items()})
+        return Polynomial._unchecked(self.vars, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other) -> "Polynomial":
         return self + (-_as_poly(other))
@@ -150,15 +172,15 @@ class Polynomial:
 
     def __mul__(self, other) -> "Polynomial":
         if isinstance(other, (int, float)):
-            return Polynomial(self.vars, {e: c * other for e, c in self.terms.items()})
+            return Polynomial._unchecked(self.vars, {e: c * other for e, c in self.terms.items()})
         other = _as_poly(other)
         allvars, a, b = self._aligned(other)
         out: dict[tuple[int, ...], float] = {}
         for ea, ca in a.items():
             for eb, cb in b.items():
-                key = tuple(x + y for x, y in zip(ea, eb))
+                key = tuple(map(operator.add, ea, eb))
                 out[key] = out.get(key, 0.0) + ca * cb
-        return Polynomial(allvars, out)
+        return Polynomial._unchecked(allvars, out)
 
     __rmul__ = __mul__
 
@@ -167,20 +189,7 @@ class Polynomial:
             raise ValueError("only non-negative integer powers")
         if k == 0:
             return Polynomial.constant(1.0)
-        # square-and-multiply from the lowest set bit of k: no leading
-        # 1 * base and no squaring after the last bit
-        base = self
-        while not k & 1:
-            base = base * base
-            k >>= 1
-        result = base
-        k >>= 1
-        while k:
-            base = base * base
-            if k & 1:
-                result = result * base
-            k >>= 1
-        return result
+        return _power([self], k)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Polynomial):
@@ -189,7 +198,12 @@ class Polynomial:
         return a == b
 
     def __hash__(self):
-        return hash((self.vars, frozenset(self.terms.items())))
+        # over the effective variables only, as __eq__ ignores unused ones
+        eff = self.effective_vars()
+        idx = [self.vars.index(v) for v in eff]
+        return hash((eff, frozenset(
+            (tuple(exp[i] for i in idx), c) for exp, c in self.terms.items()
+        )))
 
     def allclose(self, other: "Polynomial", tol: float = SIGN_TOL) -> bool:
         _, a, b = self._aligned(other)
@@ -270,7 +284,7 @@ class Polynomial:
 
     def derivative(self, var: str) -> "Polynomial":
         if var not in self.vars:
-            return Polynomial(self.vars, {})
+            return Polynomial._unchecked(self.vars, {})
         i = self.vars.index(var)
         out: dict[tuple[int, ...], float] = {}
         for exp, coef in self.terms.items():
@@ -278,24 +292,26 @@ class Polynomial:
                 continue
             key = exp[:i] + (exp[i] - 1,) + exp[i + 1 :]
             out[key] = out.get(key, 0.0) + coef * exp[i]
-        return Polynomial(self.vars, out)
+        return Polynomial._unchecked(self.vars, out)
 
     def second_derivative(self, var1: str, var2: str | None = None) -> "Polynomial":
         return self.derivative(var1).derivative(var2 if var2 is not None else var1)
 
     def substitute(self, mapping: Mapping[str, "Polynomial | float"]) -> "Polynomial":
         """Simultaneously replace variables by polynomials (exact composition)."""
-        subs = {v: _as_poly(q) for v, q in mapping.items()}
+        # each variable's repeated squares, formed once and shared by
+        # every power of it that __pow__ would form from them
+        squares = {v: [_as_poly(q)] for v, q in mapping.items()}
         result = Polynomial.constant(0.0)
         for exp, coef in self.terms.items():
             term = Polynomial.constant(coef)
             for v, e in zip(self.vars, exp):
                 if not e:
                     continue
-                if v in subs:
-                    term = term * subs[v] ** e
+                if v in squares:
+                    term = term * _power(squares[v], e)
                 else:
-                    term = term * Polynomial((v,), {(e,): 1.0})
+                    term = term * Polynomial._unchecked((v,), {(e,): 1.0})
             result = result + term
         return result
 
@@ -305,17 +321,18 @@ class Polynomial:
         Each monomial factor ``w^k`` for a noise variable ``w`` is replaced
         by ``moments[w].get(k)``; independence across components is assumed.
         """
-        noise_idx = [(i, v) for i, v in enumerate(self.vars) if v in moments]
-        keep = tuple(v for v in self.vars if v not in moments)
+        noise_idx = [(i, moments[v]) for i, v in enumerate(self.vars) if v in moments]
+        keep_idx = [i for i, v in enumerate(self.vars) if v not in moments]
+        keep = tuple(self.vars[i] for i in keep_idx)
         out: dict[tuple[int, ...], float] = {}
         for exp, coef in self.terms.items():
             c = coef
-            for i, v in noise_idx:
+            for i, m in noise_idx:
                 if exp[i]:
-                    c *= moments[v].get(exp[i])
-            key = tuple(e for e, v in zip(exp, self.vars) if v in keep)
+                    c *= m.get(exp[i])
+            key = tuple(exp[i] for i in keep_idx)
             out[key] = out.get(key, 0.0) + c
-        return Polynomial(keep, out)
+        return Polynomial._unchecked(keep, out)
 
     # -- serialization ----------------------------------------------------
 
@@ -392,6 +409,25 @@ def _chain(operands: Sequence[str], op: str, acc: str) -> str:
     for k in range(CHAIN_LEN, len(operands), CHAIN_LEN):
         pieces.append(f"{acc} := {op.join([acc, *operands[k : k + CHAIN_LEN]])}")
     return f"({', '.join(pieces)})[-1]"
+
+
+def _power(squares: list[Polynomial], k: int) -> Polynomial:
+    """``squares[0] ** k`` for k >= 1, where ``squares`` holds repeated
+    squares of its first entry and gains those this power needs.
+
+    Square-and-multiply from the lowest set bit of k: no leading 1 * base
+    and no squaring after the last bit.
+    """
+    result = None
+    j = 0
+    while k:
+        if j == len(squares):
+            squares.append(squares[-1] * squares[-1])
+        if k & 1:
+            result = squares[j] if result is None else result * squares[j]
+        k >>= 1
+        j += 1
+    return result
 
 
 def _as_poly(x) -> Polynomial:
@@ -509,7 +545,7 @@ class IntervalBox:
 
 
 def _trim(c: Sequence[float], tol: float = SIGN_TOL) -> list[float]:
-    scale = max((abs(x) for x in c), default=0.0)
+    scale = max(map(abs, c), default=0.0)
     cut = tol * max(scale, 1.0)
     out = [x if abs(x) > cut else 0.0 for x in c]
     while out and out[-1] == 0.0:
@@ -518,15 +554,8 @@ def _trim(c: Sequence[float], tol: float = SIGN_TOL) -> list[float]:
 
 
 def _normalize(c: list[float]) -> list[float]:
-    scale = max((abs(x) for x in c), default=0.0)
+    scale = max(map(abs, c), default=0.0)
     return [x / scale for x in c] if scale > 0 else list(c)
-
-
-def _polyval(c: Sequence[float], x: float) -> float:
-    total = 0.0
-    for coef in reversed(c):
-        total = total * x + coef
-    return total
 
 
 def _polyder(c: Sequence[float]) -> list[float]:
@@ -539,7 +568,11 @@ def _divmod_dense(a: list[float], b: list[float]) -> tuple[list[float], list[flo
     r = list(a)
     q = [0.0] * max(len(a) - len(b) + 1, 1)
     db, lead = len(b) - 1, b[-1]
-    while len(r) - 1 >= db and _trim(r):
+    while len(r) - 1 >= db:
+        # stop once _trim(r) would be empty: no entry above its cut
+        scale = max(map(abs, r))
+        if not scale > SIGN_TOL * max(scale, 1.0):
+            break
         dr = len(r) - 1
         f = r[-1] / lead
         q[dr - db] = f
@@ -571,6 +604,8 @@ def _square_free(c: list[float]) -> list[float]:
 
 
 def _sturm_chain(c: list[float]) -> list[list[float]]:
+    """The Sturm chain of c, each member in descending order, as
+    _sign_variations reads it."""
     p0 = _normalize(_trim(c))
     chain = [p0]
     d = _trim(_polyder(p0))
@@ -582,17 +617,24 @@ def _sturm_chain(c: list[float]) -> list[list[float]]:
         if not r:
             break
         chain.append(_normalize(r))
-    return chain
+    return [c[::-1] for c in chain]
 
 
 def _sign_variations(chain: list[list[float]], x: float) -> int:
-    signs = []
+    """Sign changes along the chain at x, skipping values within SIGN_TOL
+    of zero; a NaN value counts as negative."""
+    count, last = 0, None
     for c in chain:
-        v = _polyval(c, x)
+        v = 0.0
+        for coef in c:
+            v = v * x + coef
         if abs(v) <= SIGN_TOL:
             continue
-        signs.append(1 if v > 0 else -1)
-    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+        positive = v > 0
+        if last is not None and positive is not last:
+            count += 1
+        last = positive
+    return count
 
 
 def sturm_root_count(p: Polynomial, a: float, b: float) -> int:
@@ -644,7 +686,7 @@ def interval_candidates(dp: Sequence[float], a: float, b: float) -> list[float]:
     """
     candidates = {a, b}
     candidates.update(x for x in _isolate_roots(dp, a, b) if a < x < b)
-    candidates.update(float(x) for x in np.linspace(a, b, 33))
+    candidates.update(np.linspace(a, b, 33).tolist())
     return sorted(candidates)
 
 
@@ -672,9 +714,13 @@ def min_on_interval(
         v = p.eval({eff[0]: a}) if eff else p.constant_value()
         return v, a
     c = p.dense_coeffs(eff[0])
+    # Horner inlined: a call per candidate cost more than its arithmetic
+    rc = c[::-1]
     best_x, best_v = None, math.inf
     for x in candidates(_polyder(c), a, b):
-        v = _polyval(c, x)
+        v = 0.0
+        for coef in rc:
+            v = v * x + coef
         if v < best_v:
             best_x, best_v = x, v
     return best_v, best_x

@@ -258,7 +258,8 @@ def search(
     objective. Deterministic for a fixed seed. The best candidate is
     re-verified with an independent check before being reported feasible;
     running out of budget yields status "infeasible-at-budget" instead of
-    an exception.
+    an exception. A warm start that does not fit the template or the
+    model raises ValueError before the first evaluation.
     """
     s = _Search(model, template, domain)
     best_theta: np.ndarray | None = None

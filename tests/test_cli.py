@@ -317,6 +317,40 @@ class TestMalformedInput:
         assert code == 3
         assert capsys.readouterr().err.startswith(f"error: cannot read {missing}")
 
+    @pytest.mark.parametrize(
+        "misfit, message",
+        [
+            ("degree", "warm-start degree 4 exceeds template degree 2"),
+            ("two-state", "warm start is only supported for one-dimensional state"),
+            ("controllers", "warm-start controllers must have 1 outputs"),
+        ],
+        ids=["above-template-degree", "two-state-model", "controller-count"],
+    )
+    def test_misfit_warm_start_exit_three(self, artifacts, tmp_path, capsys, misfit, message):
+        from test_certify import _two_state
+
+        model, cand, extra = artifacts / "model1.json", artifacts / "cand1.json", []
+        if misfit == "degree":
+            template = tmp_path / "template.json"
+            template.write_text(json.dumps({"cert_degree": 2}))
+            extra = ["--template", str(template)]
+        elif misfit == "two-state":
+            model = tmp_path / "model2.json"
+            model.write_text(_two_state(load_case(1))[0].to_json())
+        else:
+            doc = json.loads(cand.read_text())
+            doc["nu_flow"] *= 2
+            doc["nu_jump"] *= 2
+            cand = tmp_path / "cand_two_inputs.json"
+            cand.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        code = main([
+            "synthesize", str(model), "--warm-start", str(cand), *extra, "--out", str(out),
+        ])
+        assert code == 3
+        assert capsys.readouterr().err == f"error: invalid warm start {cand}: {message}\n"
+        assert not (out / "synthesize_manifest.json").exists()
+
 
 class TestPipelineRoundTrip:
     def test_artifacts_flow_between_commands(self, artifacts, tmp_path):

@@ -2,12 +2,15 @@ from __future__ import annotations
 
 import json
 import math
+import struct
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from shscert import poly
 from shscert.poly import (
     IntervalBox,
     NoiseMoments,
@@ -533,3 +536,201 @@ class TestGeneratedSource:
     def test_generated_code_sees_no_builtins(self):
         with pytest.raises(NameError):
             generated("lambda: open")()
+
+
+# -- the float kernel against the algorithms it replaced ---------------------
+#
+# The references below are the earlier forms of the kernel: Horner through
+# one call per candidate, sign variations from a list of signs, a division
+# loop that trims the remainder on every step, and a substitution that forms
+# every power from scratch. The kernel must give the same bits.
+
+
+def _ref_polyval(c, x):
+    total = 0.0
+    for coef in reversed(c):
+        total = total * x + coef
+    return total
+
+
+def _ref_min(p, a, b, candidates=poly.interval_candidates):
+    c = p.dense_coeffs("x")
+    best_x, best_v = None, math.inf
+    for x in candidates(poly._polyder(c), a, b):
+        v = _ref_polyval(c, x)
+        if v < best_v:
+            best_x, best_v = x, v
+    return best_v, best_x
+
+
+def _ref_sign_variations(chain, x):
+    """Over a chain of ascending coefficient lists."""
+    signs = []
+    for c in chain:
+        v = _ref_polyval(c, x)
+        if abs(v) <= poly.SIGN_TOL:
+            continue
+        signs.append(1 if v > 0 else -1)
+    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+
+
+def _ref_divmod_dense(a, b):
+    r = list(a)
+    q = [0.0] * max(len(a) - len(b) + 1, 1)
+    db, lead = len(b) - 1, b[-1]
+    while len(r) - 1 >= db and poly._trim(r):
+        dr = len(r) - 1
+        f = r[-1] / lead
+        q[dr - db] = f
+        for i in range(db + 1):
+            r[dr - db + i] -= f * b[i]
+        r.pop()
+        while r and r[-1] == 0.0:
+            r.pop()
+    return q, poly._trim(r, poly.SIGN_TOL)
+
+
+def _ref_substitute(p, mapping):
+    subs = {v: q if isinstance(q, Polynomial) else Polynomial.constant(q) for v, q in mapping.items()}
+    result = Polynomial.constant(0.0)
+    for exp, coef in p.terms.items():
+        term = Polynomial.constant(coef)
+        for v, e in zip(p.vars, exp):
+            if e:
+                term = term * (subs[v] ** e if v in subs else Polynomial((v,), {(e,): 1.0}))
+        result = result + term
+    return result
+
+
+def _bits(x):
+    return None if x is None else struct.pack("<d", x)
+
+
+def _layout(p: Polynomial):
+    """Variables, term order, exponent types and coefficient bits."""
+    assert all(type(e) is int for exp in p.terms for e in exp)
+    assert all(type(c) is float for c in p.terms.values())
+    return p.vars, [(exp, _bits(c)) for exp, c in p.terms.items()]
+
+
+@st.composite
+def dense(draw, coefs, max_degree=10):
+    """Ascending coefficients of degree 1 to max_degree."""
+    c = draw(st.lists(coefs, min_size=2, max_size=max_degree + 1))
+    return c if c[-1] else c[:-1] + [1.0]
+
+
+@st.composite
+def clustered(draw):
+    """Dense coefficients of a polynomial with a cluster of close real roots,
+    a spread of magnitudes, and perhaps a complex pair."""
+    center = draw(st.floats(-5.0, 5.0))
+    spacing = 10.0 ** -draw(st.integers(1, 7))
+    roots = [center + k * spacing for k in range(draw(st.integers(2, 4)))]
+    c = np.array([draw(COEFS)])
+    for r in roots:
+        c = np.convolve(c, [-r, 1.0])
+    if draw(st.booleans()):
+        re, im = draw(st.floats(-3.0, 3.0)), draw(st.floats(1e-3, 3.0))
+        c = np.convolve(c, [re * re + im * im, -2.0 * re, 1.0])
+    return c.tolist()
+
+
+INTERVALS = st.tuples(st.floats(-10.0, 10.0), st.floats(1e-6, 20.0)).map(
+    lambda aw: (aw[0], aw[0] + aw[1])
+)
+COEFS_OR_ZERO = st.one_of(COEFS, st.just(0.0))
+# values a candidate list may hold: ties, overflow, and NaN
+CANDIDATES = st.lists(
+    st.one_of(st.sampled_from((-1.0, 1.0, 0.0, 1e200, -1e200, math.inf, math.nan)), VALUES),
+    max_size=12,
+)
+
+
+class TestKernelEquivalence:
+    @settings(max_examples=300, deadline=None)
+    @given(coeffs=st.one_of(clustered(), dense(COEFS_OR_ZERO)), interval=INTERVALS)
+    def test_min_on_interval(self, coeffs, interval):
+        p = Polynomial.univariate("x", coeffs)
+        a, b = interval
+        got, want = min_on_interval(p, a, b), _ref_min(p, a, b)
+        assert (_bits(got[0]), _bits(got[1])) == (_bits(want[0]), _bits(want[1]))
+
+    @settings(max_examples=200, deadline=None)
+    @given(coeffs=dense(COEFS), xs=CANDIDATES)
+    @example(coeffs=[0.0, 0.0, 1.0], xs=[-1.0, 1.0])  # a tie: the smaller argument
+    @example(coeffs=[1.0, 0.0, 1.0], xs=[math.nan, 0.5, -0.5])  # NaN never wins
+    @example(coeffs=[1.0, 0.0, 1e300], xs=[1e200, -1e200])  # all overflow
+    def test_first_minimum_below_inf(self, coeffs, xs):
+        p = Polynomial.univariate("x", coeffs)
+        cands = lambda dp, a, b: xs
+        got = min_on_interval(p, -1.0, 1.0, cands)
+        want = _ref_min(p, -1.0, 1.0, cands)
+        assert (_bits(got[0]), _bits(got[1])) == (_bits(want[0]), _bits(want[1]))
+        if not any(v < math.inf for v in (_ref_polyval(coeffs, x) for x in xs)):
+            assert got == (math.inf, None)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        chain=st.lists(
+            st.lists(st.one_of(COEFS_OR_ZERO, st.just(math.nan)), min_size=1, max_size=6),
+            max_size=6,
+        ),
+        x=st.one_of(VALUES, st.just(math.nan)),
+    )
+    @example(chain=[[1.0], [math.nan], [1.0]], x=0.0)  # a NaN counts as negative
+    def test_sign_variations(self, chain, x):
+        assert poly._sign_variations([c[::-1] for c in chain], x) == _ref_sign_variations(chain, x)
+
+    @settings(max_examples=200, deadline=None)
+    @given(a=dense(COEFS_OR_ZERO), b=dense(COEFS, max_degree=5))
+    def test_divmod_dense(self, a, b):
+        q, r = poly._divmod_dense(a, b)
+        q0, r0 = _ref_divmod_dense(a, b)
+        assert list(map(_bits, q + r)) == list(map(_bits, q0 + r0)) and len(r) == len(r0)
+
+    @settings(max_examples=300, deadline=None)
+    @given(coeffs=clustered(), interval=INTERVALS)
+    def test_root_lists_on_clustered_roots(self, coeffs, interval):
+        a, b = interval
+        got = poly._isolate_roots(coeffs, a, b)
+        with mock.patch.object(poly, "_divmod_dense", _ref_divmod_dense), mock.patch.object(
+            poly, "_sign_variations",
+            lambda chain, x: _ref_sign_variations([c[::-1] for c in chain], x),
+        ):
+            want = poly._isolate_roots(coeffs, a, b)
+        assert list(map(_bits, got)) == list(map(_bits, want))
+
+    @settings(max_examples=100, deadline=None)
+    @given(p=sparse_polynomials(), q=sparse_polynomials(), k=st.integers(0, 4))
+    def test_arithmetic_results_are_validated_polynomials(self, p, q, k):
+        std = NoiseMoments.standard_normal(12)
+        results = [
+            p + q, p - q, p * q, p * 2.5, -p, p**k, p.derivative("x"), p.derivative("w"),
+            p.expect({"y": std}), p.substitute({"x": q, "z": 0.5}),
+        ]
+        for r in results:
+            assert _layout(r) == _layout(Polynomial(r.vars, r.terms))
+
+    @settings(max_examples=100, deadline=None)
+    @given(p=sparse_polynomials(), q=sparse_polynomials(), s=sparse_polynomials())
+    def test_substitute_matches_powers_from_scratch(self, p, q, s):
+        mapping = {"x": q, "y": s, "z": -1.25}
+        assert _layout(p.substitute(mapping)) == _layout(_ref_substitute(p, mapping))
+        assert _layout(p.substitute({"y": q})) == _layout(_ref_substitute(p, {"y": q}))
+
+
+class TestHash:
+    @settings(max_examples=100, deadline=None)
+    @given(p=sparse_polynomials(), pad=st.lists(st.sampled_from(("u", "v", "w")), unique=True, min_size=1))
+    def test_unused_variables_change_no_hash(self, p, pad):
+        padded = Polynomial(
+            p.vars + tuple(pad), {exp + (0,) * len(pad): c for exp, c in p.terms.items()}
+        )
+        assert padded == p and hash(padded) == hash(p)
+        assert len({p, padded}) == 1
+
+    def test_zero_and_constant(self):
+        assert hash(Polynomial((), {})) == hash(Polynomial(("x",), {}))
+        assert hash(Polynomial.constant(2.0)) == hash(Polynomial(("x",), {(0,): 2.0}))
+        assert len({Polynomial(("x", "y"), {(1, 0): 1.0}), X}) == 1
