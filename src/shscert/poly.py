@@ -120,7 +120,7 @@ class Polynomial:
     def effective_vars(self) -> tuple[str, ...]:
         """Variables that actually occur with a positive exponent."""
         if self._effective is None:
-            used = [any(col) for col in zip(*self.terms)] if self.terms else []
+            used = [any(col) for col in zip(*self.terms)]
             self._effective = tuple(v for v, u in zip(self.vars, used) if u)
         return self._effective
 
