@@ -12,7 +12,7 @@ for cid in ("1", "2", "3"):
     report = check_cbc(case.model, case.candidate)
     print(f"== bundled case {cid} (domain {report.domain}) ==")
     for cond in report.conditions:
-        extra = "" if cond.report.witness is None else f"  witness {cond.report.witness}"
+        extra = "" if cond.witness is None else f"  witness {cond.witness}"
         print(f"  {cond.condition:8s} {cond.status:12s} margin {cond.margin:+.6f}{extra}")
     print(f"  all hold: {report.all_hold}")
     print()

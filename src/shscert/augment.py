@@ -25,7 +25,7 @@ from .certify import (
 )
 from .codec import Codec
 from .model import FLOW, JUMP, JumpParams, SHSModel
-from .poly import IntervalBox, NonnegReport, nonneg_on_box
+from .poly import nonneg_on_box
 
 R1 = "R1"
 R2 = "R2"
@@ -166,9 +166,7 @@ def construct_acbc(
     )
 
 
-def check_acbc_conditions(
-    model: SHSModel, acbc: Acbc, domain: IntervalBox | None = None
-) -> CbcReport:
+def check_acbc_conditions(model: SHSModel, acbc: Acbc) -> CbcReport:
     """Check the lifted certificate's level and one-step decay conditions.
 
     Level conditions: alpha - beta(0) B on X0, and beta(z) B - eta on Xu
@@ -176,54 +174,31 @@ def check_acbc_conditions(
     semi-analytically per counter: the flow scenario uses the exponential
     relaxation bound E[B(x(tau-))] <= exp(-kappa1 tau)(B(x) + tau gamma1),
     the jump scenario the exact post-jump expectation polynomial; each is
-    compared against kappa beta(z) B + gamma on the domain. The relaxation
-    rests on the base flow condition LB <= -kappa1 B + gamma1, so that is
-    checked on the domain as well ("flow[base]").
+    compared against kappa beta(z) B + gamma on X. The relaxation rests on
+    the base flow condition LB <= -kappa1 B + gamma1, so that is checked on
+    X as well ("flow[base]").
     """
-    dom = domain if domain is not None else model.X
-    cand = acbc.base
+    cand, jp, X = acbc.base, acbc.jump, model.X
     B = cand.Bbar
-    jp = acbc.jump
-    checks: list[ConditionCheck] = []
-
-    const_margin = min(acbc.eta - acbc.alpha, acbc.kappa, 1 - acbc.kappa, acbc.gamma)
-    const_status = (
-        "holds" if (acbc.eta > acbc.alpha and 0 < acbc.kappa < 1 and acbc.gamma >= 0)
-        else "fails"
+    constants = ConditionCheck(
+        "constants",
+        "holds" if acbc.eta > acbc.alpha and 0 < acbc.kappa < 1 and acbc.gamma >= 0 else "fails",
+        min(acbc.eta - acbc.alpha, acbc.kappa, 1 - acbc.kappa, acbc.gamma),
     )
-    checks.append(
-        ConditionCheck("constants", NonnegReport(const_status, const_margin, None))
-    )
-
-    checks.append(
-        ConditionCheck(
-            "initial", nonneg_on_box(acbc.alpha - acbc.beta(0) * B, model.X0)
-        )
-    )
-    for z in range(jp.q2 + 1):
-        checks.append(
-            ConditionCheck(
-                f"unsafe[z={z}]",
-                nonneg_on_box(acbc.beta(z) * B - acbc.eta, model.Xu),
-            )
-        )
-
-    gen = generator(model, B, cand.nu_flow)
-    checks.append(
-        ConditionCheck("flow[base]", nonneg_on_box(flow_condition(cand, gen), dom))
-    )
+    counters = range(jp.q2 + 1)
+    conditions = [
+        ("initial", acbc.alpha - acbc.beta(0) * B, model.X0),
+        *((f"unsafe[z={z}]", acbc.beta(z) * B - acbc.eta, model.Xu) for z in counters),
+        ("flow[base]", flow_condition(cand, generator(model, B, cand.nu_flow)), X),
+    ]
     decay = math.exp(-cand.kappa1 * jp.tau)
     jexp = jump_expectation(model, B, cand.nu_jump)
-    for z in range(jp.q2 + 1):
+    for z in counters:
+        level = acbc.kappa * acbc.beta(z) * B + acbc.gamma
         if jp.admits(FLOW, z):
-            expr = (
-                acbc.kappa * acbc.beta(z) * B
-                + acbc.gamma
-                - acbc.beta(z + 1) * decay * (B + jp.tau * cand.gamma1)
-            )
-            checks.append(ConditionCheck(f"flow[z={z}]", nonneg_on_box(expr, dom)))
+            flowed = acbc.beta(z + 1) * decay * (B + jp.tau * cand.gamma1)
+            conditions.append((f"flow[z={z}]", level - flowed, X))
         if jp.admits(JUMP, z):
-            expr = acbc.kappa * acbc.beta(z) * B + acbc.gamma - acbc.beta(0) * jexp
-            checks.append(ConditionCheck(f"jump[z={z}]", nonneg_on_box(expr, dom)))
-
-    return CbcReport(tuple(checks), dom)
+            conditions.append((f"jump[z={z}]", level - acbc.beta(0) * jexp, X))
+    checks = (ConditionCheck.of(name, nonneg_on_box(expr, box)) for name, expr, box in conditions)
+    return CbcReport((constants, *checks), X)

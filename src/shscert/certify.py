@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 import struct
 from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 from .codec import Codec
@@ -130,16 +130,16 @@ def jump_expectation(
 
 @dataclass(frozen=True)
 class ConditionCheck(Codec):
+    """One named condition's outcome, with the fields of its NonnegReport."""
+
     condition: str
-    report: NonnegReport = field(metadata={"inline": True})
+    status: str
+    margin: float
+    witness: dict[str, float] | None = None
 
-    @property
-    def status(self) -> str:
-        return self.report.status
-
-    @property
-    def margin(self) -> float:
-        return self.report.margin
+    @classmethod
+    def of(cls, condition: str, report: NonnegReport) -> "ConditionCheck":
+        return cls(condition, report.status, report.margin, report.witness)
 
 
 @dataclass(frozen=True)
@@ -244,7 +244,7 @@ class CbcChecker:
             ("nonneg", B, dom),
         )
         results = tuple(
-            ConditionCheck(name, nonneg_on_box(expr, box, candidates=self._candidates[name]))
+            ConditionCheck.of(name, nonneg_on_box(expr, box, candidates=self._candidates[name]))
             for name, expr, box in checks
         )
         return CbcReport(results, dom)

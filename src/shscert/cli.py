@@ -149,7 +149,7 @@ def cmd_verify(args: argparse.Namespace, run: _Run) -> int:
     report = check_cbc(model, cand, domain)
     run.write("verify_report.json", _dump(report.to_dict()))
     for c in report.conditions:
-        witness = "" if c.report.witness is None else f" witness={c.report.witness}"
+        witness = "" if c.witness is None else f" witness={c.witness}"
         print(f"{c.condition:8s} {c.status:12s} margin={c.margin:.6g}{witness}")
     if report.any_fail:
         return EXIT_FAIL
@@ -193,29 +193,35 @@ def cmd_bound(args: argparse.Namespace, run: _Run) -> int:
 
 
 def _sim_config(
-    args: argparse.Namespace, horizon: int, schedule: JumpSchedule | None = None
+    args: argparse.Namespace,
+    model: SHSModel,
+    horizon: int,
+    schedule: JumpSchedule | None = None,
+    x0: str | None = None,
 ) -> SimConfig:
-    """The run's SimConfig; --schedule, when given, overrides ``schedule``."""
-    return SimConfig(
-        horizon_T=horizon,
-        n_trajectories=args.runs,
-        substeps_per_tau=args.substeps,
-        master_seed=args.seed,
-        schedule=schedule if args.schedule is None else JumpSchedule.parse(args.schedule),
-    )
+    """The run's SimConfig, checked against model: --schedule, when given,
+    overrides ``schedule``, and ``x0`` is the text of --x0. A value that
+    does not fit is malformed input."""
+    try:
+        config = SimConfig(
+            horizon_T=horizon,
+            n_trajectories=args.runs,
+            substeps_per_tau=args.substeps,
+            master_seed=args.seed,
+            schedule=schedule if args.schedule is None else JumpSchedule.parse(args.schedule),
+            x0=tuple(float(v) for v in x0.split(",")) if x0 else None,
+        )
+        check_config(model, config, x0_name="--x0")
+    except ValueError as e:
+        raise CliError(EXIT_BAD_INPUT, str(e)) from None
+    return config
 
 
 def cmd_simulate(args: argparse.Namespace, run: _Run) -> int:
     model = run.load(args.model, SHSModel, "model")
     cand = run.load(args.candidate, CbcCandidate, "candidate")
     acbc = run.load(args.acbc, Acbc, "lifted certificate") if args.acbc else None
-    try:
-        config = _sim_config(args, args.horizon)
-        if args.x0:
-            config = replace(config, x0=tuple(float(v) for v in args.x0.split(",")))
-        check_config(model, config, x0_name="--x0")
-    except ValueError as e:
-        raise CliError(EXIT_BAD_INPUT, str(e)) from None
+    config = _sim_config(args, model, args.horizon, x0=args.x0)
 
     keep = max(0, min(args.runs, args.keep_trajectories))
     report = None
@@ -271,6 +277,7 @@ def cmd_synthesize(args: argparse.Namespace, run: _Run) -> int:
 
 def cmd_repro(args: argparse.Namespace, run: _Run) -> int:
     case = load_case(args.case)
+    config = _sim_config(args, case.model, case.horizon, case.schedule)
     summary: dict = {"case": case.case_id, "seed": args.seed}
     stage = "verify"
     try:
@@ -315,9 +322,8 @@ def cmd_repro(args: argparse.Namespace, run: _Run) -> int:
             return EXIT_FAIL
 
         stage = "simulate"
-        config = _sim_config(args, case.horizon, case.schedule)
         keep = min(args.keep_trajectories, args.runs)
-        mc = monte_carlo(case.model, case.candidate, acbc, config, delta=full.delta, keep=keep)
+        mc = monte_carlo(case.model, case.candidate, acbc, config, keep=keep)
         summary["monte_carlo"] = mc.to_dict()
         print(
             f"[simulate] schedule={config.schedule.describe()} n={mc.n_trajectories} "

@@ -9,12 +9,10 @@ key per field and read back by its type hints: scalars through
 ``Polynomial``, ``IntervalBox`` and ``NoiseMoments`` keep their own formats
 that way.
 
-Field metadata covers the shapes that are not a plain field-to-key map:
-``{"key": "lambda"}`` renames the key, ``{"key": None}`` leaves the field
-out, and ``{"inline": True}`` writes the field's own keys into the parent
-object and reads the field from the parent object. The class attribute
-``derived_keys`` names properties written after the fields and ignored
-when reading.
+Field metadata renames a key: ``{"key": "lambda"}`` writes the field
+under another key, and ``{"key": None}`` leaves the field out. The class
+attribute ``derived_keys`` names properties written after the fields and
+ignored when reading.
 """
 
 from __future__ import annotations
@@ -33,13 +31,7 @@ class Codec:
     derived_keys: tuple[str, ...] = ()
 
     def to_dict(self) -> dict:
-        doc = {}
-        for name, key, inline, _, _ in _plan(type(self)):
-            value = _encode(getattr(self, name))
-            if inline:
-                doc.update(value)
-            else:
-                doc[key] = value
+        doc = {key: _encode(getattr(self, name)) for name, key, _, _ in _plan(type(self))}
         for name in self.derived_keys:
             doc[name] = _encode(getattr(self, name))
         return doc
@@ -54,10 +46,8 @@ class Codec:
         value of the wrong shape raises ``TypeError``."""
         doc = _object(doc)
         kwargs = {}
-        for name, key, inline, dec, required in _plan(cls):
-            if inline:
-                kwargs[name] = dec(doc)
-            elif key in doc:
+        for name, key, dec, required in _plan(cls):
+            if key in doc:
                 try:
                     kwargs[name] = dec(doc[key])
                 except (TypeError, ValueError, OverflowError) as e:
@@ -86,7 +76,7 @@ def decode(hint, value):
 
 @functools.cache
 def _plan(cls) -> tuple:
-    """(field name, key, inline, decoder, required) for each written field
+    """(field name, key, decoder, required) for each written field
     of cls; the type hints are resolved once per class."""
     hints = typing.get_type_hints(cls)
     plan = []
@@ -95,7 +85,7 @@ def _plan(cls) -> tuple:
         if key is None:
             continue
         required = f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING
-        plan.append((f.name, key, f.metadata.get("inline", False), _decoder(hints[f.name]), required))
+        plan.append((f.name, key, _decoder(hints[f.name]), required))
     return tuple(plan)
 
 

@@ -360,8 +360,6 @@ class JumpSchedule:
 
     def next_gap(self, jump: JumpParams, index: int, rng: np.random.Generator) -> int:
         """Gap before the (index+1)-th jump; uniform draws use rng."""
-        if self.policy == "fixed":
-            return self.gaps[0]
-        if self.policy == "cyclic":
-            return self.gaps[index % len(self.gaps)]
-        return int(rng.integers(jump.q1, jump.q2 + 1))
+        if self.policy == "uniform":
+            return int(rng.integers(jump.q1, jump.q2 + 1))
+        return self.gaps[index % len(self.gaps)]

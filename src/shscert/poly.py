@@ -33,6 +33,9 @@ SIGN_TOL = 1e-12
 # Half-width below which an isolated root bracket is accepted.
 ROOT_WIDTH = 1e-10
 
+# Grid points of a multivariate nonnegativity scan, over all its variables.
+GRID_BUDGET = 200_000
+
 
 class Polynomial:
     """Immutable sparse polynomial over named variables.
@@ -236,8 +239,6 @@ class Polynomial:
                     t *= point[v] ** e
             total += t
         return total
-
-    __call__ = eval
 
     def source(self, names: Mapping[str, str], consts: dict[str, float]) -> str:
         """One Python expression for the polynomial over caller-chosen names.
@@ -765,7 +766,6 @@ def _lipschitz_bound(p: Polynomial, box: IntervalBox) -> float:
 def nonneg_on_box(
     p: Polynomial,
     box: IntervalBox,
-    grid_budget: int = 200_000,
     candidates=interval_candidates,
 ) -> NonnegReport:
     """Check p >= 0 on the box.
@@ -800,7 +800,7 @@ def nonneg_on_box(
         return NonnegReport("fails", value, witness)
 
     n = len(eff)
-    pts_per_dim = max(2, int(grid_budget ** (1.0 / n)))
+    pts_per_dim = max(2, int(GRID_BUDGET ** (1.0 / n)))
     axes = [np.linspace(*box[v], pts_per_dim) for v in eff]
     # open mesh: powers of one variable stay on its axis, and only sums and
     # mixed products broadcast to the full grid

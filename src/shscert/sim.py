@@ -25,7 +25,6 @@ from dataclasses import dataclass, field, replace
 from typing import Iterator, Sequence
 
 import numpy as np
-from scipy import stats
 
 from .augment import Acbc
 from .bound import compute_delta_for
@@ -68,8 +67,6 @@ class TransitionRecord(Codec):
 @dataclass(frozen=True)
 class Trajectory:
     records: tuple[TransitionRecord, ...]
-    seed: int
-    traj_index: int
     first_unsafe: int | None
     first_exceed: int | None
 
@@ -153,11 +150,13 @@ def jump_step(
 
 def check_config(model: SHSModel, config: SimConfig, x0_name: str = "x0") -> None:
     """Raise ``ValueError`` when ``config`` does not fit ``model``: a
-    schedule gap outside [q1, q2], or a fixed start of the wrong length
-    (the message calls the start ``x0_name``)."""
+    schedule gap outside [q1, q2], or a fixed start of the wrong length or
+    with a non-finite component (the message calls the start ``x0_name``)."""
     config.schedule.validate_for(model.jump)
     if config.x0 is not None and len(config.x0) != model.n:
         raise ValueError(f"{x0_name} needs {model.n} component(s)")
+    if config.x0 is not None and not all(map(math.isfinite, config.x0)):
+        raise ValueError(f"{x0_name} must be finite, got {config.x0}")
 
 
 def _unsafe_box(model: SHSModel) -> list[tuple[int, float, float]]:
@@ -244,13 +243,7 @@ def simulate(
             time += jp.tau
             record(k, FLOW)
 
-    return Trajectory(
-        records=tuple(records),
-        seed=config.master_seed,
-        traj_index=traj_index,
-        first_unsafe=first_unsafe,
-        first_exceed=first_exceed,
-    )
+    return Trajectory(tuple(records), first_unsafe, first_exceed)
 
 
 # Trajectories integrated together by the batched engine; bounds its memory
@@ -475,8 +468,6 @@ def _simulate_block(
         out.append(
             Trajectory(
                 records=records,
-                seed=config.master_seed,
-                traj_index=start + row,
                 first_unsafe=None if first_unsafe[row] < 0 else int(first_unsafe[row]),
                 first_exceed=None if first_exceed[row] < 0 else int(first_exceed[row]),
             )
@@ -503,12 +494,16 @@ def trajectory_csv(model: SHSModel, traj: Trajectory) -> str:
 
 
 def clopper_pearson(successes: int, trials: int, confidence: float = 0.99) -> tuple[float, float]:
-    """Exact binomial two-sided confidence interval."""
+    """Exact binomial two-sided confidence interval, from ``betaincinv``,
+    which ``scipy.stats.beta.ppf`` calls too. It is imported on first use:
+    ``scipy.stats`` would add about a second to every start-up."""
+    from scipy.special import betaincinv
+
     if not 0 <= successes <= trials:
         raise ValueError("need 0 <= successes <= trials")
     a = 1.0 - confidence
-    lo = 0.0 if successes == 0 else float(stats.beta.ppf(a / 2, successes, trials - successes + 1))
-    hi = 1.0 if successes == trials else float(stats.beta.ppf(1 - a / 2, successes + 1, trials - successes))
+    lo = 0.0 if successes == 0 else float(betaincinv(successes, trials - successes + 1, a / 2))
+    hi = 1.0 if successes == trials else float(betaincinv(successes + 1, trials - successes, 1 - a / 2))
     return lo, hi
 
 
@@ -540,7 +535,6 @@ def monte_carlo(
     controllers,
     acbc: Acbc,
     config: SimConfig,
-    delta: float | None = None,
     keep: int = 0,
 ) -> McReport:
     """Estimate exceedance and unsafe-entry frequencies over seeded runs.
@@ -549,13 +543,11 @@ def monte_carlo(
     aggregate is order-independent. A trajectory that blows up (non-finite
     state) is counted, conservatively, as both exceeding and unsafe. The
     violation flag compares the 99% exact lower confidence bound of the
-    exceedance frequency against delta (computed from the lifted
-    certificate when not supplied). The first ``keep`` trajectories come
-    back in ``kept``, records and all, so callers need not simulate them
-    again.
+    exceedance frequency against the delta of the lifted certificate over
+    the config's horizon. The first ``keep`` trajectories come back in
+    ``kept``, records and all, so callers need not simulate them again.
     """
-    if delta is None:
-        delta = compute_delta_for(acbc, config.horizon_T).delta
+    delta = compute_delta_for(acbc, config.horizon_T).delta
     n = config.n_trajectories
     exceed = unsafe = blowups = 0
     kept = []

@@ -18,7 +18,7 @@ import numpy as np
 from .certify import CbcCandidate, CbcChecker, check_cbc
 from .codec import Codec
 from .model import SHSModel
-from .poly import IntervalBox, Polynomial, min_on_interval
+from .poly import Polynomial, min_on_interval
 
 _INVALID = -1.0e9
 
@@ -71,11 +71,9 @@ class SynthTemplate(Codec):
             )
 
 
-def margin_objective(
-    model: SHSModel, cand: CbcCandidate, domain: IntervalBox | None = None
-) -> float:
+def margin_objective(model: SHSModel, cand: CbcCandidate) -> float:
     """Smallest of the five certificate-condition margins (positive = feasible)."""
-    return check_cbc(model, cand, domain).min_margin
+    return check_cbc(model, cand).min_margin
 
 
 @dataclass(frozen=True)
@@ -94,13 +92,13 @@ class _Search:
     rows (nc coefficients each) | the six constants in ``_CONSTANTS``
     order."""
 
-    def __init__(self, model: SHSModel, template: SynthTemplate, domain: IntervalBox | None):
+    def __init__(self, model: SHSModel, template: SynthTemplate):
         self.model = model
         self.t = template
         self.rng = np.random.default_rng(template.seed)
         self.evals = 0
         # one checker per search: each evaluation reuses the previous one's work
-        self.checker = CbcChecker(model, domain)
+        self.checker = CbcChecker(model)
         self.nb = template.cert_degree + 1
         self.nc = template.controller_degree + 1
         self.m = model.m
@@ -249,7 +247,6 @@ def search(
     model: SHSModel,
     template: SynthTemplate,
     warm_start: CbcCandidate | None = None,
-    domain: IntervalBox | None = None,
 ) -> SynthResult:
     """Look for a feasible candidate within the template's budget.
 
@@ -261,7 +258,7 @@ def search(
     an exception. A warm start that does not fit the template or the
     model raises ValueError before the first evaluation.
     """
-    s = _Search(model, template, domain)
+    s = _Search(model, template)
     best_theta: np.ndarray | None = None
     best_score = -math.inf
     restarts = 0
@@ -284,7 +281,7 @@ def search(
     cand = s.build(best_theta) if best_theta is not None else None
     if cand is None:
         return SynthResult(None, False, -math.inf, s.evals, restarts, "infeasible-at-budget")
-    verified = margin_objective(model, cand, domain)
+    verified = margin_objective(model, cand)
     feasible = verified > 0
     return SynthResult(
         candidate=cand,

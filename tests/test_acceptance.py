@@ -235,7 +235,7 @@ class TestCriterion4MonteCarloConsistency:
         if cid == "2":
             jump = published["jump"]
             assert jump.status == "fails", jump
-            assert jump.report.witness == {"x": 8.0}, jump
+            assert jump.witness == {"x": 8.0}, jump
             assert jump.margin < -1e8, jump
 
         # the compared certificate is proved before a trajectory is drawn
@@ -261,7 +261,8 @@ class TestCriterion4MonteCarloConsistency:
             master_seed=20240 + int(cid),
             schedule=case.schedule,
         )
-        mc = monte_carlo(case.model, cand, acbc, config, delta=delta)
+        mc = monte_carlo(case.model, cand, acbc, config)
+        assert mc.delta == delta
         # non-binding qualitative check on a 100-trajectory subsample
         in_zone = below_cap = sub_blowups = 0
         for idx in range(100):
@@ -286,7 +287,7 @@ class TestCriterion4MonteCarloConsistency:
             f"blowups={mc.blowup_count}, below_7={below_cap}%, in_[0,7]={in_zone}%, "
             f"subsample blowups={sub_blowups}; published certificate fails "
             f"{', '.join(published_fails)} (jump margin {published['jump'].margin:.3g} "
-            f"at {published['jump'].report.witness}), so its delta="
+            f"at {published['jump'].witness}), so its delta="
             f"{published_delta:.4f} is no bound",
         )
 

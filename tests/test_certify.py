@@ -9,10 +9,13 @@ import pytest
 
 from shscert import (
     CbcCandidate,
+    CbcReport,
     Polynomial,
     SosMultipliers,
     assemble_sos,
+    check_acbc_conditions,
     check_cbc,
+    construct_acbc,
     flow_step,
     generator,
     jump_expectation,
@@ -234,7 +237,7 @@ class TestCheckCbc:
         )
         rep = check_cbc(case1.model, raised)
         assert rep["unsafe"].status == "fails"
-        assert rep["unsafe"].report.witness["x"] == pytest.approx(7.0, abs=1e-6)
+        assert rep["unsafe"].witness["x"] == pytest.approx(7.0, abs=1e-6)
         assert rep["unsafe"].margin == pytest.approx(4.5631 - 5.0, abs=1e-4)
 
     def test_zero_certificate_fails_unsafe(self, case1):
@@ -269,10 +272,21 @@ class TestCheckCbc:
         margins = [1.0, 2.0, 3.0, 4.0, 5.0]
         margins[at] = math.nan
         conds = tuple(
-            replace(cond, report=replace(cond.report, margin=m))
+            replace(cond, margin=m)
             for cond, m in zip(rep.conditions, margins, strict=True)
         )
         assert math.isnan(replace(rep, conditions=conds).min_margin)
+
+
+class TestReportCodec:
+    @pytest.mark.parametrize("cid", ["1", "2", "3"])
+    def test_reports_read_back_equal(self, cid):
+        case = load_case(cid)
+        acbc = construct_acbc(case.candidate, case.model.jump, case.eps1, case.eps2)
+        reports = [check_cbc(case.model, case.candidate), check_acbc_conditions(case.model, acbc)]
+        assert any(c.witness is not None for c in reports[0].conditions)
+        for r in reports:
+            assert CbcReport.from_dict(json.loads(json.dumps(r.to_dict()))) == r
 
 
 class TestAssembleSos:

@@ -351,6 +351,53 @@ class TestMalformedInput:
         assert capsys.readouterr().err == f"error: invalid warm start {cand}: {message}\n"
         assert not (out / "synthesize_manifest.json").exists()
 
+    @pytest.mark.parametrize("x0", ["nan", "inf", "1e400"])
+    def test_non_finite_start_exit_three(self, artifacts, tmp_path, capsys, x0):
+        code = main([
+            "simulate", str(artifacts / "model1.json"), str(artifacts / "cand1.json"),
+            "--x0", x0, "--runs", "1", "--horizon", "3", "--out", str(tmp_path),
+        ])
+        assert code == 3
+        assert "--x0 must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "simulate_manifest.json").exists()
+        assert not list(tmp_path.glob("trajectory_*"))
+
+    @pytest.mark.parametrize(
+        "option, message",
+        [
+            (["--runs", "0"], "n_trajectories must be >= 1"),
+            (["--substeps", "0"], "substeps_per_tau must be >= 1"),
+            (["--schedule", "bogus"], "cannot parse schedule 'bogus'"),
+            (["--schedule", "fixed:9"], "schedule gap 9 outside admissible range"),
+        ],
+        ids=["no-runs", "no-substeps", "unparsed-schedule", "inadmissible-gap"],
+    )
+    def test_bad_repro_run_options_exit_three(self, tmp_path, capsys, option, message):
+        # checked before the first stage, as simulate checks them
+        code = main(["repro", "1", *option, "--out", str(tmp_path)])
+        assert code == 3
+        out, err = capsys.readouterr()
+        assert out == "" and message in err
+        assert list(tmp_path.iterdir()) == []
+
+
+class TestStartUp:
+    def test_cli_and_cases_load_without_scipy(self):
+        # scipy.stats alone costs about a second of every start-up
+        code = (
+            "import sys, shscert.cli\n"
+            "from shscert.cases import list_cases, load_case\n"
+            "[load_case(c) for c in list_cases()]\n"
+            "print(sorted(m for m in ('scipy.stats', 'scipy.optimize', 'scipy.special')"
+            " if m in sys.modules))\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(shscert.__file__).resolve().parents[1])}
+        proc = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[]\n"
+
 
 class TestPipelineRoundTrip:
     def test_artifacts_flow_between_commands(self, artifacts, tmp_path):

@@ -510,7 +510,7 @@ class TestGeneratedSource:
     def test_grid_check_ignores_unused_variable(self):
         p = Polynomial(("x", "y", "z"), {(2, 0, 0): 1.0, (0, 2, 0): 1.0, (0, 0, 0): -0.5})
         box = IntervalBox({"x": (-1, 1), "y": (-1, 1)})
-        report = nonneg_on_box(p, box, grid_budget=21 * 21)
+        report = nonneg_on_box(p, box)
         assert report.status == "fails" and report.margin == -0.5
 
     def test_long_runs_compile_and_keep_their_order(self):

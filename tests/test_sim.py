@@ -255,6 +255,20 @@ class TestClopperPearson:
         with pytest.raises(ValueError):
             clopper_pearson(5, 3)
 
+    def test_bitwise_equal_to_beta_ppf(self):
+        from scipy.stats import beta
+
+        rng = np.random.default_rng(2024)
+        pairs = [(0, 1), (1, 1), (0, 1000), (1000, 1000)]
+        for _ in range(500):
+            n = int(rng.integers(1, 100_001))
+            pairs.append((int(rng.integers(0, n + 1)), n))
+        a = 1.0 - 0.99
+        for k, n in pairs:
+            lo, hi = clopper_pearson(k, n)
+            assert lo == (0.0 if k == 0 else float(beta.ppf(a / 2, k, n - k + 1))), (k, n)
+            assert hi == (1.0 if k == n else float(beta.ppf(1 - a / 2, k + 1, n - k))), (k, n)
+
 
 class TestMonteCarlo:
     def test_deterministic_safe_system(self, easy_model, easy_candidate):
@@ -487,7 +501,7 @@ class TestBatchedEngine:
         traj = simulate(m, cand, config, acbc=acbc)
         assert math.isnan(traj.records[0].b_value)
         assert traj.first_exceed == 0
-        rep = monte_carlo(m, cand, acbc, config, delta=0.5)
+        rep = monte_carlo(m, cand, acbc, config)
         assert rep.blowup_count == 0
         assert rep.exceed_count == config.n_trajectories
 
