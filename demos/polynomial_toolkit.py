@@ -46,4 +46,4 @@ for poly, label in [((x - 1) ** 2, "(x-1)^2"), (x - 3, "x - 3")]:
 
 y = Polynomial.variable("y")
 rep = nonneg_on_box((x - y) ** 2, IntervalBox({"x": (0, 1), "y": (0, 1)}))
-print(f"(x-y)^2 on the unit square: {rep.status} (grid check cannot certify a touching minimum)")
+print(f"(x-y)^2 on the unit square: {rep.status} (Bernstein enclosure cannot certify a touching minimum)")

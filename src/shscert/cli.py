@@ -259,7 +259,10 @@ def cmd_synthesize(args: argparse.Namespace, run: _Run) -> int:
     if args.template:
         template = run.load(args.template, SynthTemplate, "template")
     else:
-        template = SynthTemplate(seed=args.seed)
+        try:
+            template = SynthTemplate(seed=args.seed)
+        except ValueError as e:
+            raise CliError(EXIT_BAD_INPUT, f"invalid --seed {args.seed}: {e}") from None
     warm = run.load(args.warm_start, CbcCandidate, "candidate") if args.warm_start else None
     try:
         result = search(model, template, warm_start=warm)

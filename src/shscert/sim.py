@@ -52,6 +52,8 @@ class SimConfig:
             raise ValueError("n_trajectories must be >= 1")
         if self.horizon_T < 0:
             raise ValueError("horizon_T must be >= 0")
+        if self.master_seed < 0:
+            raise ValueError("master_seed must be >= 0")
 
 
 @dataclass(frozen=True)

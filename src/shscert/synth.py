@@ -53,6 +53,8 @@ class SynthTemplate(Codec):
             raise ValueError("controller_degree must be >= 0")
         if self.budget < 0:
             raise ValueError("budget must be >= 0")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         merged = dict(DEFAULT_RANGES)
         merged.update(self.ranges)
         object.__setattr__(self, "ranges", merged)

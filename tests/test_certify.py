@@ -333,7 +333,7 @@ def _combine(basis, coeffs):
 
 def _two_state(case):
     """A weakly coupled two-state copy of a bundled case: the checker takes
-    the multivariate grid path on it."""
+    the multivariate Bernstein enclosure on it."""
     from shscert.model import SHSModel
 
     m = case.model

@@ -50,8 +50,9 @@ def easy_files(tmp_path_factory, ):
 
 @pytest.fixture(scope="module")
 def inconclusive_files(tmp_path_factory):
-    """Two-dimensional model: the grid check cannot certify the tight
-    nonnegativity condition and reports inconclusive."""
+    """Two-dimensional model: the Bernstein enclosure cannot certify the
+    tight nonnegativity condition (B touches zero at a corner of X) and
+    reports inconclusive."""
     root = tmp_path_factory.mktemp("inconclusive")
     x, y = Polynomial.variable("x"), Polynomial.variable("y")
     nu = Polynomial.variable("nu")
@@ -250,8 +251,12 @@ class TestMalformedInput:
             {"budget": None},
             {"budget": float("inf")},
             {"ranges": {"kappa1": [0, float("inf")]}},
+            {"seed": -1},
         ],
-        ids=["range-as-number", "list", "null-budget", "infinite-budget", "infinite-range"],
+        ids=[
+            "range-as-number", "list", "null-budget", "infinite-budget", "infinite-range",
+            "negative-seed",
+        ],
     )
     def test_bad_template_exit_three(self, artifacts, tmp_path, capsys, template):
         bad = tmp_path / "template.json"
@@ -363,14 +368,34 @@ class TestMalformedInput:
         assert not list(tmp_path.glob("trajectory_*"))
 
     @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["simulate", "cand1.json", "--runs", "1", "--horizon", "3"], "master_seed must be >= 0"),
+            (["synthesize"], "invalid --seed -1: seed must be >= 0"),
+        ],
+        ids=["simulate", "synthesize"],
+    )
+    def test_negative_seed_exit_three(self, artifacts, tmp_path, capsys, argv, message):
+        command, *rest = argv
+        rest = [str(artifacts / a) if a.endswith(".json") else a for a in rest]
+        code = main([
+            command, str(artifacts / "model1.json"), *rest, "--seed", "-1",
+            "--out", str(tmp_path),
+        ])
+        assert code == 3
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
         "option, message",
         [
             (["--runs", "0"], "n_trajectories must be >= 1"),
             (["--substeps", "0"], "substeps_per_tau must be >= 1"),
             (["--schedule", "bogus"], "cannot parse schedule 'bogus'"),
             (["--schedule", "fixed:9"], "schedule gap 9 outside admissible range"),
+            (["--seed", "-1"], "master_seed must be >= 0"),
         ],
-        ids=["no-runs", "no-substeps", "unparsed-schedule", "inadmissible-gap"],
+        ids=["no-runs", "no-substeps", "unparsed-schedule", "inadmissible-gap", "negative-seed"],
     )
     def test_bad_repro_run_options_exit_three(self, tmp_path, capsys, option, message):
         # checked before the first stage, as simulate checks them

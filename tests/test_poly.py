@@ -1,8 +1,10 @@
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import struct
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -459,6 +461,133 @@ def sparse_polynomials(draw):
     exps = st.tuples(*[st.integers(0, 6)] * n).filter(lambda e: sum(e) <= 6)
     terms = draw(st.dictionaries(exps, COEFS, max_size=8))
     return Polynomial(NAMES[:n], terms)
+
+
+def _exact_bernstein(p: Polynomial, bounds) -> np.ndarray:
+    """Bernstein coefficients of p on the box ``bounds`` (one interval of
+    Fractions per variable of p), in exact arithmetic: on each axis,
+    p(lo + w t) expanded in t, and t^j = sum over i >= j of
+    comb(i, j) / comb(d, j) b_i(t); a point interval leaves degree 0."""
+    degrees = [max(e[a] for e in p.terms) for a in range(len(p.vars))]
+    coeffs = np.full([d + 1 for d in degrees], Fraction(0), dtype=object)
+    for exp, c in p.terms.items():
+        coeffs[exp] = Fraction(c)
+    for axis, (d, (lo, hi)) in enumerate(zip(degrees, bounds)):
+        w = hi - lo
+        m = np.array(
+            [
+                [
+                    sum(
+                        math.comb(k, j) * lo ** (k - j) * w**j
+                        * Fraction(math.comb(i, j), math.comb(d, j))
+                        for j in range(min(i, k) + 1)
+                    )
+                    for k in range(d + 1)
+                ]
+                for i in range(d + 1 if w else 1)
+            ],
+            dtype=object,
+        )
+        coeffs = np.moveaxis(np.tensordot(m, coeffs, axes=(1, axis)), 0, axis)
+    return coeffs
+
+
+def _exact_value(p: Polynomial, point) -> Fraction:
+    total = Fraction(0)
+    for exp, c in p.terms.items():
+        t = Fraction(c)
+        for x, e in zip(point, exp):
+            t *= Fraction(x) ** e
+        total += t
+    return total
+
+
+# coefficients of magnitude 1e-6..1e3, either sign
+MAGNITUDES = st.tuples(st.sampled_from((-1.0, 1.0)), st.floats(-6.0, 3.0)).map(
+    lambda sc: sc[0] * 10.0 ** sc[1]
+)
+# degree <= 6 per variable; terms need not use every variable
+BOX_POLYS = st.integers(2, 3).flatmap(
+    lambda n: st.dictionaries(
+        st.tuples(*[st.integers(0, 6)] * n), MAGNITUDES, min_size=1, max_size=8
+    ).map(lambda terms: Polynomial(NAMES[:n], terms))
+).filter(lambda p: not p.is_zero())
+WIDTHS = st.one_of(st.just(0.0), st.floats(1e-3, 10.0))
+INTERVALS_2D = st.tuples(st.floats(-10.0, 10.0), WIDTHS).map(lambda lw: (lw[0], lw[0] + lw[1]))
+
+
+class TestBernsteinEnclosure:
+    @staticmethod
+    def assert_within(coeffs: np.ndarray, err: float, exact: np.ndarray) -> None:
+        assert coeffs.shape == exact.shape and math.isfinite(err)
+        worst = max(abs(Fraction(float(c)) - e) for c, e in zip(coeffs.flat, exact.flat))
+        assert worst <= Fraction(err)
+
+    @settings(max_examples=60, deadline=None)
+    @given(p=BOX_POLYS, data=st.data())
+    def test_float_coefficients_within_the_error_bound(self, p, data):
+        bounds = [data.draw(INTERVALS_2D) for _ in p.vars]
+        coeffs, err = poly._bernstein(p, p.vars, bounds)
+        exact = [(Fraction(lo), Fraction(hi)) for lo, hi in bounds]
+        self.assert_within(coeffs, err, _exact_bernstein(p, exact))
+        for _ in range(data.draw(st.integers(1, 4))):
+            wide = [a for a, (lo, hi) in enumerate(exact) if lo < hi]
+            if not wide:
+                break
+            axis = data.draw(st.sampled_from(wide))
+            halving = poly._halving_matrix(coeffs.shape[axis] - 1)
+            lower, upper, err = poly._halves(coeffs, err, axis, halving)
+            lo, hi = exact[axis]
+            mid = (lo + hi) / 2
+            if data.draw(st.booleans()):
+                coeffs, exact[axis] = lower, (lo, mid)
+            else:
+                coeffs, exact[axis] = upper, (mid, hi)
+            self.assert_within(coeffs, err, _exact_bernstein(p, exact))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        q=sparse_polynomials().filter(lambda q: q.effective_vars() == ("x", "y")),
+        square=st.booleans(),
+        offset=st.floats(-1.0, 1.0),
+        x=st.tuples(st.floats(-3.0, 3.0), st.floats(1e-3, 3.0)),
+        y=INTERVALS_2D,
+    )
+    def test_statuses_are_sound_and_repeat(self, q, square, offset, x, y):
+        p = (q * q if square else q) + offset
+        bounds = ((x[0], x[0] + x[1]), y)
+        box = IntervalBox(dict(zip(("x", "y"), bounds)))
+        rep = nonneg_on_box(p, box)
+        assert repr(nonneg_on_box(Polynomial(p.vars, p.terms), box)) == repr(rep)
+        if rep.status == "fails":
+            at = (rep.witness["x"], rep.witness["y"])
+            assert rep.margin < 0 and p.compiled(("x", "y"))(at) == rep.margin
+            assert all(lo <= v <= hi for v, (lo, hi) in zip(at, bounds))
+        elif rep.status == "holds":
+            sample = itertools.product(*(np.linspace(lo, hi, 7) for lo, hi in bounds))
+            assert 0 < rep.margin <= min(_exact_value(p, pt) for pt in sample)
+
+    def test_tight_two_state_condition_holds(self):
+        # case 1's certificate summed over a two-state copy, on its state
+        # set; the grid check it replaces left this inconclusive
+        y = Polynomial.variable("y")
+        p = B1 + B1.substitute({"x": y})
+        rep = nonneg_on_box(p, IntervalBox({"x": (0, 8), "y": (0, 8)}))
+        axis = np.linspace(0.0, 8.0, 801)
+        dense = p.compiled(("x", "y"))(np.meshgrid(axis, axis, sparse=True))
+        assert rep.status == "holds" and 0 < rep.margin <= dense.min()
+
+    def test_overflowing_coefficients_are_inconclusive(self):
+        y = Polynomial.variable("y")
+        p = X**4 * y**4 + 1.0
+        rep = nonneg_on_box(p, IntervalBox({"x": (0, 1e40), "y": (0, 1e40)}))
+        assert rep.status == "inconclusive" and math.isnan(rep.margin)
+
+    @pytest.mark.parametrize("y, status", [(0.25, "fails"), (1.0, "holds")])
+    def test_point_box_is_decided_by_its_value(self, y, status):
+        p = X * Polynomial.variable("y") - 1.0
+        rep = nonneg_on_box(p, IntervalBox({"x": (2, 2), "y": (y, y)}))
+        assert rep.status == status and rep.margin == 2.0 * y - 1.0
 
 
 class TestGeneratedSource:
