@@ -785,10 +785,7 @@ def nonneg_on_box(
         return NonnegReport("fails", value, witness)
 
     status, margin, at = _enclose(p, eff, tuple(box[v] for v in eff))
-    if status != "fails":
-        return NonnegReport(status, margin, None)
-    witness = dict(lows)
-    witness.update(zip(eff, at))
+    witness = None if at is None else {**lows, **dict(zip(eff, at))}
     return NonnegReport(status, margin, witness)
 
 
