@@ -511,9 +511,9 @@ BOX_POLYS = st.integers(2, 3).flatmap(
     lambda n: st.dictionaries(
         st.tuples(*[st.integers(0, 6)] * n), MAGNITUDES, min_size=1, max_size=8
     ).map(lambda terms: Polynomial(NAMES[:n], terms))
-).filter(lambda p: not p.is_zero())
+)
 WIDTHS = st.one_of(st.just(0.0), st.floats(1e-3, 10.0))
-INTERVALS_2D = st.tuples(st.floats(-10.0, 10.0), WIDTHS).map(lambda lw: (lw[0], lw[0] + lw[1]))
+BOX_INTERVALS = st.tuples(st.floats(-10.0, 10.0), WIDTHS).map(lambda lw: (lw[0], lw[0] + lw[1]))
 
 
 class TestBernsteinEnclosure:
@@ -526,7 +526,7 @@ class TestBernsteinEnclosure:
     @settings(max_examples=60, deadline=None)
     @given(p=BOX_POLYS, data=st.data())
     def test_float_coefficients_within_the_error_bound(self, p, data):
-        bounds = [data.draw(INTERVALS_2D) for _ in p.vars]
+        bounds = [data.draw(BOX_INTERVALS) for _ in p.vars]
         coeffs, err = poly._bernstein(p, p.vars, bounds)
         exact = [(Fraction(lo), Fraction(hi)) for lo, hi in bounds]
         self.assert_within(coeffs, err, _exact_bernstein(p, exact))
@@ -551,7 +551,7 @@ class TestBernsteinEnclosure:
         square=st.booleans(),
         offset=st.floats(-1.0, 1.0),
         x=st.tuples(st.floats(-3.0, 3.0), st.floats(1e-3, 3.0)),
-        y=INTERVALS_2D,
+        y=BOX_INTERVALS,
     )
     def test_statuses_are_sound_and_repeat(self, q, square, offset, x, y):
         p = (q * q if square else q) + offset
