@@ -179,11 +179,14 @@ def flow_condition(cand: CbcCandidate, gen: Polynomial) -> Polynomial:
     return -gen - cand.kappa1 * cand.Bbar + cand.gamma1
 
 
+def _bits(*xs: float) -> bytes:
+    return struct.pack(f"{len(xs)}d", *xs)
+
+
 def _exact(p: Polynomial) -> tuple:
     """Key equal for two polynomials only if their variables, ordered
     terms and coefficient bits are; Polynomial.__eq__ ignores term order."""
-    coefs = tuple(p.terms.values())
-    return p.vars, tuple(p.terms), struct.pack(f"{len(coefs)}d", *coefs)
+    return p.vars, tuple(p.terms), _bits(*p.terms.values())
 
 
 class _Last:
@@ -205,19 +208,26 @@ class _CandidateSlot(_Last):
     the interval repeat bit for bit."""
 
     def __call__(self, dp, a, b):
-        key = struct.pack(f"{len(dp) + 2}d", a, b, *dp)
-        return self.get(key, interval_candidates, dp, a, b)
+        return self.get(_bits(a, b, *dp), interval_candidates, dp, a, b)
 
 
 class CbcChecker:
     """Checks candidates of one model on one domain, as check_cbc does.
 
-    It keeps the last generator (keyed on Bbar and nu_flow), the last jump
-    expectation (keyed on Bbar and nu_jump) and, for each condition, the
-    last univariate candidate set, and reuses each while its input repeats
-    bit for bit. So a candidate that shares part of its input with the
-    previous one is checked faster, and every report is bitwise equal to a
-    fresh check. One entry per slot keeps memory bounded.
+    Each condition keeps its last outcome, keyed on the exact bits of the
+    inputs it reads, and is decided again only when one of them changes:
+
+        initial: Bbar, alphabar          unsafe: Bbar, etabar
+        flow:    Bbar, nu_flow, kappa1, gamma1
+        jump:    Bbar, nu_jump, kappa2, gamma2
+        nonneg:  Bbar
+
+    On a miss it also reuses the last generator (keyed on Bbar and
+    nu_flow), the last jump expectation (keyed on Bbar and nu_jump) and,
+    for each condition, the last univariate candidate set. So a candidate
+    that shares part of its input with the previous one is checked faster,
+    and every report is bitwise equal to a fresh check. One entry per slot
+    keeps memory bounded.
     """
 
     def __init__(self, model: SHSModel, domain: IntervalBox | None = None):
@@ -225,29 +235,37 @@ class CbcChecker:
         self.domain = domain if domain is not None else model.X
         self._gen = _Last()
         self._jexp = _Last()
+        self._last = defaultdict(_Last)  # one outcome per condition
         self._candidates = defaultdict(_CandidateSlot)  # one slot per condition
+
+    def _decide(self, name: str, key, build, box: IntervalBox) -> ConditionCheck:
+        def decide():
+            report = nonneg_on_box(build(), box, candidates=self._candidates[name])
+            return ConditionCheck.of(name, report)
+
+        return self._last[name].get(key, decide)
 
     def check(self, cand: CbcCandidate) -> CbcReport:
         model, dom, B = self.model, self.domain, cand.Bbar
         bkey = _exact(B)
-        gen = self._gen.get(
-            (bkey, tuple(map(_exact, cand.nu_flow))), generator, model, B, cand.nu_flow
+        fkey = (bkey, tuple(map(_exact, cand.nu_flow)))
+        jkey = (bkey, tuple(map(_exact, cand.nu_jump)))
+
+        def flow():
+            return flow_condition(cand, self._gen.get(fkey, generator, model, B, cand.nu_flow))
+
+        def jump():
+            jexp = self._jexp.get(jkey, jump_expectation, model, B, cand.nu_jump)
+            return cand.kappa2 * B + cand.gamma2 - jexp
+
+        conditions = (
+            ("initial", (bkey, _bits(cand.alphabar)), lambda: cand.alphabar - B, model.X0),
+            ("unsafe", (bkey, _bits(cand.etabar)), lambda: B - cand.etabar, model.Xu),
+            ("flow", (fkey, _bits(cand.kappa1, cand.gamma1)), flow, dom),
+            ("jump", (jkey, _bits(cand.kappa2, cand.gamma2)), jump, dom),
+            ("nonneg", bkey, lambda: B, dom),
         )
-        jexp = self._jexp.get(
-            (bkey, tuple(map(_exact, cand.nu_jump))), jump_expectation, model, B, cand.nu_jump
-        )
-        checks = (
-            ("initial", cand.alphabar - B, model.X0),
-            ("unsafe", B - cand.etabar, model.Xu),
-            ("flow", flow_condition(cand, gen), dom),
-            ("jump", cand.kappa2 * B + cand.gamma2 - jexp, dom),
-            ("nonneg", B, dom),
-        )
-        results = tuple(
-            ConditionCheck.of(name, nonneg_on_box(expr, box, candidates=self._candidates[name]))
-            for name, expr, box in checks
-        )
-        return CbcReport(results, dom)
+        return CbcReport(tuple(self._decide(*c) for c in conditions), dom)
 
 
 def check_cbc(

@@ -35,9 +35,6 @@ SIGN_TOL = 1e-12
 # Half-width below which an isolated root bracket is accepted.
 ROOT_WIDTH = 1e-10
 
-# Grid points of a multivariate nonnegativity scan, over all its variables.
-GRID_BUDGET = 200_000
-
 
 class Polynomial:
     """Immutable sparse polynomial over named variables.

@@ -350,20 +350,45 @@ def _two_state(case):
     return model, [x**k + y**k for k in range(5)]
 
 
+# the inputs each condition reads: a check decides again exactly the
+# conditions one of whose inputs changed bit for bit
+READS = {
+    "initial": ("Bbar", "alphabar"),
+    "unsafe": ("Bbar", "etabar"),
+    "flow": ("Bbar", "nu_flow", "kappa1", "gamma1"),
+    "jump": ("Bbar", "nu_jump", "kappa2", "gamma2"),
+    "nonneg": ("Bbar",),
+}
+
+
+def _input_bits(c):
+    """Each input of a candidate, as exact as repr keeps floats and as
+    ordered as its terms."""
+
+    def bits(p):
+        return p.vars, tuple((e, repr(v)) for e, v in p.terms.items())
+
+    out = {name: repr(getattr(c, name)) for name in CONSTANTS}
+    out.update(Bbar=bits(c.Bbar), nu_flow=tuple(map(bits, c.nu_flow)),
+               nu_jump=tuple(map(bits, c.nu_jump)))
+    return out
+
+
 class TestCbcChecker:
     """One checker fed a walk of candidates, each one coordinate away from
-    the previous, reports exactly what a fresh check_cbc does."""
+    the previous, reports exactly what a fresh check_cbc does, and decides
+    again only the conditions that read the moved input."""
 
     def walk(self, model, cand, basis, steps, seed, monkeypatch):
         from shscert import certify
 
-        calls = {"generator": 0, "interval_candidates": 0}
+        calls = {"generator": 0, "interval_candidates": 0, "nonneg_on_box": 0}
         for name in calls:
             original = getattr(certify, name)
 
-            def counted(*args, _name=name, _original=original):
+            def counted(*args, _name=name, _original=original, **kwargs):
                 calls[_name] += 1
-                return _original(*args)
+                return _original(*args, **kwargs)
 
             monkeypatch.setattr(certify, name, counted)
 
@@ -391,6 +416,8 @@ class TestCbcChecker:
         kinds = [*CONSTANTS] * 2 + ["Bbar", "nu_flow", "nu_jump", "revisit"]
         moves += list(rng.choice(kinds, steps - len(moves)))
         checker = certify.CbcChecker(model)
+        report = checker.check(build())
+        bits, previous_move = _input_bits(build()), "start"
         seen = []
         for move in moves:
             if move == "revisit":
@@ -417,9 +444,20 @@ class TestCbcChecker:
                     except ValueError:
                         consts, coeffs = before
             seen.append(c)
-            got = checker.check(c).to_dict()
+            previous_bits, bits = bits, _input_bits(c)
+            changed = {k for k, v in bits.items() if v != previous_bits[k]}
+            if {move, previous_move}.isdisjoint({"revisit", "reorder"}):
+                assert changed == {move}  # one coordinate away from the previous
+            previous_move = move
+            expected = {name for name, inputs in READS.items() if changed.intersection(inputs)}
+            decided, previous = calls["nonneg_on_box"], report
+            report = checker.check(c)
+            # a condition not decided again keeps its previous outcome object
+            again = {r.condition for r, p in zip(report.conditions, previous.conditions)
+                     if r is not p}
+            assert (again, calls["nonneg_on_box"] - decided) == (expected, len(expected)), move
             by_checker = dict(calls)
-            assert got == check_cbc(model, c).to_dict()
+            assert report.to_dict() == check_cbc(model, c).to_dict()
             calls.update(by_checker)
         return calls, len(moves)
 

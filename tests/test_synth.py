@@ -105,6 +105,23 @@ class TestSearch:
         assert r.status == "infeasible-at-budget"
         assert r.candidate is not None
 
+    def test_evaluation_decides_only_changed_conditions(self, case2, monkeypatch):
+        # a golden-section step moves one constant or coefficient, so most
+        # evaluations decide one condition again; the re-verification decides five
+        from shscert import certify
+
+        decisions = []
+        original = certify.nonneg_on_box
+
+        def counted(*args, **kwargs):
+            decisions.append(args[0])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(certify, "nonneg_on_box", counted)
+        r = search(case2.model, SynthTemplate(budget=100, seed=5), warm_start=case2.candidate)
+        assert r.evaluations == 100
+        assert len(decisions) <= 2 * r.evaluations + 5
+
 
 class TestPinnedResults:
     """Warm-started searches give the same bits as before the search
