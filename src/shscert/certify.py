@@ -238,12 +238,9 @@ class CbcChecker:
         self._last = defaultdict(_Last)  # one outcome per condition
         self._candidates = defaultdict(_CandidateSlot)  # one slot per condition
 
-    def _decide(self, name: str, key, build, box: IntervalBox) -> ConditionCheck:
-        def decide():
-            report = nonneg_on_box(build(), box, candidates=self._candidates[name])
-            return ConditionCheck.of(name, report)
-
-        return self._last[name].get(key, decide)
+    def _decide(self, name: str, build, box: IntervalBox) -> ConditionCheck:
+        report = nonneg_on_box(build(), box, candidates=self._candidates[name])
+        return ConditionCheck.of(name, report)
 
     def check(self, cand: CbcCandidate) -> CbcReport:
         model, dom, B = self.model, self.domain, cand.Bbar
@@ -265,7 +262,13 @@ class CbcChecker:
             ("jump", (jkey, _bits(cand.kappa2, cand.gamma2)), jump, dom),
             ("nonneg", bkey, lambda: B, dom),
         )
-        return CbcReport(tuple(self._decide(*c) for c in conditions), dom)
+        return CbcReport(
+            tuple(
+                self._last[name].get(key, self._decide, name, build, box)
+                for name, key, build, box in conditions
+            ),
+            dom,
+        )
 
 
 def check_cbc(

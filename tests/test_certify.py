@@ -416,8 +416,8 @@ class TestCbcChecker:
         kinds = [*CONSTANTS] * 2 + ["Bbar", "nu_flow", "nu_jump", "revisit"]
         moves += list(rng.choice(kinds, steps - len(moves)))
         checker = certify.CbcChecker(model)
-        report = checker.check(build())
-        bits, previous_move = _input_bits(build()), "start"
+        start = build()
+        report, bits, previous_move = checker.check(start), _input_bits(start), "start"
         seen = []
         for move in moves:
             if move == "revisit":
