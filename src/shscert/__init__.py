@@ -15,7 +15,7 @@ from .certify import (
     generator,
     jump_expectation,
 )
-from .model import JumpParams, JumpSchedule, SHSModel, validate
+from .model import JumpParams, JumpSchedule, SHSModel
 from .poly import (
     IntervalBox,
     NoiseMoments,
@@ -82,5 +82,4 @@ __all__ = [
     "simulate",
     "sturm_root_count",
     "trajectory_csv",
-    "validate",
 ]

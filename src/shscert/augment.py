@@ -48,7 +48,14 @@ def _regime(kappa1: float, kappa2: float) -> str:
 @dataclass(frozen=True)
 class Acbc(Codec):
     """Lifted certificate: base candidate, regime tag, and the constants
-    feeding the finite-horizon safety bound."""
+    feeding the finite-horizon safety bound.
+
+    The constructor enforces what ``construct_acbc`` guarantees: finite
+    constants, the regime of the base's (kappa1, kappa2), 0 < eps1 < 1,
+    eps2 > q2, the separation eta > alpha >= 0, the per-counter decay
+    condition ln(kappa2) - kappa1 tau z < 0 for z in q1..q2, 0 < kappa < 1
+    and gamma >= 0. It raises ``ValueError`` at the first one that fails.
+    """
 
     base: CbcCandidate
     jump: JumpParams
@@ -66,6 +73,31 @@ class Acbc(Codec):
         for name in ("eps1", "eps2", "alpha", "eta", "kappa", "gamma", "beta_alpha", "beta_eta"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
+        k1, k2, jp = self.base.kappa1, self.base.kappa2, self.jump
+        if self.regime != _regime(k1, k2):
+            raise ValueError(f"regime {self.regime!r} does not match kappa1={k1}, kappa2={k2}")
+        if not 0 < self.eps1 < 1:
+            raise ValueError(f"eps1 must be in (0, 1), got {self.eps1}")
+        if not self.eps2 > jp.q2:
+            raise ValueError(f"eps2 must exceed q2={jp.q2}, got {self.eps2}")
+        if not self.eta > self.alpha:
+            raise ValueError(
+                "separation condition violated: "
+                f"beta_eta*etabar = {self.eta:.6g} must exceed "
+                f"beta_alpha*alphabar = {self.alpha:.6g}"
+            )
+        if self.alpha < 0:
+            raise ValueError("alpha >= 0 violated")
+        for z in range(jp.q1, jp.q2 + 1):
+            if not math.log(k2) - k1 * jp.tau * z < 0:
+                raise ValueError(
+                    f"per-counter decay condition violated at z={z}: "
+                    f"ln(kappa2) - kappa1*tau*z = {math.log(k2) - k1 * jp.tau * z:.6g}"
+                )
+        if not 0 < self.kappa < 1:
+            raise ValueError(f"lifted decay rate kappa={self.kappa:.6g} outside (0, 1)")
+        if self.gamma < 0:
+            raise ValueError("gamma >= 0 violated")
 
     def beta(self, z: int) -> float:
         """Counter weight beta(z); defined for 0 <= z <= q2."""
@@ -86,16 +118,14 @@ def construct_acbc(
 ) -> Acbc:
     """Build the lifted certificate constants for the candidate's regime.
 
-    eps1 must lie in (0, 1) and eps2 above q2 (default q2 + 1). Raises if
-    the regime is unsupported, a constant overflows, the separation condition
-    beta_eta * etabar > beta_alpha * alphabar fails, the per-counter decay
-    condition ln(kappa2) - kappa1 tau z < 0 fails for some z in q1..q2, or
-    the resulting kappa leaves (0, 1).
+    eps1 must lie in (0, 1) and eps2 above q2 (default q2 + 1). Raises
+    ``ValueError`` if the regime is unsupported, a constant overflows, or
+    the result breaks an invariant of ``Acbc``: the separation condition
+    beta_eta * etabar > beta_alpha * alphabar, the per-counter decay
+    condition, or kappa in (0, 1).
     """
     if eps2 is None:
         eps2 = float(jump.q2 + 1)
-    if not 0 < eps1 < 1:
-        raise ValueError(f"eps1 must be in (0, 1), got {eps1}")
     if not eps2 > jump.q2:
         raise ValueError(f"eps2 must exceed q2={jump.q2}, got {eps2}")
 
@@ -136,21 +166,6 @@ def construct_acbc(
             f"lifted constants overflow for kappa1={k1}, kappa2={k2}, tau={tau}"
         ) from None
 
-    if not beta_eta * cand.etabar > beta_alpha * cand.alphabar:
-        raise ValueError(
-            "separation condition violated: "
-            f"beta_eta*etabar = {beta_eta * cand.etabar:.6g} must exceed "
-            f"beta_alpha*alphabar = {beta_alpha * cand.alphabar:.6g}"
-        )
-    for z in range(q1, q2 + 1):
-        if not math.log(k2) - k1 * tau * z < 0:
-            raise ValueError(
-                f"per-counter decay condition violated at z={z}: "
-                f"ln(kappa2) - kappa1*tau*z = {math.log(k2) - k1 * tau * z:.6g}"
-            )
-    if not 0 < kappa < 1:
-        raise ValueError(f"lifted decay rate kappa={kappa:.6g} outside (0, 1)")
-
     return Acbc(
         base=cand,
         jump=jump,
@@ -180,6 +195,8 @@ def check_acbc_conditions(model: SHSModel, acbc: Acbc) -> CbcReport:
     """
     cand, jp, X = acbc.base, acbc.jump, model.X
     B = cand.Bbar
+    # the constructor enforces these, so the entry always holds; it stays so
+    # that the report keeps its shape
     constants = ConditionCheck(
         "constants",
         "holds" if acbc.eta > acbc.alpha and 0 < acbc.kappa < 1 and acbc.gamma >= 0 else "fails",

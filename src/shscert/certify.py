@@ -75,8 +75,6 @@ def generator(
     stay symbolic.
     """
     sv = model.state_vars
-    if len(model.f1) != model.n:
-        raise ValueError("drift dimension does not match state dimension")
     f1 = model.f1
     if nu_flow is not None:
         cmap = _controller_map(model, nu_flow)

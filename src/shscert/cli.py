@@ -29,7 +29,7 @@ from .augment import Acbc, check_acbc_conditions, construct_acbc
 from .bound import compute_delta, compute_delta_for
 from .cases import load_case
 from .certify import CbcCandidate, check_cbc
-from .model import JumpSchedule, SHSModel, validate
+from .model import JumpSchedule, SHSModel
 from .poly import IntervalBox
 from .sim import (
     BlowUpError,
@@ -114,9 +114,6 @@ class _Run:
             ) from None
         except (KeyError, TypeError, ValueError, OverflowError) as e:
             raise CliError(EXIT_BAD_INPUT, f"invalid {label} {path}: {e}") from None
-        bad = validate(obj) if cls is SHSModel else []
-        if bad:
-            raise CliError(EXIT_BAD_INPUT, f"invalid {label} {path}: " + "; ".join(bad))
         self.inputs[str(path)] = hashlib.sha256(data).hexdigest()
         return obj
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -74,30 +74,15 @@ class BlowUpError(RuntimeError):
         self.step = step
 
 
-class CompiledDynamics(NamedTuple):
-    """The model's flow and jump as generated straight-line code (see
-    ``poly.generated``), for one trajectory on Python floats.
-
-    ``flow(x, u, h, sqh, dW, dP, substeps)`` runs one Euler-Maruyama period
-    from state ``x`` under the held input ``u`` with step ``h`` and its
-    square root ``sqh``, taking substep s's Brownian increments from
-    ``dW[s]`` and Poisson counts from ``dP[s]`` (``None`` when the model has
-    none). It raises ``BlowUpError(s)`` at the first substep s whose state
-    is not finite. ``jump(x, u, w)`` is the jump map f2 under the noise
-    sample ``w``. Both take sequences of floats and return tuples.
-    """
-
-    flow: object
-    jump: object
-
-
 @dataclass(frozen=True)
 class SHSModel(Codec):
     """Polynomial jump-diffusion model with box-shaped state sets.
 
     f1[i] lives in (state, input) variables, sigma/rho entries in state
     variables only, f2[i] in (state, input, noise). X0 and Xu are the
-    initial and unsafe boxes inside the working box X.
+    initial and unsafe boxes inside the working box X. A model that breaks
+    one of these invariants cannot be built: the constructor raises one
+    ``ValueError`` listing every violation, joined by "; ".
     """
 
     derived_keys = ("n", "m")
@@ -116,6 +101,69 @@ class SHSModel(Codec):
     X0: IntervalBox
     Xu: IntervalBox
 
+    def __post_init__(self):
+        bad: list[str] = []
+        n = self.n
+        names = self.state_vars + self.input_vars + self.noise_vars
+        repeated = sorted({v for v in names if names.count(v) > 1})
+        if repeated:
+            bad.append(f"variable name(s) {repeated} declared more than once")
+        for j, lam in enumerate(self.rates):
+            if not 0 <= lam < math.inf:
+                bad.append(f"lambda[{j}] must be finite and >= 0, got {lam}")
+        if not self.X0.subset_of(self.X):
+            bad.append("X0 subset of X violated")
+        if not self.Xu.subset_of(self.X):
+            bad.append("Xu subset of X violated")
+        for name, box in (("X", self.X), ("X0", self.X0), ("Xu", self.Xu)):
+            missing = [v for v in self.state_vars if v not in box]
+            if missing:
+                bad.append(f"{name} missing interval(s) for {missing}")
+            extra = [v for v in box if v not in self.state_vars]
+            if extra:
+                bad.append(f"{name} has interval(s) for non-state variable(s) {extra}")
+        if len(self.f1) != n:
+            bad.append(f"f1 has {len(self.f1)} rows, expected n={n}")
+        if len(self.f2) != n:
+            bad.append(f"f2 has {len(self.f2)} rows, expected n={n}")
+        if len(self.sigma) != n:
+            bad.append(f"sigma has {len(self.sigma)} rows, expected n={n}")
+        elif len({len(row) for row in self.sigma} | {self.brownian_dim}) > 1:
+            bad.append("sigma rows have inconsistent widths")
+        if len(self.rho) != n:
+            bad.append(f"rho has {len(self.rho)} rows, expected n={n}")
+        else:
+            widths = {len(row) for row in self.rho}
+            if len(widths) > 1 or (widths and widths != {self.poisson_dim}):
+                bad.append("rho width does not match number of Poisson rates")
+        if len(self.noise.moments) != len(self.noise_vars):
+            bad.append("noise moment lists do not match noise variables")
+        if self.noise.sampler not in SAMPLERS:
+            bad.append(f"unknown noise sampler {self.noise.sampler!r}")
+        elif self.noise.sampler == "gaussian":
+            # the simulator draws standard normals; the checker must assume them too
+            for k, m in enumerate(self.noise.moments):
+                if m != NoiseMoments.standard_normal(len(m.moments) - 1):
+                    bad.append(f"noise moments[{k}] differ from the gaussian sampler's N(0,1)")
+
+        state = set(self.state_vars)
+        flow_vars = state | set(self.input_vars)
+        jump_vars = flow_vars | set(self.noise_vars)
+        rows = [(f"f1[{i}]", p, flow_vars) for i, p in enumerate(self.f1)]
+        for label, matrix in (("sigma", self.sigma), ("rho", self.rho)):
+            rows += [
+                (f"{label}[{i}][{j}]", p, state)
+                for i, row in enumerate(matrix)
+                for j, p in enumerate(row)
+            ]
+        rows += [(f"f2[{i}]", p, jump_vars) for i, p in enumerate(self.f2)]
+        for label, p, allowed in rows:
+            extra = set(p.effective_vars()) - allowed
+            if extra:
+                bad.append(f"{label} uses undeclared variable(s) {sorted(extra)}")
+        if bad:
+            raise ValueError("; ".join(bad))
+
     @property
     def n(self) -> int:
         return len(self.state_vars)
@@ -133,16 +181,28 @@ class SHSModel(Codec):
         return len(self.rates)
 
     @cached_property
-    def dynamics(self) -> CompiledDynamics:
-        """The model's kernels, generated once, for the simulator."""
-        return CompiledDynamics(flow=_flow_kernel(self), jump=_jump_kernel(self))
+    def scalar_flow(self):
+        """One Euler-Maruyama period of one trajectory on Python floats, as
+        straight-line code generated on first use (see ``poly.generated``):
+        ``scalar_flow(x, u, h, sqh, dW, dP, substeps)`` runs from state
+        ``x`` under the held input ``u`` with step ``h`` and its square root
+        ``sqh``, taking substep s's Brownian increments from ``dW[s]`` and
+        Poisson counts from ``dP[s]`` (``None`` when the model has none),
+        and returns the state as a tuple. It raises ``BlowUpError(s)`` at
+        the first substep s whose state is not finite."""
+        return _flow_kernel(self)
 
     @cached_property
     def block_flow(self):
-        """``dynamics.flow`` for a block of rows held as columns, generated on
-        first use so that single trajectories never pay for it (see
+        """``scalar_flow`` for a block of rows held as columns (see
         ``_flow_kernel``)."""
         return _flow_kernel(self, block=True)
+
+    @cached_property
+    def jump_map(self):
+        """The jump map f2 as ``jump_map(x, u, w)`` under the noise sample
+        ``w``; takes sequences of floats (or columns) and returns a tuple."""
+        return _jump_kernel(self)
 
 
 def _unpack(names: list[str], seq: str, depth: int = 1) -> str:
@@ -235,69 +295,6 @@ def _jump_kernel(model: SHSModel):
     src = ["def jump(x, u, w):", _unpack(xs, "x"), _unpack(us, "u"), _unpack(ws, "w")]
     src.append(f"    return ({''.join(f'{p.source(names, consts)}, ' for p in model.f2)})")
     return generated("\n".join(src) + "\n", consts, "jump")
-
-
-def validate(model: SHSModel) -> list[str]:
-    """Invariant audit; returns one message per violation (empty = valid)."""
-    bad: list[str] = []
-    n = model.n
-    for j, lam in enumerate(model.rates):
-        if not 0 <= lam < math.inf:
-            bad.append(f"lambda[{j}] must be finite and >= 0, got {lam}")
-    if not model.X0.subset_of(model.X):
-        bad.append("X0 subset of X violated")
-    if not model.Xu.subset_of(model.X):
-        bad.append("Xu subset of X violated")
-    for name, box in (("X", model.X), ("X0", model.X0), ("Xu", model.Xu)):
-        missing = [v for v in model.state_vars if v not in box]
-        if missing:
-            bad.append(f"{name} missing interval(s) for {missing}")
-    if len(model.f1) != n:
-        bad.append(f"f1 has {len(model.f1)} rows, expected n={n}")
-    if len(model.f2) != n:
-        bad.append(f"f2 has {len(model.f2)} rows, expected n={n}")
-    if len(model.sigma) != n:
-        bad.append(f"sigma has {len(model.sigma)} rows, expected n={n}")
-    elif len({len(row) for row in model.sigma} | {model.brownian_dim}) > 1:
-        bad.append("sigma rows have inconsistent widths")
-    if len(model.rho) != n:
-        bad.append(f"rho has {len(model.rho)} rows, expected n={n}")
-    else:
-        widths = {len(row) for row in model.rho}
-        if len(widths) > 1 or (widths and widths != {model.poisson_dim}):
-            bad.append("rho width does not match number of Poisson rates")
-    if len(model.noise.moments) != len(model.noise_vars):
-        bad.append("noise moment lists do not match noise variables")
-    if model.noise.sampler not in SAMPLERS:
-        bad.append(f"unknown noise sampler {model.noise.sampler!r}")
-    elif model.noise.sampler == "gaussian":
-        # the simulator draws standard normals; the checker must assume them too
-        for k, m in enumerate(model.noise.moments):
-            if m != NoiseMoments.standard_normal(len(m.moments) - 1):
-                bad.append(f"noise moments[{k}] differ from the gaussian sampler's N(0,1)")
-
-    flow_vars = set(model.state_vars) | set(model.input_vars)
-    jump_vars = flow_vars | set(model.noise_vars)
-    state = set(model.state_vars)
-    for i, p in enumerate(model.f1):
-        extra = set(p.effective_vars()) - flow_vars
-        if extra:
-            bad.append(f"f1[{i}] uses undeclared variable(s) {sorted(extra)}")
-    for i, row in enumerate(model.sigma):
-        for j, p in enumerate(row):
-            extra = set(p.effective_vars()) - state
-            if extra:
-                bad.append(f"sigma[{i}][{j}] uses undeclared variable(s) {sorted(extra)}")
-    for i, row in enumerate(model.rho):
-        for j, p in enumerate(row):
-            extra = set(p.effective_vars()) - state
-            if extra:
-                bad.append(f"rho[{i}][{j}] uses undeclared variable(s) {sorted(extra)}")
-    for i, p in enumerate(model.f2):
-        extra = set(p.effective_vars()) - jump_vars
-        if extra:
-            bad.append(f"f2[{i}] uses undeclared variable(s) {sorted(extra)}")
-    return bad
 
 
 @dataclass(frozen=True)

@@ -650,7 +650,7 @@ def sturm_root_count(p: Polynomial, a: float, b: float) -> int:
     return _sign_variations(chain, a) - _sign_variations(chain, b)
 
 
-def _isolate_roots(c: list[float], a: float, b: float, width: float = ROOT_WIDTH) -> list[float]:
+def _isolate_roots(c: list[float], a: float, b: float) -> list[float]:
     """Approximate all distinct real roots of dense poly c in (a, b]."""
     c = _square_free(_trim(c))
     if len(c) <= 1:
@@ -667,7 +667,7 @@ def _isolate_roots(c: list[float], a: float, b: float, width: float = ROOT_WIDTH
         n = vlo - vhi
         if n <= 0:
             continue
-        if hi - lo <= width:
+        if hi - lo <= ROOT_WIDTH:
             roots.append(0.5 * (lo + hi))
             continue
         mid = 0.5 * (lo + hi)

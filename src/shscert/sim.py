@@ -6,14 +6,14 @@ instantaneously at scheduled instants. Each trajectory owns a
 counter-based RNG stream derived from the master seed and its index, so
 results are reproducible and independent of execution order. ``simulate``
 runs one trajectory on Python floats, through the flow-period and jump-map
-kernels that ``SHSModel.dynamics`` generates once per model and caches on
-it; ``trajectories``, behind ``monte_carlo``, steps blocks of them together
-as arrays, one call of the block variant of the flow kernel
-(``SHSModel.block_flow``) per period and of the jump kernel per jump. Both
-give the same trajectories bitwise, because both evaluate every polynomial
-with the order of operations of ``Polynomial.source``. The block kernel
-skips the per-substep finiteness test; the block checks once per period
-and leaves the substep of a blow-up to the scalar kernel.
+kernels ``SHSModel.scalar_flow`` and ``SHSModel.jump_map``, generated once
+per model and cached on it; ``trajectories``, behind ``monte_carlo``, steps
+blocks of them together as arrays, one call of the block variant of the
+flow kernel (``SHSModel.block_flow``) per period and of the jump kernel per
+jump. Both give the same trajectories bitwise, because both evaluate every
+polynomial with the order of operations of ``Polynomial.source``. The block
+kernel skips the per-substep finiteness test; the block checks once per
+period and leaves the substep of a blow-up to the scalar kernel.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ from .bound import compute_delta_for
 from .certify import CbcCandidate
 from .codec import Codec
 from .model import FLOW, JUMP, BlowUpError, JumpSchedule, SHSModel
-from .poly import Polynomial
 
 
 @dataclass(frozen=True)
@@ -79,13 +78,6 @@ def trajectory_rng(master_seed: int, traj_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(ss))
 
 
-def _controllers(controllers) -> tuple[tuple[Polynomial, ...], tuple[Polynomial, ...]]:
-    if isinstance(controllers, CbcCandidate):
-        return controllers.nu_flow, controllers.nu_jump
-    flow, jump = controllers
-    return tuple(flow), tuple(jump)
-
-
 def _poisson_mean(model: SHSModel, h: float):
     """Poisson mean per substep. A single rate goes in as a float: numpy's
     array-rate path is several times slower and draws the same stream."""
@@ -117,14 +109,14 @@ def flow_step(
 
     x <- x + f1(x, nu) h + sigma(x) sqrt(h) N(0, I) + rho(x) dP with
     h = tau / substeps and dP exact Poisson counts of mean rate*h, through
-    the model's generated ``dynamics.flow`` kernel on Python floats.
+    the model's generated ``scalar_flow`` kernel on Python floats.
     """
     if substeps < 1:
         raise ValueError("substeps must be >= 1")
     h = tau / substeps
     b, r = model.brownian_dim, model.poisson_dim
     dW, dP = _flow_noise(rng, substeps, b, r, _poisson_mean(model, h))
-    return model.dynamics.flow(
+    return model.scalar_flow(
         [float(v) for v in x],
         [float(v) for v in nu_value],
         h,
@@ -143,7 +135,7 @@ def jump_step(
 ) -> tuple[float, ...]:
     """Instantaneous jump: x' = f2(x, nu, noise sample); time is unchanged."""
     w = _jump_noise(model, rng)
-    out = model.dynamics.jump([float(v) for v in x], [float(v) for v in nu_value], w.tolist())
+    out = model.jump_map([float(v) for v in x], [float(v) for v in nu_value], w.tolist())
     for v in out:
         if not math.isfinite(v):
             raise BlowUpError(0, "jump map produced a non-finite state")
@@ -169,7 +161,7 @@ def _unsafe_box(model: SHSModel) -> list[tuple[int, float, float]]:
 
 def simulate(
     model: SHSModel,
-    controllers,
+    cand: CbcCandidate,
     config: SimConfig,
     acbc: Acbc | None = None,
     traj_index: int = 0,
@@ -187,7 +179,6 @@ def simulate(
     This is the reference for the batched engine behind ``trajectories``,
     which must give bitwise equal trajectories.
     """
-    nu_flow, nu_jump = _controllers(controllers)
     jp, sv = model.jump, model.state_vars
     check_config(model, config)
     rng = trajectory_rng(config.master_seed, traj_index)
@@ -200,8 +191,8 @@ def simulate(
     z = 0
     time = 0.0
 
-    flow_fns = [p.compiled(sv) for p in nu_flow]
-    jump_fns = [p.compiled(sv) for p in nu_jump]
+    flow_fns = [p.compiled(sv) for p in cand.nu_flow]
+    jump_fns = [p.compiled(sv) for p in cand.nu_jump]
     if acbc is not None:
         bfun = acbc.base.Bbar.compiled(sv)
         beta = [acbc.beta(q) for q in range(jp.q2 + 1)]
@@ -262,7 +253,7 @@ BATCH_MIN = 24
 
 def trajectories(
     model: SHSModel,
-    controllers,
+    cand: CbcCandidate,
     config: SimConfig,
     acbc: Acbc | None = None,
     keep: int = 0,
@@ -282,11 +273,11 @@ def trajectories(
     for start in range(0, n, BLOCK_SIZE):
         stop = min(start + BLOCK_SIZE, n)
         if stop - start >= BATCH_MIN:
-            yield from _simulate_block(model, controllers, config, acbc, start, stop, keep)
+            yield from _simulate_block(model, cand, config, acbc, start, stop, keep)
             continue
         for idx in range(start, stop):
             try:
-                traj = simulate(model, controllers, config, acbc=acbc, traj_index=idx)
+                traj = simulate(model, cand, config, acbc=acbc, traj_index=idx)
             except BlowUpError as e:
                 yield e.with_traceback(None)
                 continue
@@ -295,7 +286,7 @@ def trajectories(
 
 def _simulate_block(
     model: SHSModel,
-    controllers,
+    cand: CbcCandidate,
     config: SimConfig,
     acbc: Acbc | None,
     start: int,
@@ -307,17 +298,16 @@ def _simulate_block(
     Every row draws from its own stream with the calls, sizes and order of
     ``simulate``, into noise arrays allocated once per block. A flow period
     is one call of ``SHSModel.block_flow`` on the flowing rows' columns, and
-    a jump one call of ``dynamics.jump`` on the jumping rows' columns; both
+    a jump one call of ``SHSModel.jump_map`` on the jumping rows' columns; both
     evaluate every value with the expressions and order of operations of
     the scalar kernels, so each row equals the scalar trajectory bitwise.
     The block kernel tests no substep for finiteness. Since a non-finite
     coordinate stays non-finite, the state is checked once at the end of the
     period, and a row that fails there runs its period again on
-    ``dynamics.flow``, which names the substep in its ``BlowUpError``. A row
+    ``scalar_flow``, which names the substep in its ``BlowUpError``. A row
     leaves the block when its state stops being finite. The kept rows'
     records are built at the end from copies taken at each transition.
     """
-    nu_flow, nu_jump = _controllers(controllers)
     jp, sv, n = model.jump, model.state_vars, model.n
     N = stop - start
     S = config.substeps_per_tau
@@ -325,8 +315,8 @@ def _simulate_block(
     sqh = math.sqrt(h)
     b, r = model.brownian_dim, model.poisson_dim
     mean = _poisson_mean(model, h)
-    flow_fns = [p.compiled(sv) for p in nu_flow]
-    jump_fns = [p.compiled(sv) for p in nu_jump]
+    flow_fns = [p.compiled(sv) for p in cand.nu_flow]
+    jump_fns = [p.compiled(sv) for p in cand.nu_jump]
     schedule = config.schedule
     rngs = [trajectory_rng(config.master_seed, i) for i in range(start, stop)]
     # one period's noise; entry c belongs to the c-th row that moves
@@ -391,7 +381,7 @@ def _simulate_block(
         for c, row in enumerate(rows):
             W[c] = _jump_noise(model, rngs[row])
         w = [W[: len(rows), j] for j in range(W.shape[1])]
-        for c in step(J, model.dynamics.jump(cols, nu, w)):
+        for c in step(J, model.jump_map(cols, nu, w)):
             errors[rows[c]] = BlowUpError(0, "jump map produced a non-finite state")
             alive[rows[c]] = False
         J = J[alive[J]]
@@ -422,7 +412,7 @@ def _simulate_block(
         for c in step(F, period):
             x = [float(col[c]) for col in cols]
             try:
-                model.dynamics.flow(
+                model.scalar_flow(
                     x, [f(x) for f in flow_fns], h, sqh,
                     dW[c].tolist() if b else None, dP[c].tolist() if r else None, S,
                 )
@@ -534,7 +524,7 @@ class McReport(Codec):
 
 def monte_carlo(
     model: SHSModel,
-    controllers,
+    cand: CbcCandidate,
     acbc: Acbc,
     config: SimConfig,
     keep: int = 0,
@@ -553,7 +543,7 @@ def monte_carlo(
     n = config.n_trajectories
     exceed = unsafe = blowups = 0
     kept = []
-    for idx, traj in enumerate(trajectories(model, controllers, config, acbc, keep)):
+    for idx, traj in enumerate(trajectories(model, cand, config, acbc, keep)):
         if idx < keep:
             kept.append(traj)
         if isinstance(traj, BlowUpError):

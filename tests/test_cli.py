@@ -207,33 +207,54 @@ class TestMalformedInput:
     """Malformed input files exit 3 with a message, never a traceback."""
 
     @pytest.mark.parametrize(
-        "key, value, message",
+        "changes, message",
         [
-            ("X", [0, 8], "X: expected an object, got list"),
-            ("jump", {"tau": 0.1, "q1": 3, "q2": 2}, "need 1 <= q1 <= q2"),
+            ({"X": [0, 8]}, "X: expected an object, got list"),
+            ({"jump": {"tau": 0.1, "q1": 3, "q2": 2}}, "need 1 <= q1 <= q2"),
             (
-                "noise",
-                {**load_case(1).model.noise.to_dict(), "sampler": "laplace"},
+                {"noise": {**load_case(1).model.noise.to_dict(), "sampler": "laplace"}},
                 "unknown noise sampler 'laplace'",
             ),
             (
-                "noise",
-                {"moments": [[1, 0, 4, 0, 48]], "sampler": "gaussian"},
+                {"noise": {"moments": [[1, 0, 4, 0, 48]], "sampler": "gaussian"}},
                 "noise moments[0] differ from the gaussian sampler's N(0,1)",
             ),
-            ("X", {"x": [math.nan, 8]}, "X: non-finite interval for 'x': [nan, 8.0]"),
-            ("jump", {"tau": math.nan, "q1": 1, "q2": 7}, "tau must be finite and positive"),
-            ("jump", {"tau": math.inf, "q1": 1, "q2": 7}, "tau must be finite and positive"),
-            ("lambda", [math.nan], "lambda[0] must be finite and >= 0, got nan"),
+            ({"X": {"x": [math.nan, 8]}}, "X: non-finite interval for 'x': [nan, 8.0]"),
+            ({"jump": {"tau": math.nan, "q1": 1, "q2": 7}}, "tau must be finite and positive"),
+            ({"jump": {"tau": math.inf, "q1": 1, "q2": 7}}, "tau must be finite and positive"),
+            ({"lambda": [math.nan]}, "lambda[0] must be finite and >= 0, got nan"),
+            (
+                {
+                    "X": {"x": [0, 8], "z": [0, 1]},
+                    "X0": {"x": [0, 1.5], "z": [0, 1]},
+                    "Xu": {"x": [7, 8], "z": [0, 1]},
+                },
+                "X has interval(s) for non-state variable(s) ['z']; "
+                "X0 has interval(s) for non-state variable(s) ['z']; "
+                "Xu has interval(s) for non-state variable(s) ['z']",
+            ),
+            (
+                # the jump noise renamed to the input's name: f2 then reads
+                # the input where the noise was
+                {
+                    "noise_vars": ["nu"],
+                    "f2": [
+                        load_case(1).model.f2[0]
+                        .substitute({"varsigma": Polynomial.variable("nu")})
+                        .to_dict()
+                    ],
+                },
+                "variable name(s) ['nu'] declared more than once",
+            ),
         ],
         ids=[
             "box-as-list", "q1-above-q2", "unknown-sampler", "wide-moments", "nan-bound",
-            "nan-tau", "infinite-tau", "nan-rate",
+            "nan-tau", "infinite-tau", "nan-rate", "box-names-non-state", "repeated-name",
         ],
     )
-    def test_bad_model_exit_three(self, artifacts, tmp_path, capsys, key, value, message):
+    def test_bad_model_exit_three(self, artifacts, tmp_path, capsys, changes, message):
         doc = json.loads((artifacts / "model1.json").read_text())
-        doc[key] = value
+        doc.update(changes)
         bad = tmp_path / "model_bad.json"
         bad.write_text(json.dumps(doc))
         code = main([
@@ -506,21 +527,53 @@ class TestPipelineRoundTrip:
         assert capsys.readouterr().err.startswith("construction failed: lifted constants overflow")
         assert not (tmp_path / "acbc.json").exists()
 
-    @pytest.mark.parametrize("gamma", [math.nan, math.inf])
-    def test_non_finite_lifted_constant_exit_three(self, artifacts, tmp_path, capsys, gamma):
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("gamma", math.nan, "gamma must be finite"),
+            ("gamma", math.inf, "gamma must be finite"),
+            ("kappa", 1.5, "lifted decay rate kappa=1.5 outside (0, 1)"),
+            ("kappa", 0.0, "lifted decay rate kappa=0 outside (0, 1)"),
+            ("gamma", -0.001, "gamma >= 0 violated"),
+            (
+                "alpha", 5.0,
+                "separation condition violated: "
+                "beta_eta*etabar = 4.4 must exceed beta_alpha*alphabar = 5",
+            ),
+            ("eps1", 1.0, "eps1 must be in (0, 1), got 1.0"),
+            ("eps2", 7.0, "eps2 must exceed q2=7, got 7.0"),
+            ("regime", "R4", "regime 'R4' does not match kappa1=0.01, kappa2=0.99"),
+            ("regime", "R3", "regime 'R3' does not match kappa1=0.01, kappa2=0.99"),
+        ],
+        ids=[
+            "nan", "inf", "kappa-above-one", "zero-kappa", "negative-gamma", "alpha-above-eta",
+            "eps1-at-one", "eps2-at-q2", "unknown-regime", "other-regime",
+        ],
+    )
+    def test_non_finite_lifted_constant_exit_three(
+        self, artifacts, tmp_path, capsys, key, value, message
+    ):
         out1 = tmp_path / "a"
         main([
             "augment", str(artifacts / "model1.json"), str(artifacts / "cand1.json"),
             "--out", str(out1),
         ])
         doc = json.loads((out1 / "acbc.json").read_text())
-        doc["gamma"] = gamma
+        doc[key] = value
         bad = tmp_path / "acbc_bad.json"
         bad.write_text(json.dumps(doc))
+        capsys.readouterr()
         code = main(["bound", str(bad), "--horizon", "100", "--out", str(tmp_path)])
         assert code == 3
-        assert "gamma must be finite" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"error: invalid lifted certificate {bad}: {message}\n"
         assert not (tmp_path / "bound.json").exists()
+        # kappa = 1.5 once reached compute_delta in a Monte Carlo run
+        code = main([
+            "simulate", str(artifacts / "model1.json"), str(artifacts / "cand1.json"),
+            "--acbc", str(bad), "--runs", "30", "--out", str(tmp_path / "sim"),
+        ])
+        assert code == 3
+        assert capsys.readouterr().err == f"error: invalid lifted certificate {bad}: {message}\n"
 
     def test_bound_precondition_exit_one(self, artifacts, tmp_path, capsys):
         out1 = tmp_path / "a"

@@ -1,12 +1,13 @@
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from shscert import JumpParams, JumpSchedule, Polynomial, SHSModel, validate
+from shscert import JumpParams, JumpSchedule, Polynomial, SHSModel
 from shscert.model import FLOW, JUMP
 
 from conftest import scalar_model
@@ -27,44 +28,53 @@ class TestJumpParams:
 
 
 class TestValidate:
+    """A model that breaks an invariant cannot be built."""
+
     def test_case_study_model_is_clean(self, case1):
-        assert validate(case1.model) == []
+        # rebuilding the model runs every check again
+        assert replace(case1.model) == case1.model
 
     def test_unsafe_box_outside_working_box(self):
         x = Polynomial.variable("x")
-        m = scalar_model(f1=-x, f2=0.5 * x, Xu=(9.0, 10.0), X=(0.0, 8.0))
-        assert any("Xu subset of X" in v for v in validate(m))
+        with pytest.raises(ValueError, match="Xu subset of X"):
+            scalar_model(f1=-x, f2=0.5 * x, Xu=(9.0, 10.0), X=(0.0, 8.0))
 
     def test_initial_box_outside_working_box(self):
         x = Polynomial.variable("x")
-        m = scalar_model(f1=-x, f2=0.5 * x, X0=(-3.0, 0.0))
-        assert any("X0 subset of X" in v for v in validate(m))
+        with pytest.raises(ValueError, match="X0 subset of X"):
+            scalar_model(f1=-x, f2=0.5 * x, X0=(-3.0, 0.0))
 
     def test_negative_rate(self):
         x = Polynomial.variable("x")
-        m = scalar_model(f1=-x, f2=0.5 * x, rate=-0.5)
-        assert any("lambda[0]" in v for v in validate(m))
+        with pytest.raises(ValueError, match=r"lambda\[0\]"):
+            scalar_model(f1=-x, f2=0.5 * x, rate=-0.5)
 
     def test_undeclared_variable_in_drift(self):
         x = Polynomial.variable("x")
-        m = scalar_model(f1=-x + Polynomial.variable("y"), f2=0.5 * x)
-        assert any("f1[0]" in v for v in validate(m))
+        with pytest.raises(ValueError, match=r"f1\[0\]"):
+            scalar_model(f1=-x + Polynomial.variable("y"), f2=0.5 * x)
 
     def test_gaussian_sampler_needs_standard_normal_moments(self, case1):
         from shscert.model import NoiseConfig
         from shscert.poly import NoiseMoments
 
         wide = NoiseConfig((NoiseMoments((1.0, 0.0, 4.0, 0.0, 48.0)),))
-        bad = validate(replace(case1.model, noise=wide))
-        assert bad == ["noise moments[0] differ from the gaussian sampler's N(0,1)"]
+        message = "noise moments[0] differ from the gaussian sampler's N(0,1)"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            replace(case1.model, noise=wide)
         short = NoiseConfig((NoiseMoments.standard_normal(4),))
-        assert validate(replace(case1.model, noise=short)) == []
+        assert replace(case1.model, noise=short).noise == short
+
+    def test_every_violation_in_one_message(self):
+        x = Polynomial.variable("x")
+        with pytest.raises(ValueError) as info:
+            scalar_model(f1=-x, f2=0.5 * x, rate=-0.5, X0=(-3.0, 0.0))
+        assert str(info.value) == "lambda[0] must be finite and >= 0, got -0.5; X0 subset of X violated"
 
     def test_json_round_trip(self, case1):
         doc = case1.model.to_json()
         again = SHSModel.from_dict(json.loads(doc))
         assert again == case1.model
-        assert validate(again) == []
 
 
 class TestTransitions:

@@ -22,7 +22,6 @@ from shscert import (
     monte_carlo,
     simulate,
     trajectory_csv,
-    validate,
 )
 from shscert import load_case, sim
 from shscert.model import NoiseConfig, SHSModel
@@ -123,13 +122,9 @@ class TestJumpStep:
         assert float(np.mean(samples)) == pytest.approx(0.0, abs=3 * se)
 
     def test_unknown_sampler_rejected(self, case1):
-        # the model audit rejects it, before anything draws
-        bad = replace(
-            case1.model,
-            noise=NoiseConfig(case1.model.noise.moments, sampler="cauchy"),
-        )
-        assert validate(bad) == ["unknown noise sampler 'cauchy'"]
-        assert validate(case1.model) == []
+        # the model cannot be built with it, so nothing ever draws from it
+        with pytest.raises(ValueError, match="^unknown noise sampler 'cauchy'$"):
+            replace(case1.model, noise=NoiseConfig(case1.model.noise.moments, sampler="cauchy"))
 
     def test_case_study_jump_mean_at_origin(self, case1):
         rng = np.random.default_rng(9)
@@ -143,10 +138,11 @@ class TestJumpStep:
 
 
 class TestSimulate:
-    def test_frozen_system_never_unsafe(self):
+    def test_frozen_system_never_unsafe(self, case1):
         m = scalar_model(f1=0.0 * X, f2=X, sigma=0.0, rho=0.0, rate=0.0)
         config = SimConfig(horizon_T=100, master_seed=1, schedule=JumpSchedule.uniform())
-        ctrl = ((Polynomial.constant(0.0),), (Polynomial.constant(0.0),))
+        zero = (Polynomial.constant(0.0),)
+        ctrl = replace(case1.candidate, nu_flow=zero, nu_jump=zero)
         for idx in range(20):
             traj = simulate(m, ctrl, config, traj_index=idx)
             assert traj.first_unsafe is None
@@ -440,19 +436,29 @@ class TestBatchedEngine:
         (alone,) = _simulate_block(model, cand, config, acbc, 17, 18, keep=18)
         assert_same(model, alone, batch[17])
 
+    def test_block_without_blow_up_generates_no_scalar_flow(self, case1, blocks_of_8):
+        # the scalar flow kernel is needed only to name a blow-up's substep
+        model = SHSModel.from_dict(case1.model.to_dict())
+        config = SimConfig(horizon_T=30, n_trajectories=8, master_seed=4)
+        runs = list(trajectories(model, case1.candidate, config))
+        assert all(isinstance(t, sim.Trajectory) for t in runs)
+        assert "block_flow" in vars(model) and "jump_map" in vars(model)
+        assert "scalar_flow" not in vars(model)
+
     @pytest.mark.parametrize("kind", ["drift", "one-coordinate", "poisson"])
-    def test_blow_ups_equal_scalar(self, kind):
+    def test_blow_ups_equal_scalar(self, case1, kind):
         # the block checks finiteness once per period and re-runs the
         # failed rows on the scalar kernel for the substep of the error
         model = _overflowing(kind)
         zero = (Polynomial.constant(0.0),)
+        ctrl = replace(case1.candidate, nu_flow=zero, nu_jump=zero)
         n = 64
         config = SimConfig(horizon_T=6, n_trajectories=n, master_seed=2, substeps_per_tau=10)
-        batch = _simulate_block(model, (zero, zero), config, None, 0, n, keep=n)
-        scalar = [_outcome(lambda i=i: simulate(model, (zero, zero), config, traj_index=i)) for i in range(n)]
+        batch = _simulate_block(model, ctrl, config, None, 0, n, keep=n)
+        scalar = [_outcome(lambda i=i: simulate(model, ctrl, config, traj_index=i)) for i in range(n)]
         # the first rows again, one by one on the scalar path
         few = replace(config, n_trajectories=8)
-        alone = list(trajectories(model, (zero, zero), few, keep=8))
+        alone = list(trajectories(model, ctrl, few, keep=8))
         for got, want in zip(batch + alone, scalar + scalar[:8], strict=True):
             assert_same(model, got, want)
             # an error holds no frames, and with them the run's arrays
