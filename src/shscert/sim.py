@@ -3,17 +3,26 @@
 The flow is integrated with Euler-Maruyama (Brownian increments plus exact
 per-substep Poisson counts); jumps apply the stochastic jump map
 instantaneously at scheduled instants. Each trajectory owns a
-counter-based RNG stream derived from the master seed and its index, so
-results are reproducible and independent of execution order. ``simulate``
-runs one trajectory on Python floats, through the flow-period and jump-map
-kernels ``SHSModel.scalar_flow`` and ``SHSModel.jump_map``, generated once
-per model and cached on it; ``trajectories``, behind ``monte_carlo``, steps
-blocks of them together as arrays, one call of the block variant of the
-flow kernel (``SHSModel.block_flow``) per period and of the jump kernel per
-jump. Both give the same trajectories bitwise, because both evaluate every
-polynomial with the order of operations of ``Polynomial.source``. The block
-kernel skips the per-substep finiteness test; the block checks once per
-period and leaves the substep of a blow-up to the scalar kernel.
+counter-based (Philox) RNG stream derived from the master seed and its
+index, so results are reproducible and independent of execution order.
+The stream is read in one layout: the sample of X0 (unless the start is
+fixed), the first gap (uniform schedule), then at transitions 1, 1 + C,
+1 + 2C, ... the noise of C transitions at once (``_draw_chunk``), with
+C = ``_chunk_periods(substeps)``. Transition k reads entry (k - 1) % C of
+its chunk whether it flows or jumps: a flow leaves the entry's jump noise
+unused, and a jump its flow noise. Each later uniform gap is drawn when
+its jump fires.
+
+``simulate`` runs one trajectory on Python floats, through the flow-period
+and jump-map kernels ``SHSModel.scalar_flow`` and ``SHSModel.jump_map``,
+generated once per model and cached on it; ``trajectories``, behind
+``monte_carlo``, steps blocks of them together as arrays, one call of the
+block variant of the flow kernel (``SHSModel.block_flow``) per period and
+of the jump kernel per jump. Both give the same trajectories bitwise,
+because both read the same noise and evaluate every polynomial with the
+order of operations of ``Polynomial.source``. The block kernel skips the
+per-substep finiteness test; the block checks once per period and leaves
+the substep of a blow-up to the scalar kernel.
 """
 
 from __future__ import annotations
@@ -84,17 +93,40 @@ def _poisson_mean(model: SHSModel, h: float):
     return model.rates[0] * h if model.poisson_dim == 1 else np.asarray(model.rates) * h
 
 
-def _flow_noise(rng: np.random.Generator, substeps: int, b: int, r: int, mean):
-    """One period's Brownian increments (substeps, b) and Poisson counts
-    (substeps, r). Both engines draw through here, so each stream is
-    consumed the same way."""
-    dW = rng.normal(0.0, 1.0, size=(substeps, b)) if b else None
-    dP = rng.poisson(mean, size=(substeps, r)) if r else None
-    return dW, dP
+# Noise is drawn a chunk of transitions at a time, NOISE_SUBSTEPS substeps'
+# worth: 64 periods at the default 20 substeps. Part of the stream layout,
+# so changing it changes every trajectory. It bounds a block's noise arrays
+# to BLOCK_SIZE x NOISE_SUBSTEPS x (b + r) values whatever the substeps.
+NOISE_SUBSTEPS = 1280
 
 
-def _jump_noise(model: SHSModel, rng: np.random.Generator) -> np.ndarray:
-    return rng.normal(0.0, 1.0, size=len(model.noise_vars))
+def _chunk_periods(substeps: int) -> int:
+    """Transitions per noise chunk at ``substeps`` substeps per period."""
+    return max(1, NOISE_SUBSTEPS // substeps)
+
+
+def _noise_arrays(model: SHSModel, lead: tuple[int, ...], substeps: int):
+    """Uninitialised dW (*lead, substeps, b), dP (*lead, substeps, r) and
+    W (*lead, w) to draw chunks into."""
+    return (
+        np.empty((*lead, substeps, model.brownian_dim)),
+        np.empty((*lead, substeps, model.poisson_dim), dtype=np.int64),
+        np.empty((*lead, len(model.noise_vars))),
+    )
+
+
+def _draw_chunk(rng: np.random.Generator, mean, dW: np.ndarray, dP: np.ndarray, W: np.ndarray) -> None:
+    """Fill one chunk of C transitions' noise, in this order: standard
+    normal Brownian increments dW (C, substeps, b), Poisson counts dP
+    (C, substeps, r) of mean ``mean``, and standard normal jump noise
+    W (C, w). An empty array draws nothing. Both engines draw through here,
+    so each stream is read the same way."""
+    if dW.size:
+        rng.standard_normal(out=dW)
+    if dP.size:
+        dP[...] = rng.poisson(mean, dP.shape)
+    if W.size:
+        rng.standard_normal(out=W)
 
 
 def flow_step(
@@ -103,26 +135,26 @@ def flow_step(
     nu_value: Sequence[float],
     tau: float,
     substeps: int,
-    rng: np.random.Generator,
+    dW: np.ndarray,
+    dP: np.ndarray,
 ) -> tuple[float, ...]:
     """One sampling period of Euler-Maruyama flow under a held input.
 
-    x <- x + f1(x, nu) h + sigma(x) sqrt(h) N(0, I) + rho(x) dP with
-    h = tau / substeps and dP exact Poisson counts of mean rate*h, through
-    the model's generated ``scalar_flow`` kernel on Python floats.
+    x <- x + f1(x, nu) h + sigma(x) sqrt(h) dW_s + rho(x) dP_s for each
+    substep s, with h = tau / substeps, standard normal increments dW
+    (substeps, b) and Poisson counts dP (substeps, r) of mean rate*h,
+    through the model's generated ``scalar_flow`` kernel on Python floats.
     """
     if substeps < 1:
         raise ValueError("substeps must be >= 1")
     h = tau / substeps
-    b, r = model.brownian_dim, model.poisson_dim
-    dW, dP = _flow_noise(rng, substeps, b, r, _poisson_mean(model, h))
     return model.scalar_flow(
         [float(v) for v in x],
         [float(v) for v in nu_value],
         h,
         math.sqrt(h),
-        None if dW is None else dW.tolist(),
-        None if dP is None else dP.tolist(),
+        dW.tolist(),
+        dP.tolist(),
         substeps,
     )
 
@@ -131,10 +163,10 @@ def jump_step(
     model: SHSModel,
     x: Sequence[float],
     nu_value: Sequence[float],
-    rng: np.random.Generator,
+    w: np.ndarray,
 ) -> tuple[float, ...]:
-    """Instantaneous jump: x' = f2(x, nu, noise sample); time is unchanged."""
-    w = _jump_noise(model, rng)
+    """Instantaneous jump: x' = f2(x, nu, w) under the noise sample w; time
+    is unchanged."""
     out = model.jump_map([float(v) for v in x], [float(v) for v in nu_value], w.tolist())
     for v in out:
         if not math.isfinite(v):
@@ -182,6 +214,10 @@ def simulate(
     jp, sv = model.jump, model.state_vars
     check_config(model, config)
     rng = trajectory_rng(config.master_seed, traj_index)
+    S = config.substeps_per_tau
+    C = _chunk_periods(S)
+    mean = _poisson_mean(model, jp.tau / S)
+    dW, dP, W = _noise_arrays(model, (C,), S)
 
     if config.x0 is not None:
         x = tuple(float(v) for v in config.x0)
@@ -222,16 +258,19 @@ def simulate(
 
     record(0, "init")
     for k in range(1, config.horizon_T + 1):
+        e = (k - 1) % C
+        if not e:
+            _draw_chunk(rng, mean, dW, dP, W)
         if z == gap:
             nu = tuple(f(x) for f in jump_fns)
-            x = jump_step(model, x, nu, rng)
+            x = jump_step(model, x, nu, W[e])
             z = 0
             jumps_taken += 1
             gap = config.schedule.next_gap(jp, jumps_taken, rng)
             record(k, JUMP)
         else:
             nu = tuple(f(x) for f in flow_fns)
-            x = flow_step(model, x, nu, jp.tau, config.substeps_per_tau, rng)
+            x = flow_step(model, x, nu, jp.tau, S, dW[e], dP[e])
             z += 1
             time += jp.tau
             record(k, FLOW)
@@ -245,9 +284,10 @@ BLOCK_SIZE = 256
 
 # Fewer trajectories than this run one by one on ``simulate``. A block pays a
 # fixed cost per period, the numpy calls of its kernel, which its cheaper
-# rows repay from about 24 of them. Best of 9 on cases 1-3 (T = 100, 2
-# cores): a block of 16 took 25/21/23 ms against 23/20/20 ms for 16
-# ``simulate`` calls, and a block of 24 took 27/21/17 ms against 34/29/24 ms.
+# rows repay from about 20-24 of them. Best of 9 on cases 1-3 under their
+# own schedules (T = 100, 2 cores): a block of 16 took 33/19/26 ms against
+# 28/28/22 ms for 16 ``simulate`` calls, a block of 20 26/19/19 ms against
+# 28/24/19 ms, and a block of 24 26/21/27 ms against 30/27/34 ms.
 BATCH_MIN = 24
 
 
@@ -295,10 +335,12 @@ def _simulate_block(
 ) -> list[Trajectory | BlowUpError]:
     """Trajectories start..stop-1, stepped together as an (N, n) array.
 
-    Every row draws from its own stream with the calls, sizes and order of
-    ``simulate``, into noise arrays allocated once per block. A flow period
-    is one call of ``SHSModel.block_flow`` on the flowing rows' columns, and
-    a jump one call of ``SHSModel.jump_map`` on the jumping rows' columns; both
+    At the start of each chunk every live row draws its chunk from its own
+    stream through ``_draw_chunk``, as ``simulate`` does, into its slice of
+    (N, C, ...) noise arrays allocated once per block; each transition
+    gathers the moving rows' entry. A flow period is one call of
+    ``SHSModel.block_flow`` on the flowing rows' columns, and a jump one
+    call of ``SHSModel.jump_map`` on the jumping rows' columns; both
     evaluate every value with the expressions and order of operations of
     the scalar kernels, so each row equals the scalar trajectory bitwise.
     The block kernel tests no substep for finiteness. Since a non-finite
@@ -311,18 +353,15 @@ def _simulate_block(
     jp, sv, n = model.jump, model.state_vars, model.n
     N = stop - start
     S = config.substeps_per_tau
+    C = _chunk_periods(S)
     h = jp.tau / S
     sqh = math.sqrt(h)
-    b, r = model.brownian_dim, model.poisson_dim
     mean = _poisson_mean(model, h)
     flow_fns = [p.compiled(sv) for p in cand.nu_flow]
     jump_fns = [p.compiled(sv) for p in cand.nu_jump]
     schedule = config.schedule
     rngs = [trajectory_rng(config.master_seed, i) for i in range(start, stop)]
-    # one period's noise; entry c belongs to the c-th row that moves
-    dW = np.empty((N, S, b))
-    dP = np.empty((N, S, r), dtype=np.int64)
-    W = np.empty((N, len(model.noise_vars)))
+    dW, dP, W = _noise_arrays(model, (N, C), S)
 
     if config.x0 is not None:
         X = np.tile(np.array([float(v) for v in config.x0]), (N, 1))
@@ -374,14 +413,12 @@ def _simulate_block(
         X[rows] = cols
         return np.flatnonzero(~np.isfinite(cols).all(axis=1)).tolist()
 
-    def jump(J: np.ndarray) -> None:
+    def jump(J: np.ndarray, e: int) -> None:
         rows = J.tolist()
         cols = [X[J, i] for i in range(n)]
         nu = [f(cols) for f in jump_fns]
-        for c, row in enumerate(rows):
-            W[c] = _jump_noise(model, rngs[row])
-        w = [W[: len(rows), j] for j in range(W.shape[1])]
-        for c in step(J, model.jump_map(cols, nu, w)):
+        w = W[J, e]
+        for c in step(J, model.jump_map(cols, nu, [w[:, j] for j in range(w.shape[1])])):
             errors[rows[c]] = BlowUpError(0, "jump map produced a non-finite state")
             alive[rows[c]] = False
         J = J[alive[J]]
@@ -391,33 +428,19 @@ def _simulate_block(
             jumps[row] += 1
         gap[J] = [schedule.next_gap(jp, jumps[row], rngs[row]) for row in rows]
 
-    def flow(F: np.ndarray) -> None:
+    def flow(F: np.ndarray, e: int) -> None:
         rows = F.tolist()
-        m = len(rows)
         cols = [X[F, i] for i in range(n)]
         nu = [f(cols) for f in flow_fns]
-        for c, row in enumerate(rows):
-            dw, dp = _flow_noise(rngs[row], S, b, r, mean)
-            if b:
-                dW[c] = dw
-            if r:
-                dP[c] = dp
+        dw, dp = dW[F, e], dP[F, e]
         # the kernel takes (substeps, b, m) and (substeps, r, m)
-        period = model.block_flow(
-            cols, nu, h, sqh,
-            dW[:m].transpose(1, 2, 0) if b else None,
-            dP[:m].transpose(1, 2, 0) if r else None,
-            S,
-        )
+        period = model.block_flow(cols, nu, h, sqh, dw.transpose(1, 2, 0), dp.transpose(1, 2, 0), S)
         for c in step(F, period):
             x = [float(col[c]) for col in cols]
             try:
-                model.scalar_flow(
-                    x, [f(x) for f in flow_fns], h, sqh,
-                    dW[c].tolist() if b else None, dP[c].tolist() if r else None, S,
-                )
-            except BlowUpError as e:
-                errors[rows[c]] = e.with_traceback(None)
+                model.scalar_flow(x, [f(x) for f in flow_fns], h, sqh, dw[c].tolist(), dp[c].tolist(), S)
+            except BlowUpError as err:
+                errors[rows[c]] = err.with_traceback(None)
                 alive[rows[c]] = False
             else:
                 raise AssertionError("block and scalar flow kernels disagree")
@@ -431,12 +454,16 @@ def _simulate_block(
             live = np.flatnonzero(alive)
             if not live.size:
                 break
+            e = (k - 1) % C
+            if not e:
+                for row in live.tolist():
+                    _draw_chunk(rngs[row], mean, dW[row], dP[row], W[row])
             jumped = z == gap
             at_gap = jumped[live]
             if at_gap.any():
-                jump(live[at_gap])
+                jump(live[at_gap], e)
             if not at_gap.all():
-                flow(live[~at_gap])
+                flow(live[~at_gap], e)
             record(k, jumped)
 
     out: list[Trajectory | BlowUpError] = []

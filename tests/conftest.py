@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from shscert import (
@@ -67,6 +68,16 @@ def scalar_model(
         X=IntervalBox({"x": X}),
         X0=IntervalBox({"x": X0}),
         Xu=IntervalBox({"x": Xu}),
+    )
+
+
+def period_noise(model: SHSModel, rng: np.random.Generator, tau: float, substeps: int):
+    """One period's noise for ``flow_step``: standard normal increments
+    (substeps, b) and Poisson counts (substeps, r) of mean rate * tau / substeps."""
+    h = tau / substeps
+    return (
+        rng.standard_normal((substeps, model.brownian_dim)),
+        rng.poisson(np.asarray(model.rates) * h, (substeps, model.poisson_dim)),
     )
 
 

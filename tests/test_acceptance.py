@@ -44,7 +44,7 @@ from shscert import (
 )
 from shscert.cli import main as cli_main
 
-from conftest import ACCEPTANCE_LINES, scalar_model
+from conftest import ACCEPTANCE_LINES, period_noise, scalar_model
 
 X = Polynomial.variable("x")
 
@@ -317,7 +317,7 @@ class TestCriterion5FlowRelaxationBound:
         for x0 in rng.uniform(-3.0, 3.0, 20):
             samples = np.array(
                 [
-                    flow_step(m, (float(x0),), (nu_val,), tau, substeps, rng)[0] ** 2
+                    flow_step(m, (float(x0),), (nu_val,), tau, substeps, *period_noise(m, rng, tau, substeps))[0] ** 2
                     for _ in range(n)
                 ]
             )
@@ -422,7 +422,7 @@ class TestCriterion6OracleSuites:
         h = 1e-3
         path = [(0.3,)]
         for _ in range(201):
-            path.append(flow_step(det, path[-1], (0.0,), h, 1, rng))
+            path.append(flow_step(det, path[-1], (0.0,), h, 1, *period_noise(det, rng, h, 1)))
         dynkin_ok = True
         for i in range(50, 201, 25):
             fd = (B.eval({"x": path[i + 1][0]}) - B.eval({"x": path[i - 1][0]})) / (2 * h)

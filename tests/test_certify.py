@@ -23,7 +23,7 @@ from shscert import (
 )
 from shscert.poly import IntervalBox
 
-from conftest import scalar_model
+from conftest import period_noise, scalar_model
 
 X = Polynomial.variable("x")
 
@@ -112,7 +112,7 @@ class TestGenerator:
         h = 1e-3
         path = [(0.3,)]
         for _ in range(101):
-            path.append(flow_step(m, path[-1], (0.0,), h, 1, rng))
+            path.append(flow_step(m, path[-1], (0.0,), h, 1, *period_noise(m, rng, h, 1)))
         x_prev, x_mid, x_next = path[-3], path[-2], path[-1]
         fd = (B.eval({"x": x_next[0]}) - B.eval({"x": x_prev[0]})) / (2 * h)
         expected = gen.eval({"x": x_mid[0]})

@@ -100,15 +100,15 @@ GOLDEN = {
     "compute_delta_for[2]": "7eea4a872696b6065c0ce3165252e481319be5a4b5ad31e594bac4eb5f7d1ba5",
     "compute_delta_for[3]": "7d8f3b6c4e8b8b4d3153c4583bb361077744595e0285944600737f23af93cf52",
     "monte_carlo[1]": "4c4bdf5b7dc135968f5d645fa84f0909104dc9a175a2f53e72d7460a258e94eb",
-    "monte_carlo[2]": "e9cb0f39b9ed5a62b5e91bf713f9f2edf0084f59a722fbdbd58d0f4437fa4197",
+    "monte_carlo[2]": "ecc0f6ac8fdb5c192d0a7f18786c9abd7fb52cef1d0f11fdc54b8a5ee92315e9",
     "monte_carlo[3]": "123f53e727a399eb5c580ab1161de70c307bab67ac0842667643d3ad6e083ff3",
     "synth_result[1]": "48b5e880695450260ba83a69f34a552375149e6742786a7eb9b8b83e95f77165",
     "synth_result[2]": "906098db8678cb541731fedc749512d81c285cc993d49c1c4ac72f1dfa1f9191",
     "synth_result[3]": "38eb8049ff290c63961ba1f3bfdd34890319b46b859d428d289b9bae0ce45539",
     "synth_template[1]": "789c4de57b7a3a7192bd99f478a8eb33fe48aae9fda7819bf760bb92d2e10907",
-    # no case 2: its first trajectory blows up under these settings (exit 1)
-    "simulate_json[1]": "e7962ab470d1980a3bb151d2660996d1510ba6d95f5c4741ebd7a14e5cd07b65",
-    "simulate_json[3]": "1377e1f542155a0057c190d685ea19b4ffbf3d8558c3358da0419ff7e395e9c3",
+    # no case 2: its trajectory 1 blows up under these settings (exit 1)
+    "simulate_json[1]": "3f83f776e3f4e9a9052e6d5ece86131c614e267623c33a4228bf8d3f20dea787",
+    "simulate_json[3]": "e4d2939111dd7157de05269f9027b668595dfd2b091be861b13421f7dd4d1573",
 }
 
 
@@ -122,15 +122,15 @@ def test_output_bytes_are_pinned(name, tmp_path):
 # The scalar engine alone: one trajectory per case under its bundled
 # schedule and lifted certificate, at three seeds.
 SIMULATE_CSV = {
-    ("1", 0): "b30a20fcf542cf648b8c2d36d3acf7680062e74e65318c08ac3761eae2b089da",
-    ("1", 1): "0d0e11c5959d1d2ca6f5336de1b313a46110e809257b8a39ec6c261b278d9214",
-    ("1", 7): "18140c855f00d96847b1afbbc9dfc9dbb6593dab9012d0177e115368d9ebebde",
-    ("2", 0): "8aff3b91639f56b06dac1779b27d73c6fc9a50ba5e6becf3bb099f7d1be8ac75",
-    ("2", 1): "1f68b51def0676aae05501d27717274ff0106914ec7828a57014403370fcf579",
-    ("2", 7): "63675e9541425a0356b8bb2bce06c7791b743898d502c86c3271cd3dd3a7a145",
-    ("3", 0): "9d6cf23b2ccc6636cb413bc12a2b188cc1e1fcf5176b240ac3bdb126ec22ba1e",
-    ("3", 1): "2d1fe8e1ad082ef22c8b90b82a1a261daec164d51b8b57745751cf32de2b1b09",
-    ("3", 7): "fea52d21b80a2da04a176a446c0140ccc9ad18a1dcd76c144f26fd99ce4f2bed",
+    ("1", 0): "e31a4b5afa2809b3344fe4281fca4e12b13e1dfd5bc38c929f953fe6eb2599ab",
+    ("1", 1): "084d54523969c1a9f9ebfa901824b7ad84027e189f250f91179f7de495dff11f",
+    ("1", 7): "ff7a1137331507de3ae19cf4dfb7610cc05bea112017406d495d391977ebf231",
+    ("2", 0): "8527589c546e83fbb5a4269001a0d672e732f6b39902a8e6e764d42ba6c053b0",
+    ("2", 1): "8991f04f95dd2ea254ccc6e1f5f7b527efaef0d240c8e2faa48dfc83cd8b8bfe",
+    ("2", 7): "74d6c2cf48950bf80cbe443dfa54f40b8950af90a76d20184f44ef23fd8686b1",
+    ("3", 0): "38f5526269c5a0f67cea8e94900b5f26c837f44ed1e8f1fe0f81687e2801bc14",
+    ("3", 1): "46f31740b2c3bafb3f1e0d4661ee2c9b6c5e76f2f08f2b3d9959e1553bb8e8b1",
+    ("3", 7): "523c24a320e14fff5cbe42190867c43efe66ad31da00c13d901e137dac48d5fd",
 }
 
 
@@ -144,11 +144,13 @@ def test_simulate_csv_is_pinned(case_id, seed):
 
 
 def test_simulate_blow_up_is_pinned():
-    """Case 2 under the uniform schedule: trajectory 5 of the
-    ``simulate_json`` run above stops being finite within a flow period."""
+    """Case 2 under the uniform schedule: trajectory 1 of the
+    ``simulate_json`` run above, the first to blow up, stops being finite
+    within a flow period."""
     case = load_case("2")
     config = SimConfig(horizon_T=20, master_seed=7)
+    simulate(case.model, case.candidate, config, acbc=_acbc(case), traj_index=0)
     with pytest.raises(BlowUpError) as err:
-        simulate(case.model, case.candidate, config, acbc=_acbc(case), traj_index=5)
+        simulate(case.model, case.candidate, config, acbc=_acbc(case), traj_index=1)
     assert str(err.value) == "state became non-finite at substep 6"
     assert err.value.step == 6

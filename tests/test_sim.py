@@ -28,7 +28,7 @@ from shscert.model import NoiseConfig, SHSModel
 from shscert.poly import IntervalBox, NoiseMoments
 from shscert.sim import _simulate_block, trajectories, trajectory_rng
 
-from conftest import scalar_model
+from conftest import period_noise, scalar_model
 
 X = Polynomial.variable("x")
 
@@ -43,21 +43,21 @@ class TestFlowStep:
     def test_frozen_dynamics_keep_state(self):
         m = scalar_model(f1=0.0 * X, f2=X, sigma=0.0, rho=0.0, rate=0.0)
         rng = np.random.default_rng(0)
-        assert flow_step(m, (1.23,), (0.0,), 0.1, 20, rng) == (1.23,)
+        assert flow_step(m, (1.23,), (0.0,), 0.1, 20, *period_noise(m, rng, 0.1, 20)) == (1.23,)
 
     def test_constant_drift_independent_of_substeps(self):
         nu = Polynomial.variable("nu")
         m = scalar_model(f1=Polynomial.constant(2.0) + 0.0 * nu, f2=X, sigma=0.0, rho=0.0, rate=0.0)
         rng = np.random.default_rng(0)
         for substeps in (1, 7, 20, 100):
-            (got,) = flow_step(m, (0.5,), (0.0,), 0.1, substeps, rng)
+            (got,) = flow_step(m, (0.5,), (0.0,), 0.1, substeps, *period_noise(m, rng, 0.1, substeps))
             assert got == pytest.approx(0.5 + 0.2, abs=1e-12)
 
     def test_brownian_variance(self):
         m = scalar_model(f1=0.0 * X, f2=X, sigma=0.6, rho=0.0, rate=0.0)
         rng = np.random.default_rng(2024)
         samples = np.array(
-            [flow_step(m, (0.0,), (0.0,), 0.1, 20, rng)[0] for _ in range(30_000)]
+            [flow_step(m, (0.0,), (0.0,), 0.1, 20, *period_noise(m, rng, 0.1, 20))[0] for _ in range(30_000)]
         )
         assert float(np.var(samples)) == pytest.approx(0.036, rel=0.05)
 
@@ -65,7 +65,7 @@ class TestFlowStep:
         m = scalar_model(f1=0.0 * X, f2=X, sigma=0.0, rho=0.5, rate=0.5)
         rng = np.random.default_rng(5)
         samples = np.array(
-            [flow_step(m, (0.0,), (0.0,), 0.1, 20, rng)[0] for _ in range(30_000)]
+            [flow_step(m, (0.0,), (0.0,), 0.1, 20, *period_noise(m, rng, 0.1, 20))[0] for _ in range(30_000)]
         )
         # E[x'] = rho * rate * tau
         se = float(np.std(samples)) / math.sqrt(len(samples))
@@ -76,7 +76,7 @@ class TestFlowStep:
         m = scalar_model(f1=X**3 + 0.0 * nu, f2=X, sigma=0.0, rho=0.0, rate=0.0)
         rng = np.random.default_rng(0)
         with pytest.raises(BlowUpError):
-            flow_step(m, (10.0,), (0.0,), 1.0, 20, rng)
+            flow_step(m, (10.0,), (0.0,), 1.0, 20, *period_noise(m, rng, 1.0, 20))
 
     def test_two_dimensional_deterministic_rotation(self):
         from shscert.model import NoiseConfig, SHSModel
@@ -102,7 +102,7 @@ class TestFlowStep:
         rng = np.random.default_rng(0)
         state = (1.0, 0.0)
         for _ in range(10):
-            state = flow_step(m, state, (0.0,), 0.1, 200, rng)
+            state = flow_step(m, state, (0.0,), 0.1, 200, *period_noise(m, rng, 0.1, 200))
         # after one unit of time the rotation reaches (cos 1, -sin 1)
         assert state[0] == pytest.approx(math.cos(1.0), abs=5e-3)
         assert state[1] == pytest.approx(-math.sin(1.0), abs=5e-3)
@@ -112,12 +112,12 @@ class TestJumpStep:
     def test_identity_map(self):
         m = scalar_model(f1=-X, f2=X, sigma=0.0, rho=0.0, rate=0.0)
         rng = np.random.default_rng(0)
-        assert jump_step(m, (0.77,), (0.0,), rng) == (0.77,)
+        assert jump_step(m, (0.77,), (0.0,), rng.standard_normal(1)) == (0.77,)
 
     def test_pure_noise_mean(self):
         m = scalar_model(f1=-X, f2=0.5 * Polynomial.variable("varsigma"))
         rng = np.random.default_rng(8)
-        samples = np.array([jump_step(m, (3.0,), (0.0,), rng)[0] for _ in range(30_000)])
+        samples = np.array([jump_step(m, (3.0,), (0.0,), rng.standard_normal(1))[0] for _ in range(30_000)])
         se = float(np.std(samples)) / math.sqrt(len(samples))
         assert float(np.mean(samples)) == pytest.approx(0.0, abs=3 * se)
 
@@ -131,7 +131,7 @@ class TestJumpStep:
         nu_val = case1.candidate.nu_jump[0].eval({"x": 0.0})
         assert nu_val == pytest.approx(2.6)
         samples = np.array(
-            [jump_step(case1.model, (0.0,), (nu_val,), rng)[0] for _ in range(30_000)]
+            [jump_step(case1.model, (0.0,), (nu_val,), rng.standard_normal(1))[0] for _ in range(30_000)]
         )
         se = float(np.std(samples)) / math.sqrt(len(samples))
         assert float(np.mean(samples)) == pytest.approx(0.156, abs=3 * se)
@@ -319,7 +319,7 @@ class TestWeakConvergence:
         for _ in range(3000):
             x = (1.0,)
             for _ in range(10):
-                x = flow_step(m, x, (0.0,), 0.1, 100, rng)
+                x = flow_step(m, x, (0.0,), 0.1, 100, *period_noise(m, rng, 0.1, 100))
             vals.append(x[0] ** 2)
         assert float(np.mean(vals)) == pytest.approx(want, rel=0.05)
 
@@ -518,6 +518,83 @@ class TestBatchedEngine:
             assert np.array_equal(b.poisson(0.5 * 0.005, size=(20, 1)), want)
 
 
+class TestStreamLayout:
+    """Noise is drawn a chunk of C transitions at a time (``sim`` docstring)."""
+
+    @pytest.mark.parametrize("schedule", ["fixed:3", "cyclic:2,5,1", "uniform"])
+    @pytest.mark.parametrize("substeps", [20, 2000])
+    def test_engines_equal_at_chunk_edges(self, schedule, substeps):
+        C = sim._chunk_periods(substeps)
+        assert C == (64 if substeps == 20 else 1)
+        model, cand = _noisy_plane()
+        acbc = construct_acbc(cand, model.jump, 0.1, 8.0)
+        n = 8
+        for T in (C - 1, C, C + 1, 2 * C + 3):
+            config = SimConfig(
+                horizon_T=T, n_trajectories=n, master_seed=5, substeps_per_tau=substeps,
+                schedule=JumpSchedule.parse(schedule),
+            )
+            batch = _simulate_block(model, cand, config, acbc, 0, n, keep=n)
+            for i, got in enumerate(batch):
+                assert_same(model, got, _outcome(lambda: simulate(model, cand, config, acbc, i)))
+
+    def test_blow_up_in_second_chunk_leaves_neighbours_alone(self, case1):
+        # x' = 60 (x^3 - x) holds |x| < 1 until the noise pushes it past 1
+        model = scalar_model(60.0 * (X**3 - X), X, sigma=2.0, rate=0.0, X=(-8, 8), X0=(-0.5, 0.5))
+        zero = (Polynomial.constant(0.0),)
+        ctrl = replace(case1.candidate, nu_flow=zero, nu_jump=zero)
+        C, n = sim._chunk_periods(20), 16
+        config = SimConfig(horizon_T=2 * C + 3, n_trajectories=n, master_seed=0)
+        batch = _simulate_block(model, ctrl, config, None, 0, n, keep=n)
+        scalar = [_outcome(lambda i=i: simulate(model, ctrl, config, traj_index=i)) for i in range(n)]
+        for got, want in zip(batch, scalar, strict=True):
+            assert_same(model, got, want)
+        first_chunk = replace(config, horizon_T=C)
+        late = [
+            i for i, t in enumerate(scalar)
+            if isinstance(t, BlowUpError)
+            and isinstance(_outcome(lambda i=i: simulate(model, ctrl, first_chunk, traj_index=i)), sim.Trajectory)
+        ]
+        assert late
+        i = late[0]
+        for j in (i - 1, i + 1):
+            assert isinstance(batch[j], sim.Trajectory) and len(batch[j].records) == 2 * C + 4
+            (alone,) = _simulate_block(model, ctrl, config, None, j, j + 1, keep=j + 1)
+            assert_same(model, alone, batch[j])
+
+    def test_replay_by_hand(self):
+        # the documented order: X0, the first gap, then per chunk dW, dP and
+        # W; a later gap when its jump fires
+        model, cand = _noisy_plane()
+        S, idx = 20, 3
+        C = sim._chunk_periods(S)
+        config = SimConfig(horizon_T=C + 10, master_seed=11)
+        h = model.jump.tau / S
+        jp = model.jump
+        nu_flow, nu_jump = (p.compiled(model.state_vars) for p in (cand.nu_flow[0], cand.nu_jump[0]))
+        rng = trajectory_rng(11, idx)
+        x = tuple(float(rng.uniform(lo, hi)) for lo, hi in model.X0.intervals.values())
+        gap = int(rng.integers(jp.q1, jp.q2 + 1))
+        z, want = 0, [(0, "init", 0, x)]
+        for k in range(1, config.horizon_T + 1):
+            if (k - 1) % C == 0:
+                dW = rng.standard_normal((C, S, 2))
+                dP = rng.poisson(np.array(model.rates) * h, (C, S, 2))
+                W = rng.standard_normal((C, 1))
+            e = (k - 1) % C
+            if z == gap:
+                x = model.jump_map(list(x), [nu_jump(x)], W[e].tolist())
+                z, gap = 0, int(rng.integers(jp.q1, jp.q2 + 1))
+                want.append((k, "jump", z, x))
+            else:
+                x = model.scalar_flow(list(x), [nu_flow(x)], h, math.sqrt(h), dW[e].tolist(), dP[e].tolist(), S)
+                z += 1
+                want.append((k, "flow", z, x))
+        traj = simulate(model, cand, config, traj_index=idx)
+        assert [(r.k, r.scenario, r.z, r.x) for r in traj.records] == want
+        assert {r.scenario for r in traj.records} == {"init", "flow", "jump"}
+
+
 # Variable names that would break or subvert generated code if they reached
 # it; their sort order is that of the plain names they replace, so every
 # polynomial keeps its variable order and both models do the same arithmetic.
@@ -597,9 +674,9 @@ class TestGeneratedCode:
                 assert_same(m, got, want)
             texts.append("".join(trajectory_csv(m, t) for t in scalar))
         assert texts[1] == texts[0]
-        # the digest of these trajectories before the kernels were generated
+        # the digest of these trajectories under the chunked stream layout
         digest = hashlib.sha256(texts[1].encode()).hexdigest()
-        assert digest == "096cfadd991703f42b2e669b6fd94410b1f7e9976a8685c3c143eead2265389d"
+        assert digest == "3d01874b26d4bbee29cb68042ed5a95fc3758a5a87942843c725c8e93eb7dad7"
 
     def test_codec_round_trip_simulates_like_the_model(self):
         # the codec keeps each polynomial's term order, and with it the
@@ -628,4 +705,4 @@ class TestGeneratedCode:
         x, h = 0.5, 0.1 / 4
         for _ in range(4):
             x = x + h * fn((x, 0.2))
-        assert flow_step(model, (0.5,), (0.2,), 0.1, 4, np.random.default_rng(0)) == (x,)
+        assert flow_step(model, (0.5,), (0.2,), 0.1, 4, *period_noise(model, np.random.default_rng(0), 0.1, 4)) == (x,)
