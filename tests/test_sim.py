@@ -593,6 +593,9 @@ class TestStreamLayout:
         traj = simulate(model, cand, config, traj_index=idx)
         assert [(r.k, r.scenario, r.z, r.x) for r in traj.records] == want
         assert {r.scenario for r in traj.records} == {"init", "flow", "jump"}
+        # a shorter horizon reads the same stream, so it gives a prefix
+        short = simulate(model, cand, replace(config, horizon_T=C - 1), traj_index=idx)
+        assert short.records == traj.records[:C]
 
 
 # Variable names that would break or subvert generated code if they reached
