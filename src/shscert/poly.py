@@ -650,8 +650,44 @@ def sturm_root_count(p: Polynomial, a: float, b: float) -> int:
     return _sign_variations(chain, a) - _sign_variations(chain, b)
 
 
+def _sign_bisect(rc: list[float], lo: float, hi: float) -> float | None:
+    """Bisect [lo, hi] on the sign of the polynomial rc (descending) down
+    to ROOT_WIDTH: the midpoint of the last bracket, or a midpoint where rc
+    is exactly 0. None where the signs at lo and hi do not differ strictly.
+    """
+    flo, fhi = 0.0, 0.0
+    for coef in rc:
+        flo = flo * lo + coef
+        fhi = fhi * hi + coef
+    # the signs, not the product: a product can underflow to 0
+    if not (flo < 0.0 < fhi or fhi < 0.0 < flo):
+        return None
+    up = flo < 0.0
+    while hi - lo > ROOT_WIDTH:
+        mid = 0.5 * (lo + hi)
+        v = 0.0
+        for coef in rc:
+            v = v * mid + coef
+        if v == 0.0:
+            return mid
+        if (v < 0.0) is up:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
 def _isolate_roots(c: list[float], a: float, b: float) -> list[float]:
-    """Approximate all distinct real roots of dense poly c in (a, b]."""
+    """Approximate all distinct real roots of dense poly c in (a, b].
+
+    Sturm counts on the square-free part bisect (a, b] until a bracket
+    holds one distinct root. Where the part has strictly opposite signs at
+    that bracket's ends, its sign alone bisects further (_sign_bisect);
+    otherwise (a root of even multiplicity, an end value within rounding
+    of 0) the Sturm counts go on. Both halve at 0.5 * (lo + hi) and stop
+    at width ROOT_WIDTH, so a root is the midpoint of its last bracket,
+    unless the sign bisection meets an exact 0 at a midpoint.
+    """
     c = _square_free(_trim(c))
     if len(c) <= 1:
         return []
@@ -670,6 +706,11 @@ def _isolate_roots(c: list[float], a: float, b: float) -> list[float]:
         if hi - lo <= ROOT_WIDTH:
             roots.append(0.5 * (lo + hi))
             continue
+        if n == 1:
+            root = _sign_bisect(chain[0], lo, hi)
+            if root is not None:
+                roots.append(root)
+                continue
         mid = 0.5 * (lo + hi)
         vmid = var(mid)
         stack.append((lo, mid, vlo, vmid))
@@ -677,16 +718,26 @@ def _isolate_roots(c: list[float], a: float, b: float) -> list[float]:
     return sorted(roots)
 
 
+def _grid(a: float, b: float) -> list[float]:
+    """np.linspace(a, b, 33).tolist() with numpy's arithmetic, bit for bit,
+    in plain Python: cheaper than an array for 33 points."""
+    step = (b - a) / 32
+    if step == 0:  # a subnormal width, which numpy scales after dividing
+        return [i / 32 * (b - a) + a for i in range(32)] + [b]
+    return [i * step + a for i in range(32)] + [b]
+
+
 def interval_candidates(dp: Sequence[float], a: float, b: float) -> list[float]:
     """Sorted candidate minimizers on [a < b] of a polynomial with derivative dp.
 
     dp holds dense ascending coefficients. The candidates are the
-    endpoints, every real root of dp inside (a, b) isolated to width 1e-10,
-    and a 33-point grid as a numerical safety net.
+    endpoints, every real root of dp inside (a, b) as _isolate_roots
+    places it (within a bracket of width ROOT_WIDTH), and a 33-point grid
+    as a numerical safety net.
     """
     candidates = {a, b}
     candidates.update(x for x in _isolate_roots(dp, a, b) if a < x < b)
-    candidates.update(np.linspace(a, b, 33).tolist())
+    candidates.update(_grid(a, b))
     return sorted(candidates)
 
 

@@ -92,7 +92,7 @@ GOLDEN = {
     "acbc[3]": "4893ced7565ff02ff1063d295d3402c2fc11c953ad13591f6f15b8551dde557a",
     "check_cbc[1]": "ad5ef53ceb8642f423174c3016e3982dcc4b25b0e6687dde63a784262db0a9bc",
     "check_cbc[2]": "ecbcb15a594c49781962f3f13bcf2cf9223b7ccc95fb5f463c3d55f170b615c9",
-    "check_cbc[3]": "1136fdb131c3226e5943a65023e1a6e801b3d42b3a350a44b1da06364816811a",
+    "check_cbc[3]": "e018df2b3a3a89d6ddb6d2078080ac3f12315518badd0c29cb8eb3a348e058ca",
     "check_acbc_conditions[1]": "e0ce291b2ff5d1937bb7dd6c40eb576a0d3d073a0f71e08be0da413c640fb27e",
     "check_acbc_conditions[2]": "8ec3770c2d060eadf3cef9918f6cd7709c756cdd47e06a03113bba923dd876e0",
     "check_acbc_conditions[3]": "d0e7eef0085b39b97815965cc1c50c3ad2ea3c0079620aa50df17a91d72f821a",

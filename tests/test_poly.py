@@ -670,9 +670,10 @@ class TestGeneratedSource:
 #
 # The references below are the earlier forms of the kernel: Horner through
 # one call per candidate, sign variations from a list of signs, a division
-# loop that trims the remainder on every step, a root isolation that counts
-# Sturm sign changes at every bisection step, and a substitution that forms
-# every power from scratch. The kernel must give the same bits.
+# loop that trims the remainder on every step, a recursive root isolation,
+# and a substitution that forms every power from scratch. The kernel must
+# give the same bits. The root isolation that counts Sturm sign changes at
+# every bisection step, which the sign refinement replaced, is kept too.
 
 
 def _ref_polyval(c, x):
@@ -720,6 +721,42 @@ def _ref_divmod_dense(a, b):
 
 
 def _ref_isolate_roots(c, a, b, width=poly.ROOT_WIDTH):
+    """Sturm bisection until a bracket holds one distinct root; then, where
+    the square-free part of c has strictly opposite signs at the ends,
+    bisection on its sign, stopping at an exact 0."""
+    c = poly._square_free(poly._trim(c))
+    if len(c) <= 1:
+        return []
+    chain = [d[::-1] for d in poly._sturm_chain(c)]
+
+    def var(x):
+        return _ref_sign_variations(chain, x)
+
+    def sign(x):
+        v = _ref_polyval(chain[0], x)
+        return (v > 0) - (v < 0)
+
+    def refine(lo, hi, vlo, vhi):
+        if vlo - vhi <= 0:
+            return []
+        if hi - lo <= width:
+            return [0.5 * (lo + hi)]
+        if vlo - vhi == 1 and sign(lo) * sign(hi) == -1:
+            s = sign(lo)
+            while hi - lo > width:
+                mid = 0.5 * (lo + hi)
+                if sign(mid) == 0:
+                    return [mid]
+                lo, hi = (mid, hi) if sign(mid) == s else (lo, mid)
+            return [0.5 * (lo + hi)]
+        mid = 0.5 * (lo + hi)
+        vmid = var(mid)
+        return refine(lo, mid, vlo, vmid) + refine(mid, hi, vmid, vhi)
+
+    return sorted(refine(a, b, var(a), var(b)))
+
+
+def _ref_isolate_roots_sturm(c, a, b, width=poly.ROOT_WIDTH):
     """Bisection with a full Sturm sign count at every step, down to width,
     on the Sturm chain of the square-free part of c."""
     c = poly._square_free(poly._trim(c))
@@ -792,8 +829,39 @@ def clustered(draw):
     return c.tolist()
 
 
+@st.composite
+def separated_roots(draw):
+    """1 to 5 sorted roots in [-5, 5], at least 0.25 apart."""
+    first = draw(st.floats(-5.0, 5.0))
+    gaps = draw(st.lists(st.floats(0.25, 4.0), max_size=4))
+    roots = [first]
+    for g in gaps:
+        if roots[-1] + g > 5.0:
+            break
+        roots.append(roots[-1] + g)
+    return roots
+
+
+def _from_roots(roots, lead):
+    """Dense ascending coefficients of lead * prod(x - r)."""
+    c = np.array([lead])
+    for r in roots:
+        c = np.convolve(c, [-r, 1.0])
+    return c.tolist()
+
+
 INTERVALS = st.tuples(st.floats(-10.0, 10.0), st.floats(1e-6, 20.0)).map(
     lambda aw: (aw[0], aw[0] + aw[1])
+)
+# leading coefficients of either sign from 1e-3 to 1e3
+LEADS = st.tuples(st.sampled_from((-1.0, 1.0)), st.floats(-3.0, 3.0)).map(
+    lambda se: se[0] * 10.0 ** se[1]
+)
+# grid ends: signed zeros and subnormals, whose widths can divide to 0
+GRID_ENDS = st.one_of(
+    st.floats(-1e10, 1e10),
+    st.floats(-1e-300, 1e-300),
+    st.sampled_from((0.0, -0.0, 5e-324, -5e-324)),
 )
 COEFS_OR_ZERO = st.one_of(COEFS, st.just(0.0))
 # values a candidate list may hold: ties, overflow, and NaN
@@ -854,6 +922,22 @@ class TestKernelEquivalence:
         assert list(map(_bits, got)) == list(map(_bits, want))
 
     @settings(max_examples=100, deadline=None)
+    @given(roots=separated_roots(), lead=LEADS, interval=INTERVALS)
+    def test_sign_refinement_finds_as_many_roots_as_sturm_counts(self, roots, lead, interval):
+        a, b = interval
+        c = _from_roots(roots, lead)
+        assert len(_ref_isolate_roots(c, a, b)) == len(_ref_isolate_roots_sturm(c, a, b))
+
+    @settings(max_examples=300, deadline=None)
+    @given(a=GRID_ENDS, b=GRID_ENDS)
+    @example(a=0.0, b=5e-324)  # the width divides to 0: numpy's other branch
+    @example(a=-0.0, b=1.0)
+    @example(a=-3e-322, b=-0.0)
+    def test_grid_is_linspace(self, a, b):
+        want = np.linspace(a, b, 33).tolist()
+        assert list(map(_bits, poly._grid(a, b))) == list(map(_bits, want))
+
+    @settings(max_examples=100, deadline=None)
     @given(p=sparse_polynomials(), q=sparse_polynomials(), k=st.integers(0, 4))
     def test_arithmetic_results_are_validated_polynomials(self, p, q, k):
         std = NoiseMoments.standard_normal(12)
@@ -870,6 +954,41 @@ class TestKernelEquivalence:
         mapping = {"x": q, "y": s, "z": -1.25}
         assert _layout(p.substitute(mapping)) == _layout(_ref_substitute(p, mapping))
         assert _layout(p.substitute({"y": q})) == _layout(_ref_substitute(p, {"y": q}))
+
+
+class TestRootIsolation:
+    @settings(max_examples=300, deadline=None)
+    @given(roots=separated_roots(), lead=LEADS, interval=INTERVALS)
+    @example(  # 4.3e-9 off when every bisection step counted Sturm signs
+        roots=[2.4335243692945774, 2.9600393929523037, 3.2641569768843137,
+               3.6404076412266493, 4.801211634311189],
+        lead=-5.713145863513655,
+        interval=(-0.38390569135881236, 5.867860350872549),
+    )
+    def test_each_root_once_within_1e_9(self, roots, lead, interval):
+        a, b = interval
+        got = poly._isolate_roots(_from_roots(roots, lead), a, b)
+        for r in roots:
+            if a + 1e-6 < r < b - 1e-6:
+                near = [x for x in got if abs(x - r) < 0.125]
+                assert len(near) == 1 and abs(near[0] - r) <= 1e-9, (r, got)
+
+    def test_sign_counts_stop_once_each_root_is_bracketed(self, monkeypatch):
+        # p' = (x - 1)(x - 2)(x - 3): a Sturm count at every bisection step
+        # down to ROOT_WIDTH made 108 counts here
+        counts = 0
+        original = poly._sign_variations
+
+        def counted(chain, x):
+            nonlocal counts
+            counts += 1
+            return original(chain, x)
+
+        monkeypatch.setattr(poly, "_sign_variations", counted)
+        p = Polynomial.univariate("x", [0.0, -6.0, 5.5, -2.0, 0.25])
+        value, arg = min_on_interval(p, 0.0, 8.0)
+        assert value == -2.25 and arg == pytest.approx(1.0, abs=1e-9)
+        assert counts <= 48
 
 
 class TestHash:
