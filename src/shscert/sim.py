@@ -27,8 +27,6 @@ the substep of a blow-up to the scalar kernel.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from dataclasses import dataclass, field, replace
 from typing import Iterator, Sequence
@@ -495,21 +493,17 @@ def _simulate_block(
 
 
 def trajectory_csv(model: SHSModel, traj: Trajectory) -> str:
-    """CSV dump with columns k, time, z, scenario, x_1..x_n, B_value."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(
-        ["k", "time", "z", "scenario"]
-        + [f"x_{i + 1}" for i in range(model.n)]
-        + ["B_value"]
-    )
+    """CSV dump with columns k, time, z, scenario, x_1..x_n, B_value.
+
+    Floats are written with ``repr``, which reads back exactly; no field
+    ever needs quoting, so the text is what ``csv.writer`` would write."""
+    header = ["k", "time", "z", "scenario", *(f"x_{i + 1}" for i in range(model.n)), "B_value"]
+    lines = [",".join(header)]
     for r in traj.records:
-        writer.writerow(
-            [r.k, repr(r.time), r.z, r.scenario]
-            + [repr(v) for v in r.x]
-            + ["" if r.b_value is None else repr(r.b_value)]
-        )
-    return buf.getvalue()
+        b = "" if r.b_value is None else repr(r.b_value)
+        lines.append(",".join([str(r.k), repr(r.time), str(r.z), r.scenario, *map(repr, r.x), b]))
+    lines.append("")
+    return "\n".join(lines)
 
 
 def clopper_pearson(successes: int, trials: int, confidence: float = 0.99) -> tuple[float, float]:

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import csv
 import hashlib
+import io
 import json
 import math
 from dataclasses import replace
@@ -24,7 +26,7 @@ from shscert import (
     trajectory_csv,
 )
 from shscert import load_case, sim
-from shscert.model import NoiseConfig, SHSModel
+from shscert.model import FLOW, JUMP, NoiseConfig, SHSModel
 from shscert.poly import IntervalBox, NoiseMoments
 from shscert.sim import _simulate_block, trajectories, trajectory_rng
 
@@ -230,6 +232,28 @@ class TestTrajectoryCsv:
         first = lines[1].split(",")
         assert first[0] == "0" and first[3] == "init"
         assert float(first[5]) >= 0.0
+
+    @pytest.mark.parametrize("two_states", [False, True])
+    def test_text_is_what_csv_writer_writes(self, case1, two_states):
+        model = _noisy_plane()[0] if two_states else case1.model
+        odd = (math.nan, math.inf, -math.inf, -0.0, 0.0, 1e-300, -5e-324, 1.7976931348623157e308, 0.1)
+        records = [
+            sim.TransitionRecord(
+                k, odd[k - 1] if k else 0.0, k % 8, ("init", FLOW, JUMP)[k % 3],
+                tuple(odd[(k + i) % len(odd)] for i in range(model.n)),
+                None if k % 4 == 1 else odd[(2 * k) % len(odd)],
+            )
+            for k in range(len(odd) + 1)
+        ]
+        traj = sim.Trajectory(tuple(records), None, None)
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(["k", "time", "z", "scenario"] + [f"x_{i + 1}" for i in range(model.n)] + ["B_value"])
+        for r in records:
+            b = "" if r.b_value is None else repr(r.b_value)
+            writer.writerow([r.k, repr(r.time), r.z, r.scenario] + [repr(v) for v in r.x] + [b])
+        assert trajectory_csv(model, traj) == buf.getvalue()
+        assert "nan" in buf.getvalue() and "-0.0" in buf.getvalue() and ",\n" in buf.getvalue()
 
 
 class TestClopperPearson:
