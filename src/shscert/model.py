@@ -355,8 +355,10 @@ class JumpSchedule:
                     f"[{jump.q1}, {jump.q2}]"
                 )
 
-    def next_gap(self, jump: JumpParams, index: int, rng: np.random.Generator) -> int:
-        """Gap before the (index+1)-th jump; uniform draws use rng."""
+    def draw_gaps(self, jump: JumpParams, first: int, count: int, rng: np.random.Generator) -> list[int]:
+        """Gaps before jumps ``first`` .. ``first + count - 1`` (the first
+        jump is jump 0); a uniform schedule draws all of them from rng in
+        one call."""
         if self.policy == "uniform":
-            return int(rng.integers(jump.q1, jump.q2 + 1))
-        return self.gaps[index % len(self.gaps)]
+            return rng.integers(jump.q1, jump.q2 + 1, count).tolist()
+        return [self.gaps[i % len(self.gaps)] for i in range(first, first + count)]

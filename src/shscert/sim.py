@@ -2,16 +2,25 @@
 
 The flow is integrated with Euler-Maruyama (Brownian increments plus exact
 per-substep Poisson counts); jumps apply the stochastic jump map
-instantaneously at scheduled instants. Each trajectory owns a
-counter-based (Philox) RNG stream derived from the master seed and its
-index, so results are reproducible and independent of execution order.
-The stream is read in one layout: the sample of X0 (unless the start is
-fixed), the first gap (uniform schedule), then at transitions 1, 1 + C,
-1 + 2C, ... the noise of C transitions at once (``_draw_chunk``), with
-C = ``_chunk_periods(substeps)``. Transition k reads entry (k - 1) % C of
-its chunk whether it flows or jumps: a flow leaves the entry's jump noise
-unused, and a jump its flow noise. Each later uniform gap is drawn when
-its jump fires.
+instantaneously at scheduled instants. Each trajectory owns one
+counter-based (Philox) stream keyed directly by the master seed and its
+index (``trajectory_rng``), so results are reproducible and independent of
+execution order. The stream is read in one layout:
+
+1. the sample of X0, unless the start is fixed;
+2. jump chunk 0 (``_draw_jump_chunk``): the gaps before jumps
+   0 .. JUMP_CHUNK - 1 (one draw for a uniform schedule, none otherwise),
+   then their jump noise W;
+3. then each chunk when the trajectory first needs it: flow chunk i
+   (``_draw_flow_chunk``) at its (i C)-th flow, with C =
+   ``_chunk_periods(substeps)``, and jump chunk i when the gap before jump
+   i JUMP_CHUNK is first needed, right after the jump before it fires.
+
+A flow reads the next entry of its flow chunk and a jump the next entry of
+its jump chunk, so flows draw no jump noise and jumps no flow noise. Chunk
+sizes do not depend on the horizon, and a chunk is drawn whole even when
+the horizon ends inside it: a trajectory over horizon T is the first T
+transitions of the same trajectory over any longer horizon.
 
 ``simulate`` runs one trajectory on Python floats, through the flow-period
 and jump-map kernels ``SHSModel.scalar_flow`` and ``SHSModel.jump_map``,
@@ -37,7 +46,7 @@ from .augment import Acbc
 from .bound import compute_delta_for
 from .certify import CbcCandidate
 from .codec import Codec
-from .model import FLOW, JUMP, BlowUpError, JumpSchedule, SHSModel
+from .model import FLOW, JUMP, BlowUpError, JumpParams, JumpSchedule, SHSModel
 
 
 @dataclass(frozen=True)
@@ -60,6 +69,8 @@ class SimConfig:
             raise ValueError("horizon_T must be >= 0")
         if self.master_seed < 0:
             raise ValueError("master_seed must be >= 0")
+        if self.master_seed >= 2**64:
+            raise ValueError("master_seed must be < 2**64")
 
 
 @dataclass(frozen=True)
@@ -79,52 +90,80 @@ class Trajectory:
     first_exceed: int | None
 
 
-def trajectory_rng(master_seed: int, traj_index: int) -> np.random.Generator:
-    """Counter-based stream for one trajectory; stable across workers."""
-    ss = np.random.SeedSequence(entropy=master_seed, spawn_key=(traj_index,))
-    return np.random.Generator(np.random.Philox(ss))
-
-
-def _poisson_mean(model: SHSModel, h: float):
-    """Poisson mean per substep. A single rate goes in as a float: numpy's
-    array-rate path is several times slower and draws the same stream."""
-    return model.rates[0] * h if model.poisson_dim == 1 else np.asarray(model.rates) * h
-
-
-# Noise is drawn a chunk of transitions at a time, NOISE_SUBSTEPS substeps'
-# worth: 64 periods at the default 20 substeps. Part of the stream layout,
-# so changing it changes every trajectory. It bounds a block's noise arrays
-# to BLOCK_SIZE x NOISE_SUBSTEPS x (b + r) values whatever the substeps.
-NOISE_SUBSTEPS = 1280
-
-
-def _chunk_periods(substeps: int) -> int:
-    """Transitions per noise chunk at ``substeps`` substeps per period."""
-    return max(1, NOISE_SUBSTEPS // substeps)
-
-
-def _noise_arrays(model: SHSModel, lead: tuple[int, ...], substeps: int):
-    """Uninitialised dW (*lead, substeps, b), dP (*lead, substeps, r) and
-    W (*lead, w) to draw chunks into."""
-    return (
-        np.empty((*lead, substeps, model.brownian_dim)),
-        np.empty((*lead, substeps, model.poisson_dim), dtype=np.int64),
-        np.empty((*lead, len(model.noise_vars))),
+def trajectory_rng(master_seed: int, traj_index: int, branch: int = 0) -> np.random.Generator:
+    """The Philox stream of one trajectory: the 128-bit key holds
+    ``master_seed`` in its low and ``traj_index`` in its high 64 bits, and
+    the counter starts with ``branch`` in its high word (0 for plain runs).
+    Built from the key directly, with no seed hashing, so it is stable
+    across workers. The key goes in as one Python int: a tuple holding a
+    seed of 2**63 or more would become a float array and lose bits."""
+    return np.random.Generator(
+        np.random.Philox(key=master_seed | traj_index << 64, counter=branch << 192)
     )
 
 
-def _draw_chunk(rng: np.random.Generator, mean, dW: np.ndarray, dP: np.ndarray, W: np.ndarray) -> None:
-    """Fill one chunk of C transitions' noise, in this order: standard
-    normal Brownian increments dW (C, substeps, b), Poisson counts dP
-    (C, substeps, r) of mean ``mean``, and standard normal jump noise
-    W (C, w). An empty array draws nothing. Both engines draw through here,
-    so each stream is read the same way."""
+# Flow noise is drawn a chunk of C = NOISE_SUBSTEPS // substeps flow periods
+# at a time (at least one): 64 periods at the default 20 substeps. It bounds
+# a block's flow noise to BLOCK_SIZE x NOISE_SUBSTEPS x (b + r) values
+# whatever the substeps. Jump noise and gaps are drawn JUMP_CHUNK jumps at a
+# time. Both sizes are part of the stream layout, so changing either changes
+# every trajectory; neither depends on the horizon.
+NOISE_SUBSTEPS = 1280
+JUMP_CHUNK = 64
+
+
+def _chunk_periods(substeps: int) -> int:
+    """Flow periods per flow chunk at ``substeps`` substeps per period."""
+    return max(1, NOISE_SUBSTEPS // substeps)
+
+
+def _noise_arrays(model: SHSModel, lead: tuple[int, ...], periods: int, substeps: int):
+    """Uninitialised arrays to draw chunks into: dW (*lead, periods,
+    substeps, b), dP (*lead, periods, substeps, r) and W (*lead,
+    JUMP_CHUNK, w)."""
+    return (
+        np.empty((*lead, periods, substeps, model.brownian_dim)),
+        np.empty((*lead, periods, substeps, model.poisson_dim), dtype=np.int64),
+        np.empty((*lead, JUMP_CHUNK, len(model.noise_vars))),
+    )
+
+
+def _chunk_means(model: SHSModel, h: float, periods: int, substeps: int) -> list[float]:
+    """Per Poisson channel, the mean count over one flow chunk of
+    ``periods`` x ``substeps`` substeps of length h."""
+    return [rate * h * periods * substeps for rate in model.rates]
+
+
+def _draw_flow_chunk(rng: np.random.Generator, means: list[float], dW: np.ndarray, dP: np.ndarray) -> None:
+    """Fill one flow chunk of C periods, in this order: standard normal
+    Brownian increments dW (C, substeps, b); then, per Poisson channel j, a
+    total K_j ~ Poisson(``means[j]``) and K_j substep indices drawn uniformly
+    from the chunk's C x substeps cells, counted into dP[..., j]. Given their
+    total, iid Poisson counts are multinomial with equal cells, so each cell
+    is Poisson(``means[j]`` / (C x substeps)) exactly. Both engines draw
+    through here, so each stream is read the same way."""
     if dW.size:
         rng.standard_normal(out=dW)
-    if dP.size:
-        dP[...] = rng.poisson(mean, dP.shape)
+    C, S = dP.shape[:2]
+    for j, mean in enumerate(means):
+        hits = rng.poisson(mean)
+        if hits:
+            dP[..., j] = np.bincount(rng.integers(0, C * S, hits), minlength=C * S).reshape(C, S)
+        else:
+            dP[..., j] = 0
+
+
+def _draw_jump_chunk(
+    rng: np.random.Generator, schedule: JumpSchedule, jump: JumpParams, first: int, W: np.ndarray
+) -> list[int]:
+    """Draw one jump chunk for jumps ``first`` .. ``first`` + JUMP_CHUNK - 1:
+    the gaps before them (one draw for a uniform schedule, see
+    ``JumpSchedule.draw_gaps``), which it returns, then their standard
+    normal jump noise W (JUMP_CHUNK, w)."""
+    gaps = schedule.draw_gaps(jump, first, JUMP_CHUNK, rng)
     if W.size:
         rng.standard_normal(out=W)
+    return gaps
 
 
 def flow_step(
@@ -214,8 +253,8 @@ def simulate(
     rng = trajectory_rng(config.master_seed, traj_index)
     S = config.substeps_per_tau
     C = _chunk_periods(S)
-    mean = _poisson_mean(model, jp.tau / S)
-    dW, dP, W = _noise_arrays(model, (C,), S)
+    means = _chunk_means(model, jp.tau / S, C, S)
+    dW, dP, W = _noise_arrays(model, (), C, S)
 
     if config.x0 is not None:
         x = tuple(float(v) for v in config.x0)
@@ -232,8 +271,9 @@ def simulate(
         beta = [acbc.beta(q) for q in range(jp.q2 + 1)]
     unsafe_box = _unsafe_box(model)
 
-    jumps_taken = 0
-    gap = config.schedule.next_gap(jp, 0, rng)
+    flows = jumps = 0
+    gaps = _draw_jump_chunk(rng, config.schedule, jp, 0, W)
+    gap = gaps[0]
 
     first_unsafe: int | None = None
     first_exceed: int | None = None
@@ -256,19 +296,23 @@ def simulate(
 
     record(0, "init")
     for k in range(1, config.horizon_T + 1):
-        e = (k - 1) % C
-        if not e:
-            _draw_chunk(rng, mean, dW, dP, W)
         if z == gap:
             nu = tuple(f(x) for f in jump_fns)
-            x = jump_step(model, x, nu, W[e])
+            x = jump_step(model, x, nu, W[jumps % JUMP_CHUNK])
             z = 0
-            jumps_taken += 1
-            gap = config.schedule.next_gap(jp, jumps_taken, rng)
+            jumps += 1
+            e = jumps % JUMP_CHUNK
+            if not e:
+                gaps = _draw_jump_chunk(rng, config.schedule, jp, jumps, W)
+            gap = gaps[e]
             record(k, JUMP)
         else:
+            e = flows % C
+            if not e:
+                _draw_flow_chunk(rng, means, dW, dP)
             nu = tuple(f(x) for f in flow_fns)
             x = flow_step(model, x, nu, jp.tau, S, dW[e], dP[e])
+            flows += 1
             z += 1
             time += jp.tau
             record(k, FLOW)
@@ -333,10 +377,11 @@ def _simulate_block(
 ) -> list[Trajectory | BlowUpError]:
     """Trajectories start..stop-1, stepped together as an (N, n) array.
 
-    At the start of each chunk every live row draws its chunk from its own
-    stream through ``_draw_chunk``, as ``simulate`` does, into its slice of
-    (N, C, ...) noise arrays allocated once per block; each transition
-    gathers the moving rows' entry. A flow period is one call of
+    Each row counts its own flows and jumps. A row draws each chunk from
+    its own stream when ``simulate`` would, through the same
+    ``_draw_flow_chunk`` and ``_draw_jump_chunk``, into its slice of noise
+    arrays allocated once per block; each transition gathers the moving
+    rows' entries, each at its own count. A flow period is one call of
     ``SHSModel.block_flow`` on the flowing rows' columns, and a jump one
     call of ``SHSModel.jump_map`` on the jumping rows' columns; both
     evaluate every value with the expressions and order of operations of
@@ -354,12 +399,12 @@ def _simulate_block(
     C = _chunk_periods(S)
     h = jp.tau / S
     sqh = math.sqrt(h)
-    mean = _poisson_mean(model, h)
+    means = _chunk_means(model, h, C, S)
     flow_fns = [p.compiled(sv) for p in cand.nu_flow]
     jump_fns = [p.compiled(sv) for p in cand.nu_jump]
     schedule = config.schedule
     rngs = [trajectory_rng(config.master_seed, i) for i in range(start, stop)]
-    dW, dP, W = _noise_arrays(model, (N, C), S)
+    dW, dP, W = _noise_arrays(model, (N,), C, S)
 
     if config.x0 is not None:
         X = np.tile(np.array([float(v) for v in config.x0]), (N, 1))
@@ -368,8 +413,10 @@ def _simulate_block(
         X = np.array([[pt[v] for v in sv] for pt in pts], dtype=float).reshape(N, n)
     z = np.zeros(N, dtype=np.int64)
     time = np.zeros(N)
-    jumps = [0] * N
-    gap = np.array([schedule.next_gap(jp, 0, g) for g in rngs], dtype=np.int64)
+    flows = np.zeros(N, dtype=np.int64)
+    jumps = np.zeros(N, dtype=np.int64)
+    gaps = [_draw_jump_chunk(g, schedule, jp, 0, W[row]) for row, g in enumerate(rngs)]
+    gap = np.array([row_gaps[0] for row_gaps in gaps], dtype=np.int64)
     alive = np.ones(N, dtype=bool)
     errors: list[BlowUpError | None] = [None] * N
     first_exceed = np.full(N, -1, dtype=np.int64)
@@ -411,22 +458,27 @@ def _simulate_block(
         X[rows] = cols
         return np.flatnonzero(~np.isfinite(cols).all(axis=1)).tolist()
 
-    def jump(J: np.ndarray, e: int) -> None:
+    def jump(J: np.ndarray) -> None:
         rows = J.tolist()
         cols = [X[J, i] for i in range(n)]
         nu = [f(cols) for f in jump_fns]
-        w = W[J, e]
+        w = W[J, jumps[J] % JUMP_CHUNK]
         for c in step(J, model.jump_map(cols, nu, [w[:, j] for j in range(w.shape[1])])):
             errors[rows[c]] = BlowUpError(0, "jump map produced a non-finite state")
             alive[rows[c]] = False
         J = J[alive[J]]
         z[J] = 0
-        rows = J.tolist()
-        for row in rows:
-            jumps[row] += 1
-        gap[J] = [schedule.next_gap(jp, jumps[row], rngs[row]) for row in rows]
+        jumps[J] += 1
+        rows, es = J.tolist(), (jumps[J] % JUMP_CHUNK).tolist()
+        for row, e in zip(rows, es):
+            if not e:
+                gaps[row] = _draw_jump_chunk(rngs[row], schedule, jp, int(jumps[row]), W[row])
+        gap[J] = [gaps[row][e] for row, e in zip(rows, es)]
 
-    def flow(F: np.ndarray, e: int) -> None:
+    def flow(F: np.ndarray) -> None:
+        e = flows[F] % C
+        for row in F[e == 0].tolist():
+            _draw_flow_chunk(rngs[row], means, dW[row], dP[row])
         rows = F.tolist()
         cols = [X[F, i] for i in range(n)]
         nu = [f(cols) for f in flow_fns]
@@ -443,6 +495,7 @@ def _simulate_block(
             else:
                 raise AssertionError("block and scalar flow kernels disagree")
         F = F[alive[F]]
+        flows[F] += 1
         z[F] += 1
         time[F] += jp.tau
 
@@ -452,16 +505,12 @@ def _simulate_block(
             live = np.flatnonzero(alive)
             if not live.size:
                 break
-            e = (k - 1) % C
-            if not e:
-                for row in live.tolist():
-                    _draw_chunk(rngs[row], mean, dW[row], dP[row], W[row])
             jumped = z == gap
             at_gap = jumped[live]
             if at_gap.any():
-                jump(live[at_gap], e)
+                jump(live[at_gap])
             if not at_gap.all():
-                flow(live[~at_gap], e)
+                flow(live[~at_gap])
             record(k, jumped)
 
     out: list[Trajectory | BlowUpError] = []

@@ -100,15 +100,15 @@ GOLDEN = {
     "compute_delta_for[2]": "7eea4a872696b6065c0ce3165252e481319be5a4b5ad31e594bac4eb5f7d1ba5",
     "compute_delta_for[3]": "7d8f3b6c4e8b8b4d3153c4583bb361077744595e0285944600737f23af93cf52",
     "monte_carlo[1]": "4c4bdf5b7dc135968f5d645fa84f0909104dc9a175a2f53e72d7460a258e94eb",
-    "monte_carlo[2]": "ecc0f6ac8fdb5c192d0a7f18786c9abd7fb52cef1d0f11fdc54b8a5ee92315e9",
+    "monte_carlo[2]": "3867f3e27557674c3d661f43e3a7373cb904434a57734dc67d0bb6cef172c186",
     "monte_carlo[3]": "123f53e727a399eb5c580ab1161de70c307bab67ac0842667643d3ad6e083ff3",
     "synth_result[1]": "48b5e880695450260ba83a69f34a552375149e6742786a7eb9b8b83e95f77165",
     "synth_result[2]": "906098db8678cb541731fedc749512d81c285cc993d49c1c4ac72f1dfa1f9191",
     "synth_result[3]": "38eb8049ff290c63961ba1f3bfdd34890319b46b859d428d289b9bae0ce45539",
     "synth_template[1]": "789c4de57b7a3a7192bd99f478a8eb33fe48aae9fda7819bf760bb92d2e10907",
-    # no case 2: its trajectory 1 blows up under these settings (exit 1)
-    "simulate_json[1]": "3f83f776e3f4e9a9052e6d5ece86131c614e267623c33a4228bf8d3f20dea787",
-    "simulate_json[3]": "e4d2939111dd7157de05269f9027b668595dfd2b091be861b13421f7dd4d1573",
+    # no case 2: its trajectory 3 blows up under these settings (exit 1)
+    "simulate_json[1]": "0ff1724119a6b6a25cce138e0e6583426b2b662e84896e6752140c0b3be9d77e",
+    "simulate_json[3]": "14c11e9055a4c53863a28f7c9f8f1b1d045a736f59762eb796a9fe09fb5ecd20",
 }
 
 
@@ -122,15 +122,15 @@ def test_output_bytes_are_pinned(name, tmp_path):
 # The scalar engine alone: one trajectory per case under its bundled
 # schedule and lifted certificate, at three seeds.
 SIMULATE_CSV = {
-    ("1", 0): "e31a4b5afa2809b3344fe4281fca4e12b13e1dfd5bc38c929f953fe6eb2599ab",
-    ("1", 1): "084d54523969c1a9f9ebfa901824b7ad84027e189f250f91179f7de495dff11f",
-    ("1", 7): "ff7a1137331507de3ae19cf4dfb7610cc05bea112017406d495d391977ebf231",
-    ("2", 0): "8527589c546e83fbb5a4269001a0d672e732f6b39902a8e6e764d42ba6c053b0",
-    ("2", 1): "8991f04f95dd2ea254ccc6e1f5f7b527efaef0d240c8e2faa48dfc83cd8b8bfe",
-    ("2", 7): "74d6c2cf48950bf80cbe443dfa54f40b8950af90a76d20184f44ef23fd8686b1",
-    ("3", 0): "38f5526269c5a0f67cea8e94900b5f26c837f44ed1e8f1fe0f81687e2801bc14",
-    ("3", 1): "46f31740b2c3bafb3f1e0d4661ee2c9b6c5e76f2f08f2b3d9959e1553bb8e8b1",
-    ("3", 7): "523c24a320e14fff5cbe42190867c43efe66ad31da00c13d901e137dac48d5fd",
+    ("1", 0): "ba85e97c361b7e5439b51aaed09e526721fe7fda41cf1e3339c9b9c1aa962623",
+    ("1", 1): "e2315704b31c9e8b00440fc935888e91fc7a777992c689c4d412f529cecc211b",
+    ("1", 7): "ad45009b592b54162a3a61cc2fed7fe9cb36fc254cd6e3c7e9faabaa66480458",
+    ("2", 0): "c581baf910e40d55ef294ea21e0eefd8f5ed165087fb7cc560138c7791240ad7",
+    ("2", 1): "4d71a2b0520305d9e29d1bcd9db5791b68a2fd3e5198e6fe8941b218e332ba21",
+    ("2", 7): "cbc681e0a7633bd47ca6585cc6fa058a193c65d11aac4750fe6f364ec6b15c92",
+    ("3", 0): "b5f3d08bfb6fae296bbcd64d8ff3690e5049d69683fdef2398c8cb079b963965",
+    ("3", 1): "26de3217662c6e6d6807b00817647a85cec352e4eb255c02c54c9b715a4e48c5",
+    ("3", 7): "cba4403133e66648c35f6a7943d15b358a12432432e152172060bb9907b93613",
 }
 
 
@@ -144,13 +144,14 @@ def test_simulate_csv_is_pinned(case_id, seed):
 
 
 def test_simulate_blow_up_is_pinned():
-    """Case 2 under the uniform schedule: trajectory 1 of the
+    """Case 2 under the uniform schedule: trajectory 3 of the
     ``simulate_json`` run above, the first to blow up, stops being finite
     within a flow period."""
     case = load_case("2")
     config = SimConfig(horizon_T=20, master_seed=7)
-    simulate(case.model, case.candidate, config, acbc=_acbc(case), traj_index=0)
+    for idx in range(3):
+        simulate(case.model, case.candidate, config, acbc=_acbc(case), traj_index=idx)
     with pytest.raises(BlowUpError) as err:
-        simulate(case.model, case.candidate, config, acbc=_acbc(case), traj_index=1)
+        simulate(case.model, case.candidate, config, acbc=_acbc(case), traj_index=3)
     assert str(err.value) == "state became non-finite at substep 6"
     assert err.value.step == 6

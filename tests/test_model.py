@@ -152,15 +152,17 @@ class TestJumpSchedule:
         jp = JumpParams(0.1, 1, 7)
         sched = JumpSchedule.cyclic([2, 5])
         rng = np.random.default_rng(0)
-        gaps = [sched.next_gap(jp, i, rng) for i in range(5)]
-        assert gaps == [2, 5, 2, 5, 2]
+        state = rng.bit_generator.state
+        assert sched.draw_gaps(jp, 0, 5, rng) == [2, 5, 2, 5, 2]
+        assert sched.draw_gaps(jp, 3, 4, rng) == [5, 2, 5, 2]
+        assert rng.bit_generator.state == state  # a fixed sequence draws nothing
 
     def test_uniform_gaps_stay_in_range_and_are_seeded(self):
         jp = JumpParams(0.1, 1, 7)
         sched = JumpSchedule.uniform()
         rng_a, rng_b = np.random.default_rng(42), np.random.default_rng(42)
-        g1 = [sched.next_gap(jp, i, rng_a) for i in range(20)]
-        g2 = [sched.next_gap(jp, i, rng_b) for i in range(20)]
-        assert g1 == g2
+        g1 = sched.draw_gaps(jp, 0, 20, rng_a)
+        g2 = sched.draw_gaps(jp, 0, 20, rng_b)
+        assert g1 == g2 == np.random.default_rng(42).integers(1, 8, 20).tolist()
         assert all(1 <= g <= 7 for g in g1)
         assert len(set(g1)) > 1

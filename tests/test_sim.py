@@ -535,25 +535,39 @@ class TestBatchedEngine:
         assert rep.blowup_count == 0
         assert rep.exceed_count == config.n_trajectories
 
-    def test_float_poisson_rate_draws_the_array_stream(self):
-        a, b = trajectory_rng(7, 0), trajectory_rng(7, 0)
-        for _ in range(100):
-            want = a.poisson(np.asarray((0.5,)) * 0.005, size=(20, 1))
-            assert np.array_equal(b.poisson(0.5 * 0.005, size=(20, 1)), want)
+
+def _flows_before_blow_up(model, cand, config, idx) -> int:
+    """Flows trajectory ``idx`` completes before its state stops being
+    finite: the flows of its longest horizon that does not blow up, which
+    is a prefix of every longer one."""
+    lo, hi = 0, config.horizon_T
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        run = _outcome(lambda: simulate(model, cand, replace(config, horizon_T=mid), traj_index=idx))
+        lo, hi = (mid, hi) if isinstance(run, sim.Trajectory) else (lo, mid - 1)
+    traj = simulate(model, cand, replace(config, horizon_T=lo), traj_index=idx)
+    return sum(r.scenario == FLOW for r in traj.records)
 
 
 class TestStreamLayout:
-    """Noise is drawn a chunk of C transitions at a time (``sim`` docstring)."""
+    """One Philox stream per trajectory, read in the layout of the ``sim``
+    docstring: X0, jump chunk 0, then flow and jump chunks as reached."""
 
-    @pytest.mark.parametrize("schedule", ["fixed:3", "cyclic:2,5,1", "uniform"])
+    @pytest.mark.parametrize("schedule", ["fixed:3", "cyclic:2,5,1", "uniform", "fixed:1"])
     @pytest.mark.parametrize("substeps", [20, 2000])
     def test_engines_equal_at_chunk_edges(self, schedule, substeps):
-        C = sim._chunk_periods(substeps)
-        assert C == (64 if substeps == 20 else 1)
+        C, Cj = sim._chunk_periods(substeps), sim.JUMP_CHUNK
+        assert C == (64 if substeps == 20 else 1) and Cj == 64
         model, cand = _noisy_plane()
         acbc = construct_acbc(cand, model.jump, 0.1, 8.0)
         n = 8
-        for T in (C - 1, C, C + 1, 2 * C + 3):
+        horizons = [C - 1, C, C + 1, 2 * C + 3]
+        if schedule == "fixed:1" and substeps == 20:
+            # flows and jumps alternate, so these end after Cj - 1, Cj and
+            # Cj + 1 jumps; at 2000 substeps they would take seconds, and
+            # the jump chunk does not depend on the substeps
+            horizons += [2 * Cj - 2, 2 * Cj, 2 * Cj + 2]
+        for T in horizons:
             config = SimConfig(
                 horizon_T=T, n_trajectories=n, master_seed=5, substeps_per_tau=substeps,
                 schedule=JumpSchedule.parse(schedule),
@@ -573,53 +587,127 @@ class TestStreamLayout:
         scalar = [_outcome(lambda i=i: simulate(model, ctrl, config, traj_index=i)) for i in range(n)]
         for got, want in zip(batch, scalar, strict=True):
             assert_same(model, got, want)
-        first_chunk = replace(config, horizon_T=C)
+        survivors = [i for i, t in enumerate(scalar) if isinstance(t, sim.Trajectory)]
         late = [
             i for i, t in enumerate(scalar)
-            if isinstance(t, BlowUpError)
-            and isinstance(_outcome(lambda i=i: simulate(model, ctrl, first_chunk, traj_index=i)), sim.Trajectory)
+            if isinstance(t, BlowUpError) and _flows_before_blow_up(model, ctrl, config, i) >= C
         ]
         assert late
         i = late[0]
-        for j in (i - 1, i + 1):
+        # the nearest rows on either side that run to the horizon
+        for j in (max(j for j in survivors if j < i), min(j for j in survivors if j > i)):
             assert isinstance(batch[j], sim.Trajectory) and len(batch[j].records) == 2 * C + 4
             (alone,) = _simulate_block(model, ctrl, config, None, j, j + 1, keep=j + 1)
             assert_same(model, alone, batch[j])
 
     def test_replay_by_hand(self):
-        # the documented order: X0, the first gap, then per chunk dW, dP and
-        # W; a later gap when its jump fires
+        # the documented order: X0 and jump chunk 0 (gaps, then W); then a
+        # flow chunk (dW, then per channel a total count and its substep
+        # indices) at every C-th flow and a jump chunk after every Cj-th jump
         model, cand = _noisy_plane()
         S, idx = 20, 3
-        C = sim._chunk_periods(S)
-        config = SimConfig(horizon_T=C + 10, master_seed=11)
+        C, Cj = sim._chunk_periods(S), sim.JUMP_CHUNK
+        config = SimConfig(horizon_T=360, master_seed=11)
         h = model.jump.tau / S
         jp = model.jump
         nu_flow, nu_jump = (p.compiled(model.state_vars) for p in (cand.nu_flow[0], cand.nu_jump[0]))
         rng = trajectory_rng(11, idx)
+
+        def jump_chunk():
+            return rng.integers(jp.q1, jp.q2 + 1, Cj).tolist(), rng.standard_normal((Cj, 1))
+
+        def flow_chunk():
+            dW = rng.standard_normal((C, S, 2))
+            dP = np.zeros((C * S, 2), dtype=np.int64)
+            for j, rate in enumerate(model.rates):
+                for cell in rng.integers(0, C * S, rng.poisson(rate * h * C * S)):
+                    dP[cell, j] += 1
+            return dW, dP.reshape(C, S, 2)
+
         x = tuple(float(rng.uniform(lo, hi)) for lo, hi in model.X0.intervals.values())
-        gap = int(rng.integers(jp.q1, jp.q2 + 1))
-        z, want = 0, [(0, "init", 0, x)]
+        gaps, W = jump_chunk()
+        z = flows = jumps = 0
+        want = [(0, "init", 0, x)]
         for k in range(1, config.horizon_T + 1):
-            if (k - 1) % C == 0:
-                dW = rng.standard_normal((C, S, 2))
-                dP = rng.poisson(np.array(model.rates) * h, (C, S, 2))
-                W = rng.standard_normal((C, 1))
-            e = (k - 1) % C
-            if z == gap:
-                x = model.jump_map(list(x), [nu_jump(x)], W[e].tolist())
-                z, gap = 0, int(rng.integers(jp.q1, jp.q2 + 1))
+            if z == gaps[jumps % Cj]:
+                x = model.jump_map(list(x), [nu_jump(x)], W[jumps % Cj].tolist())
+                z, jumps = 0, jumps + 1
+                if jumps % Cj == 0:
+                    gaps, W = jump_chunk()
                 want.append((k, "jump", z, x))
             else:
+                if flows % C == 0:
+                    dW, dP = flow_chunk()
+                e = flows % C
                 x = model.scalar_flow(list(x), [nu_flow(x)], h, math.sqrt(h), dW[e].tolist(), dP[e].tolist(), S)
-                z += 1
+                z, flows = z + 1, flows + 1
                 want.append((k, "flow", z, x))
+        assert flows > 4 * C and jumps > Cj
         traj = simulate(model, cand, config, traj_index=idx)
         assert [(r.k, r.scenario, r.z, r.x) for r in traj.records] == want
-        assert {r.scenario for r in traj.records} == {"init", "flow", "jump"}
         # a shorter horizon reads the same stream, so it gives a prefix
         short = simulate(model, cand, replace(config, horizon_T=C - 1), traj_index=idx)
         assert short.records == traj.records[:C]
+
+    @pytest.mark.parametrize("block", [False, True])
+    def test_draws_one_chunk_of_each_kind(self, monkeypatch, block):
+        # fixed:1 over T = 100 makes 50 flows and 50 jumps: the stream ends
+        # after X0, jump chunk 0 (W only: a fixed schedule draws no gaps)
+        # and flow chunk 0, whichever engine reads it
+        model, cand = _noisy_plane()
+        S, n = 20, 8
+        C, Cj = sim._chunk_periods(S), sim.JUMP_CHUNK
+        config = SimConfig(
+            horizon_T=100, n_trajectories=n, master_seed=13, schedule=JumpSchedule.fixed(1)
+        )
+        streams = {}
+
+        def recording(master_seed, traj_index):
+            streams[traj_index] = trajectory_rng(master_seed, traj_index)
+            return streams[traj_index]
+
+        monkeypatch.setattr(sim, "trajectory_rng", recording)
+        if block:
+            runs = _simulate_block(model, cand, config, None, 0, n, keep=n)
+        else:
+            runs = [simulate(model, cand, config, traj_index=i) for i in range(n)]
+        assert all(isinstance(t, sim.Trajectory) and len(t.records) == 101 for t in runs)
+        h = model.jump.tau / S
+        for i in range(n):
+            rng = trajectory_rng(13, i)
+            for lo, hi in model.X0.intervals.values():
+                rng.uniform(lo, hi)
+            rng.standard_normal((Cj, 1))
+            rng.standard_normal((C, S, 2))
+            for rate in model.rates:
+                rng.integers(0, C * S, rng.poisson(rate * h * C * S))
+            assert _state(streams[i]) == _state(rng)
+
+    def test_split_poisson_counts_have_poisson_frequencies(self):
+        # each cell of a flow chunk's dP is Poisson(rate h); 1000 chunks of
+        # 1280 cells from one stream, seed chosen once; every bound is 5
+        # binomial (or sample) standard deviations
+        rng = trajectory_rng(2024, 0)
+        C, S = sim._chunk_periods(20), 20
+        cells = 1000 * C * S
+        dW, dP = np.empty((C, S, 0)), np.empty((C, S, 1), dtype=np.int64)
+        for mu in (0.0025, 0.3):
+            counts = np.empty((1000, C * S), dtype=np.int64)
+            for chunk in counts:
+                sim._draw_flow_chunk(rng, [mu * C * S], dW, dP)
+                chunk[:] = dP.reshape(-1)
+            assert abs(counts.mean() - mu) <= 5 * math.sqrt(mu / cells)
+            assert abs(counts.var() - mu) <= 5 * math.sqrt((mu + 2 * mu**2) / cells)
+            for k in (0, 1, 2):
+                p = math.exp(-mu) * mu**k / math.factorial(k)
+                assert abs(np.count_nonzero(counts == k) - cells * p) <= 5 * math.sqrt(cells * p * (1 - p))
+
+
+def _state(rng: np.random.Generator) -> tuple:
+    """A Philox generator's whole state, as plain values that compare with ==."""
+    st = rng.bit_generator.state
+    words = (st["state"]["counter"], st["state"]["key"], st["buffer"])
+    return tuple(w.tolist() for w in words) + (st["buffer_pos"], st["has_uint32"], st["uinteger"])
 
 
 # Variable names that would break or subvert generated code if they reached
@@ -701,9 +789,9 @@ class TestGeneratedCode:
                 assert_same(m, got, want)
             texts.append("".join(trajectory_csv(m, t) for t in scalar))
         assert texts[1] == texts[0]
-        # the digest of these trajectories under the chunked stream layout
+        # the digest of these trajectories under the stream layout of ``sim``
         digest = hashlib.sha256(texts[1].encode()).hexdigest()
-        assert digest == "3d01874b26d4bbee29cb68042ed5a95fc3758a5a87942843c725c8e93eb7dad7"
+        assert digest == "6ddbd0e7308f21ed59cda87a9d3c537e54104601a793d567d1399d5ffcf352ba"
 
     def test_codec_round_trip_simulates_like_the_model(self):
         # the codec keeps each polynomial's term order, and with it the
