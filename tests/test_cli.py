@@ -407,6 +407,22 @@ class TestMalformedInput:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("command", ["simulate", "repro"])
+    def test_seed_past_the_key_exit_three(self, artifacts, tmp_path, capsys, command):
+        # the stream key holds 64 bits of seed; nothing folds a larger one
+        inputs = [str(artifacts / "model1.json"), str(artifacts / "cand1.json")]
+        head = ["repro", "1"] if command == "repro" else ["simulate", *inputs, "--horizon", "3"]
+        for seed, code in ((2**64, 3), (2**64 - 1, 0)):
+            out = tmp_path / str(seed)
+            assert main([*head, "--runs", "2", "--seed", str(seed), "--out", str(out)]) == code
+            err = capsys.readouterr().err
+            if code:
+                assert err == "error: master_seed must be < 2**64\n"
+                assert not out.exists() or list(out.iterdir()) == []
+            else:
+                manifest = json.loads((out / f"{command}_manifest.json").read_text())
+                assert manifest["seed"] == seed
+
     @pytest.mark.parametrize(
         "option, message",
         [

@@ -169,6 +169,17 @@ class TestSimulate:
         b = trajectory_rng(7, 3).normal(size=4)
         assert np.array_equal(a, b)
 
+    def test_seed_fills_the_low_key_word(self, case1):
+        for seed, idx in ((2**64 - 1, 3), (7, 2**64 - 1), (2**63, 0)):
+            st = trajectory_rng(seed, idx).bit_generator.state["state"]
+            assert st["key"].tolist() == [seed, idx]
+            assert st["counter"].tolist() == [0, 0, 0, 0]
+        assert trajectory_rng(7, 3, branch=5).bit_generator.state["state"]["counter"].tolist() == [0, 0, 0, 5]
+        config = SimConfig(horizon_T=5, n_trajectories=2, master_seed=2**64 - 1)
+        assert len(simulate(case1.model, case1.candidate, config).records) == 6
+        with pytest.raises(ValueError, match=r"^master_seed must be < 2\*\*64$"):
+            replace(config, master_seed=2**64)
+
     def test_time_accounting_and_gap_range(self, case1):
         config = SimConfig(horizon_T=100, master_seed=3, schedule=JumpSchedule.uniform())
         traj = simulate(case1.model, case1.candidate, config, traj_index=0)
@@ -701,6 +712,9 @@ class TestStreamLayout:
             for k in (0, 1, 2):
                 p = math.exp(-mu) * mu**k / math.factorial(k)
                 assert abs(np.count_nonzero(counts == k) - cells * p) <= 5 * math.sqrt(cells * p * (1 - p))
+            # and every substep of the chunk alike: each cell's total over
+            # the 1000 chunks is Poisson(1000 mu)
+            assert np.abs(counts.sum(axis=0) - 1000 * mu).max() <= 5 * math.sqrt(1000 * mu) + 1
 
 
 def _state(rng: np.random.Generator) -> tuple:
