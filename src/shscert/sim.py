@@ -90,16 +90,14 @@ class Trajectory:
     first_exceed: int | None
 
 
-def trajectory_rng(master_seed: int, traj_index: int, branch: int = 0) -> np.random.Generator:
+def trajectory_rng(master_seed: int, traj_index: int) -> np.random.Generator:
     """The Philox stream of one trajectory: the 128-bit key holds
-    ``master_seed`` in its low and ``traj_index`` in its high 64 bits, and
-    the counter starts with ``branch`` in its high word (0 for plain runs).
-    Built from the key directly, with no seed hashing, so it is stable
-    across workers. The key goes in as one Python int: a tuple holding a
-    seed of 2**63 or more would become a float array and lose bits."""
-    return np.random.Generator(
-        np.random.Philox(key=master_seed | traj_index << 64, counter=branch << 192)
-    )
+    ``master_seed`` in its low and ``traj_index`` in its high 64 bits, with
+    no seed hashing, so it is stable across workers. The counter starts at
+    0; its high word stays free for branches of a trajectory, so a plain run
+    is branch 0. The key goes in as one Python int: a tuple holding a seed
+    of 2**63 or more would become a float array and lose bits."""
+    return np.random.Generator(np.random.Philox(key=master_seed | traj_index << 64))
 
 
 # Flow noise is drawn a chunk of C = NOISE_SUBSTEPS // substeps flow periods
@@ -146,11 +144,8 @@ def _draw_flow_chunk(rng: np.random.Generator, means: list[float], dW: np.ndarra
         rng.standard_normal(out=dW)
     C, S = dP.shape[:2]
     for j, mean in enumerate(means):
-        hits = rng.poisson(mean)
-        if hits:
-            dP[..., j] = np.bincount(rng.integers(0, C * S, hits), minlength=C * S).reshape(C, S)
-        else:
-            dP[..., j] = 0
+        hits = rng.integers(0, C * S, rng.poisson(mean))
+        dP[..., j] = np.bincount(hits, minlength=C * S).reshape(C, S)
 
 
 def _draw_jump_chunk(

@@ -174,7 +174,6 @@ class TestSimulate:
             st = trajectory_rng(seed, idx).bit_generator.state["state"]
             assert st["key"].tolist() == [seed, idx]
             assert st["counter"].tolist() == [0, 0, 0, 0]
-        assert trajectory_rng(7, 3, branch=5).bit_generator.state["state"]["counter"].tolist() == [0, 0, 0, 5]
         config = SimConfig(horizon_T=5, n_trajectories=2, master_seed=2**64 - 1)
         assert len(simulate(case1.model, case1.candidate, config).records) == 6
         with pytest.raises(ValueError, match=r"^master_seed must be < 2\*\*64$"):
