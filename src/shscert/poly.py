@@ -584,28 +584,16 @@ def _divmod_dense(a: list[float], b: list[float]) -> tuple[list[float], list[flo
     return q, _trim(r, SIGN_TOL)
 
 
-def _gcd_dense(a: list[float], b: list[float]) -> list[float]:
-    a, b = _normalize(_trim(a)), _normalize(_trim(b))
-    while b:
-        _, r = _divmod_dense(a, b)
-        a, b = b, _normalize(_trim(r))
-    return a
-
-
-def _square_free(c: list[float]) -> list[float]:
-    c = _trim(c)
-    if len(c) <= 2:
-        return c
-    g = _gcd_dense(c, _polyder(c))
-    if len(g) <= 1:
-        return c
-    q, _ = _divmod_dense(c, g)
-    return _trim(q)
-
-
 def _sturm_chain(c: list[float]) -> list[list[float]]:
-    """The Sturm chain of c, each member in descending order, as
-    _sign_variations reads it."""
+    """The Sturm chain of the square-free part of c, each member in
+    descending order, as _sign_variations reads it.
+
+    The chain of p0 (c normalized) is the remainder sequence of p0 and p0'
+    with signs flipped in pairs, and _divmod_dense's remainder changes
+    only its sign with the signs of its operands, so the last member is
+    gcd(p0, p0'). A constant there makes p0 square-free and the chain its
+    own; otherwise the chain is that of p0 divided by the gcd.
+    """
     p0 = _normalize(_trim(c))
     chain = [p0]
     d = _trim(_polyder(p0))
@@ -615,7 +603,8 @@ def _sturm_chain(c: list[float]) -> list[list[float]]:
         _, r = _divmod_dense(chain[-2], chain[-1])
         r = _trim([-x for x in r])
         if not r:
-            break
+            q, _ = _divmod_dense(p0, chain[-1])
+            return _sturm_chain(q)
         chain.append(_normalize(r))
     return [c[::-1] for c in chain]
 
@@ -646,7 +635,7 @@ def sturm_root_count(p: Polynomial, a: float, b: float) -> int:
         raise ValueError("root counting of the zero polynomial is undefined")
     if len(c) == 1:
         return 0
-    chain = _sturm_chain(_square_free(c))
+    chain = _sturm_chain(c)
     return _sign_variations(chain, a) - _sign_variations(chain, b)
 
 
@@ -688,10 +677,9 @@ def _isolate_roots(c: list[float], a: float, b: float) -> list[float]:
     at width ROOT_WIDTH, so a root is the midpoint of its last bracket,
     unless the sign bisection meets an exact 0 at a midpoint.
     """
-    c = _square_free(_trim(c))
-    if len(c) <= 1:
+    chain = _sturm_chain(_trim(c))
+    if len(chain[0]) <= 1:
         return []
-    chain = _sturm_chain(c)
 
     def var(x: float) -> int:
         return _sign_variations(chain, x)

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from shscert import poly
@@ -720,14 +720,39 @@ def _ref_divmod_dense(a, b):
     return q, poly._trim(r, poly.SIGN_TOL)
 
 
+def _ref_sturm_chain(c):
+    """The Sturm chain, each member ascending, as two remainder sequences
+    built it: a gcd of c and the derivative of the unnormalized c, c divided
+    by that gcd where it is not constant, then the chain of the quotient."""
+    c = poly._trim(c)
+    if len(c) > 2:
+        a, b = poly._normalize(c), poly._normalize(poly._trim(poly._polyder(c)))
+        while b:
+            _, r = poly._divmod_dense(a, b)
+            a, b = b, poly._normalize(poly._trim(r))
+        if len(a) > 1:
+            c = poly._trim(poly._divmod_dense(c, a)[0])
+    p0 = poly._normalize(poly._trim(c))
+    chain = [p0]
+    d = poly._trim(poly._polyder(p0))
+    if d:
+        chain.append(poly._normalize(d))
+    while len(chain[-1]) > 1:
+        _, r = poly._divmod_dense(chain[-2], chain[-1])
+        r = poly._trim([-x for x in r])
+        if not r:
+            break
+        chain.append(poly._normalize(r))
+    return chain
+
+
 def _ref_isolate_roots(c, a, b, width=poly.ROOT_WIDTH):
     """Sturm bisection until a bracket holds one distinct root; then, where
     the square-free part of c has strictly opposite signs at the ends,
     bisection on its sign, stopping at an exact 0."""
-    c = poly._square_free(poly._trim(c))
-    if len(c) <= 1:
+    chain = [d[::-1] for d in poly._sturm_chain(poly._trim(c))]
+    if len(chain[0]) <= 1:
         return []
-    chain = [d[::-1] for d in poly._sturm_chain(c)]
 
     def var(x):
         return _ref_sign_variations(chain, x)
@@ -759,10 +784,9 @@ def _ref_isolate_roots(c, a, b, width=poly.ROOT_WIDTH):
 def _ref_isolate_roots_sturm(c, a, b, width=poly.ROOT_WIDTH):
     """Bisection with a full Sturm sign count at every step, down to width,
     on the Sturm chain of the square-free part of c."""
-    c = poly._square_free(poly._trim(c))
-    if len(c) <= 1:
+    chain = [d[::-1] for d in poly._sturm_chain(poly._trim(c))]
+    if len(chain[0]) <= 1:
         return []
-    chain = [d[::-1] for d in poly._sturm_chain(c)]
 
     def var(x):
         return _ref_sign_variations(chain, x)
@@ -814,11 +838,12 @@ def dense(draw, coefs, max_degree=10):
 
 
 @st.composite
-def clustered(draw):
+def clustered(draw, closest=7):
     """Dense coefficients of a polynomial with a cluster of close real roots,
-    a spread of magnitudes, and perhaps a complex pair."""
+    10**-closest or more apart, a spread of magnitudes, and perhaps a
+    complex pair."""
     center = draw(st.floats(-5.0, 5.0))
-    spacing = 10.0 ** -draw(st.integers(1, 7))
+    spacing = 10.0 ** -draw(st.integers(1, closest))
     roots = [center + k * spacing for k in range(draw(st.integers(2, 4)))]
     c = np.array([draw(COEFS)])
     for r in roots:
@@ -914,6 +939,16 @@ class TestKernelEquivalence:
         assert list(map(_bits, q + r)) == list(map(_bits, q0 + r0)) and len(r) == len(r0)
 
     @settings(max_examples=300, deadline=None)
+    @given(coeffs=clustered(closest=4))
+    def test_sturm_chain_on_square_free_inputs(self, coeffs):
+        want = _ref_sturm_chain(coeffs)
+        # roots 1e-4 or more apart stay apart in floats: the reference keeps
+        # the whole input as its square-free part
+        assume(len(want[0]) == len(poly._trim(coeffs)))
+        got = [d[::-1] for d in poly._sturm_chain(poly._trim(coeffs))]
+        assert [list(map(_bits, d)) for d in got] == [list(map(_bits, d)) for d in want]
+
+    @settings(max_examples=300, deadline=None)
     @given(coeffs=clustered(), interval=INTERVALS)
     def test_root_lists_on_clustered_roots(self, coeffs, interval):
         a, b = interval
@@ -989,6 +1024,40 @@ class TestRootIsolation:
         value, arg = min_on_interval(p, 0.0, 8.0)
         assert value == -2.25 and arg == pytest.approx(1.0, abs=1e-9)
         assert counts <= 48
+
+
+    def test_square_free_chain_is_one_remainder_sequence(self, monkeypatch):
+        # the chain's first two members take no division, each later one
+        # takes one; a separate gcd pass made about twice as many
+        c = _from_roots([0.5, 1.5, 2.5, 4.0, 6.0], 2.0)
+        members = len(poly._sturm_chain(c))
+        calls = 0
+        original = poly._divmod_dense
+
+        def counted(a, b):
+            nonlocal calls
+            calls += 1
+            return original(a, b)
+
+        monkeypatch.setattr(poly, "_divmod_dense", counted)
+        assert sturm_root_count(Polynomial.univariate("x", c), 0.0, 8.0) == 5
+        assert len(poly._isolate_roots(c, 0.0, 8.0)) == 5
+        assert members == 6 and calls == 2 * (members - 2)
+
+    @pytest.mark.parametrize(
+        "roots, distinct",
+        [
+            ([1.0, 1.0, 1.0, 4.0, 4.0, 6.0], [1.0, 4.0, 6.0]),
+            ([2.0, 2.0, 5.0], [2.0, 5.0]),
+            ([1.0, 1.0, 3.0, 3.0], [1.0, 3.0]),
+        ],
+    )
+    def test_repeated_roots_count_once(self, roots, distinct):
+        c = _from_roots(roots, 1.0)
+        assert sturm_root_count(Polynomial.univariate("x", c), 0.0, 8.0) == len(distinct)
+        got = poly._isolate_roots(c, 0.0, 8.0)
+        assert len(got) == len(distinct)
+        assert all(abs(x - r) <= 1e-9 for x, r in zip(got, distinct)), got
 
 
 class TestHash:
