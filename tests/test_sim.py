@@ -366,13 +366,14 @@ def _outcome(run):
 
 
 def assert_same(model, got, want):
-    """Equal trajectories down to the last bit (CSV uses repr), or equal
-    blow-ups."""
+    """Equal trajectories down to the last bit, or equal blow-ups. The CSV
+    text holds every record field in ``repr``, which tells -0.0 from 0.0 and
+    matches NaN with NaN, where ``==`` on the records would not."""
     if isinstance(want, BlowUpError):
         assert isinstance(got, BlowUpError)
         assert (got.step, str(got)) == (want.step, str(want))
     else:
-        assert got == want
+        assert (got.first_unsafe, got.first_exceed) == (want.first_unsafe, want.first_exceed)
         assert trajectory_csv(model, got) == trajectory_csv(model, want)
 
 
@@ -528,6 +529,20 @@ class TestBatchedEngine:
             if not isinstance(want, BlowUpError):
                 want = replace(want, records=())
             assert_same(case3.model, got, want)
+
+    def test_nan_certificate_value_equal_scalar(self, case3):
+        # at 1 substep, trajectory 5 reaches x = 2.8e204 and ends on B = NaN
+        acbc = construct_acbc(case3.candidate, case3.model.jump, case3.eps1, case3.eps2)
+        n = 30
+        config = SimConfig(
+            horizon_T=63, n_trajectories=n, master_seed=3, substeps_per_tau=1,
+            schedule=JumpSchedule.parse("fixed:7"),
+        )
+        batch = _simulate_block(case3.model, case3.candidate, config, acbc, 0, n, keep=n)
+        for i, got in enumerate(batch):
+            want = _outcome(lambda: simulate(case3.model, case3.candidate, config, acbc, i))
+            assert_same(case3.model, got, want)
+        assert math.isnan(batch[5].records[-1].b_value)
 
     def test_nan_certificate_value_counts_as_exceedance(self):
         # x^4 and x^5 both overflow at x = 1e80, so B = x^4 - x^5 is inf - inf
