@@ -1025,7 +1025,6 @@ class TestRootIsolation:
         assert value == -2.25 and arg == pytest.approx(1.0, abs=1e-9)
         assert counts <= 48
 
-
     def test_square_free_chain_is_one_remainder_sequence(self, monkeypatch):
         # the chain's first two members take no division, each later one
         # takes one; a separate gcd pass made about twice as many
