@@ -213,9 +213,12 @@ def _unpack(names: list[str], seq: str, depth: int = 1) -> str:
 def _flow_kernel(model: SHSModel, block: bool = False):
     """One flow period as straight-line code, in the order of operations of
     Euler-Maruyama term by term: y_i = x_i + h f1_i + sigma_i0 sqh dW_0 +
-    ..., then y_i += rho_ij dP_j for each nonzero count dP_j in turn. A
-    sigma entry free of the state is multiplied by sqh once per period,
-    which is the product every substep would form.
+    ..., then y_i += rho_ij dP_j for each nonzero count dP_j in turn. Every
+    product free of the state is formed once per period, which is the
+    product every substep would form: a drift term's leading product of its
+    coefficient and its input factors (``0.5*u0``, see
+    ``Polynomial.source``), a state-free sigma entry times sqh, and a
+    state-free rho entry.
 
     With ``block`` the same expressions run a period of many rows at once
     (``SHSModel.block_flow``): the state and input are columns, ``dW`` and
@@ -233,6 +236,7 @@ def _flow_kernel(model: SHSModel, block: bool = False):
     names = bind_names(model.state_vars + model.input_vars, xs + us)
     state = {v: names[v] for v in model.state_vars}
     consts: dict[str, float] = {}
+    hoisted: dict[str, str] = {}
     head = ["def flow(x, u, h, sqh, dW, dP, substeps):", _unpack(xs, "x"), _unpack(us, "u")]
     body = ["    for s in range(substeps):"]
     if block:
@@ -242,7 +246,8 @@ def _flow_kernel(model: SHSModel, block: bool = False):
         dws = [f"dw{j}" for j in range(b)]
         body += [_unpack(dws, "dW[s]", 2), _unpack([f"dp{j}" for j in range(r)], "dP[s]", 2)]
     for i in range(n):
-        line = f"        y{i} = x{i} + h * ({model.f1[i].source(names, consts)})"
+        drift = model.f1[i].source(names, consts, model.input_vars, hoisted)
+        line = f"        y{i} = x{i} + h * ({drift})"
         for j, sig in enumerate(model.sigma[i]):
             if sig.effective_vars():
                 line += f" + ({sig.source(state, consts)}) * sqh * {dws[j]}"
@@ -253,17 +258,25 @@ def _flow_kernel(model: SHSModel, block: bool = False):
                 head.append(f"    k{i}_{j} = ({sig.source({}, consts)}) * sqh")
                 line += f" + k{i}_{j} * dw{j}"
         body.append(line)
+    head += [f"    {name} = {text}" for text, name in hoisted.items()]
     for j in range(r):
-        rhos = [model.rho[i][j].source(state, consts) for i in range(n)]
+        rhos = []
+        for i in range(n):
+            rho = model.rho[i][j]
+            if rho.effective_vars():
+                rhos.append(f"({rho.source(state, consts)})")
+            else:
+                head.append(f"    r{i}_{j} = ({rho.source({}, consts)})")
+                rhos.append(f"r{i}_{j}")
         if block:
             body += [f"        if c{j}[s]:", f"            dp{j} = dP[s, {j}]", f"            on{j} = dp{j} != 0"]
             body += [
-                f"            y{i} = where(on{j}, y{i} + ({rho}) * dp{j}, y{i})"
+                f"            y{i} = where(on{j}, y{i} + {rho} * dp{j}, y{i})"
                 for i, rho in enumerate(rhos)
             ]
         else:
             body.append(f"        if dp{j}:")
-            body += [f"            y{i} = y{i} + ({rho}) * dp{j}" for i, rho in enumerate(rhos)]
+            body += [f"            y{i} = y{i} + {rho} * dp{j}" for i, rho in enumerate(rhos)]
     body.append(f"        {''.join(f'{x}, ' for x in xs)}= {''.join(f'y{i}, ' for i in range(n))}")
     if not block:
         body += [

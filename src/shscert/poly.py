@@ -22,7 +22,7 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Collection, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -239,7 +239,13 @@ class Polynomial:
             total += t
         return total
 
-    def source(self, names: Mapping[str, str], consts: dict[str, float]) -> str:
+    def source(
+        self,
+        names: Mapping[str, str],
+        consts: dict[str, float],
+        fixed: Collection[str] = (),
+        hoisted: dict[str, str] | None = None,
+    ) -> str:
         """One Python expression for the polynomial over caller-chosen names.
 
         ``names`` maps each variable to the source text standing for it; the
@@ -252,6 +258,15 @@ class Polynomial:
         fresh name ``_k<i>``. A run of more than ``CHAIN_LEN`` terms or
         factors is split through the accumulators ``_s`` and ``_t`` (see
         ``_chain``); the caller's names must avoid these three.
+
+        With ``hoisted``, a term whose factors start with one or more of the
+        ``fixed`` variables reads the product of its coefficient and those
+        factors from a name ``p<i>``, which ``hoisted`` maps to the product's
+        text (shared by equal products), so that a caller evaluating the
+        expression many times under the same fixed values can bind each name
+        once. Products are formed left to right, so the operations and their
+        order stay those of the plain expression; the caller's names must
+        avoid ``p<i>`` too.
         """
         missing = [v for v in self.effective_vars() if v not in names]
         if missing:
@@ -264,6 +279,14 @@ class Polynomial:
                 lit = f"_k{len(consts)}"
                 consts[lit] = coef
             factors = [names[v] for v, e in zip(self.vars, exp) for _ in range(e)]
+            if hoisted is not None:
+                # factors of the variables before the first one not fixed
+                lead = next((i for i, v in enumerate(self.vars) if exp[i] and v not in fixed), len(exp))
+                free = sum(exp[:lead])
+                if free:
+                    text = _chain([lit, *factors[:free]], "*", "_t")
+                    lit = hoisted.setdefault(text, f"p{len(hoisted)}")
+                    factors = factors[free:]
             out.append(_chain([lit, *factors], "*", "_t"))
         return _chain(out, " + ", "_s")
 

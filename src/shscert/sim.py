@@ -25,13 +25,17 @@ transitions of the same trajectory over any longer horizon.
 ``simulate`` runs one trajectory on Python floats, through the flow-period
 and jump-map kernels ``SHSModel.scalar_flow`` and ``SHSModel.jump_map``,
 generated once per model and cached on it; ``trajectories``, behind
-``monte_carlo``, steps blocks of them together as arrays, one call of the
-block variant of the flow kernel (``SHSModel.block_flow``) per period and
-of the jump kernel per jump. Both give the same trajectories bitwise,
-because both read the same noise and evaluate every polynomial with the
-order of operations of ``Polynomial.source``. The block kernel skips the
+``monte_carlo``, steps blocks of them together as state columns. At each
+transition a block splits its rows by masks into those that jump and those
+that flow, runs the jump kernel and the block variant of the flow kernel
+(``SHSModel.block_flow``) once each on the whole columns, and merges the
+results. Both engines give the same trajectories bitwise, because both
+read the same noise and evaluate every polynomial with the order of
+operations of ``Polynomial.source``. The block kernel skips the
 per-substep finiteness test; the block checks once per period and leaves
-the substep of a blow-up to the scalar kernel.
+the substep of a blow-up to the scalar kernel. A block decides certificate
+exceedance and unsafe entry once per window of ``WINDOW`` transitions, so
+its memory does not grow with the horizon.
 """
 
 from __future__ import annotations
@@ -90,14 +94,28 @@ class Trajectory:
     first_exceed: int | None
 
 
+class _PhiloxKey(np.random.bit_generator.ISeedSequence):
+    """A seed sequence that hands Philox its two key words as given.
+    ``Philox(key=...)`` would first seed a ``SeedSequence`` from OS entropy
+    and then discard it, which costs more than the rest of the stream's
+    set-up."""
+
+    def __init__(self, low: int, high: int):
+        self.words = (low, high)
+
+    def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
+        # Philox asks for its key once, as two 64-bit words
+        return np.array(self.words, dtype=np.uint64)
+
+
 def trajectory_rng(master_seed: int, traj_index: int) -> np.random.Generator:
     """The Philox stream of one trajectory: the 128-bit key holds
     ``master_seed`` in its low and ``traj_index`` in its high 64 bits, with
-    no seed hashing, so it is stable across workers. The counter starts at
+    no seed hashing, so it is stable across workers; it is the stream of
+    ``Philox(key=master_seed | traj_index << 64)``. The counter starts at
     0; its high word stays free for branches of a trajectory, so a plain run
-    is branch 0. The key goes in as one Python int: a tuple holding a seed
-    of 2**63 or more would become a float array and lose bits."""
-    return np.random.Generator(np.random.Philox(key=master_seed | traj_index << 64))
+    is branch 0."""
+    return np.random.Generator(np.random.Philox(_PhiloxKey(master_seed, traj_index)))
 
 
 # Flow noise is drawn a chunk of C = NOISE_SUBSTEPS // substeps flow periods
@@ -116,13 +134,14 @@ def _chunk_periods(substeps: int) -> int:
 
 
 def _noise_arrays(model: SHSModel, lead: tuple[int, ...], periods: int, substeps: int):
-    """Uninitialised arrays to draw chunks into: dW (*lead, periods,
-    substeps, b), dP (*lead, periods, substeps, r) and W (*lead,
-    JUMP_CHUNK, w)."""
+    """Zeroed arrays to draw chunks into: dW (*lead, periods, substeps, b),
+    dP (*lead, periods, substeps, r) and W (*lead, JUMP_CHUNK, w). Zeroed,
+    so that block rows that read an entry they do not use read finite
+    values."""
     return (
-        np.empty((*lead, periods, substeps, model.brownian_dim)),
-        np.empty((*lead, periods, substeps, model.poisson_dim), dtype=np.int64),
-        np.empty((*lead, JUMP_CHUNK, len(model.noise_vars))),
+        np.zeros((*lead, periods, substeps, model.brownian_dim)),
+        np.zeros((*lead, periods, substeps, model.poisson_dim), dtype=np.int64),
+        np.zeros((*lead, JUMP_CHUNK, len(model.noise_vars))),
     )
 
 
@@ -321,11 +340,17 @@ BLOCK_SIZE = 256
 
 # Fewer trajectories than this run one by one on ``simulate``. A block pays a
 # fixed cost per period, the numpy calls of its kernel, which its cheaper
-# rows repay from about 20-24 of them. Best of 9 on cases 1-3 under their
-# own schedules (T = 100, 2 cores): a block of 16 took 33/19/26 ms against
-# 28/28/22 ms for 16 ``simulate`` calls, a block of 20 26/19/19 ms against
-# 28/24/19 ms, and a block of 24 26/21/27 ms against 30/27/34 ms.
-BATCH_MIN = 24
+# rows repay from about 16-20 of them. Best of 15 on cases 1-3 under their
+# own schedules (T = 100, 2 cores): a block of 16 took 18/13/9 ms against
+# 17/16/13 ms for 16 ``simulate`` calls, and a block of 20 18/17/9 ms
+# against 19/21/15 ms. In five such rounds a block of 20 was the faster on
+# every case, and a block of 16 lost case 1 in four.
+BATCH_MIN = 20
+
+# Transitions per window of the batched engine: it decides exceedance and
+# unsafe entry once per window, over WINDOW x N values per coordinate, so
+# its buffers do not grow with the horizon.
+WINDOW = 64
 
 
 def trajectories(
@@ -370,23 +395,34 @@ def _simulate_block(
     stop: int,
     keep: int,
 ) -> list[Trajectory | BlowUpError]:
-    """Trajectories start..stop-1, stepped together as an (N, n) array.
+    """Trajectories start..stop-1, stepped together as n state columns of
+    N rows.
 
     Each row counts its own flows and jumps. A row draws each chunk from
     its own stream when ``simulate`` would, through the same
     ``_draw_flow_chunk`` and ``_draw_jump_chunk``, into its slice of noise
-    arrays allocated once per block; each transition gathers the moving
-    rows' entries, each at its own count. A flow period is one call of
-    ``SHSModel.block_flow`` on the flowing rows' columns, and a jump one
-    call of ``SHSModel.jump_map`` on the jumping rows' columns; both
-    evaluate every value with the expressions and order of operations of
-    the scalar kernels, so each row equals the scalar trajectory bitwise.
+    arrays allocated once per block. Each transition splits the rows by
+    masks, ``jumped = alive & (z == gap)`` and ``flowing = alive &
+    ~jumped``, runs ``SHSModel.block_flow`` and ``SHSModel.jump_map`` on the
+    whole columns, each row at its own count, and merges their results with
+    ``where``. Both kernels evaluate every value with the expressions and
+    order of operations of the scalar kernels, so each row equals the scalar
+    trajectory bitwise. Rows that do not move keep their state, and those
+    not flowing see zero Poisson counts, so they compute on finite values
+    only, and their results are discarded.
+
     The block kernel tests no substep for finiteness. Since a non-finite
     coordinate stays non-finite, the state is checked once at the end of the
     period, and a row that fails there runs its period again on
     ``scalar_flow``, which names the substep in its ``BlowUpError``. A row
-    leaves the block when its state stops being finite. The kept rows'
-    records are built at the end from copies taken at each transition.
+    leaves the block when its state stops being finite.
+
+    Each transition writes its state and z, and the kept rows' time and
+    jump flag, to a buffer of ``WINDOW`` transitions. When the buffer is
+    full, and at the end, one pass over it decides certificate exceedance
+    and unsafe entry for every row; the kept rows' records are built from
+    what it keeps of each buffer. Beside the noise chunks, memory stays
+    O(WINDOW N n + T keep) over a horizon of T transitions.
     """
     jp, sv, n = model.jump, model.state_vars, model.n
     N = stop - start
@@ -400,115 +436,152 @@ def _simulate_block(
     schedule = config.schedule
     rngs = [trajectory_rng(config.master_seed, i) for i in range(start, stop)]
     dW, dP, W = _noise_arrays(model, (N,), C, S)
+    rows = np.arange(N)
 
     if config.x0 is not None:
-        X = np.tile(np.array([float(v) for v in config.x0]), (N, 1))
+        cols = [np.full(N, float(v)) for v in config.x0]
     else:
         pts = [model.X0.sample(g) for g in rngs]
-        X = np.array([[pt[v] for v in sv] for pt in pts], dtype=float).reshape(N, n)
+        cols = [np.array([pt[v] for pt in pts], dtype=float) for v in sv]
     z = np.zeros(N, dtype=np.int64)
-    time = np.zeros(N)
     flows = np.zeros(N, dtype=np.int64)
     jumps = np.zeros(N, dtype=np.int64)
-    gaps = [_draw_jump_chunk(g, schedule, jp, 0, W[row]) for row, g in enumerate(rngs)]
-    gap = np.array([row_gaps[0] for row_gaps in gaps], dtype=np.int64)
+    gaps = np.array([_draw_jump_chunk(g, schedule, jp, 0, W[row]) for row, g in enumerate(rngs)])
+    gap = gaps[rows, 0]
     alive = np.ones(N, dtype=bool)
     errors: list[BlowUpError | None] = [None] * N
     first_exceed = np.full(N, -1, dtype=np.int64)
     first_unsafe = np.full(N, -1, dtype=np.int64)
     n_kept = max(0, min(keep, stop) - start)
-    # per transition: k, and the kept rows' time, z, x, B value and jump flag
-    snapshots: list[tuple] = []
+    time = np.zeros(n_kept)
 
     bfun = acbc.base.Bbar.compiled(sv) if acbc is not None else None
     beta = np.array([acbc.beta(q) for q in range(jp.q2 + 1)]) if acbc is not None else None
     unsafe_box = _unsafe_box(model)
 
-    def record(k: int, jumped: np.ndarray | None) -> None:
-        cols = [X[:, i] for i in range(n)]
+    # the window: per transition the state, z and the kept rows' time and
+    # jump flag; per full window, the kept rows' slices of it
+    Xw = np.empty((WINDOW, n, N))
+    zw = np.empty((WINDOW, N), dtype=np.int64)
+    tw = np.empty((WINDOW, n_kept))
+    jw = np.zeros((WINDOW, n_kept), dtype=bool)
+    kept: list[tuple] = []
+
+    def first(hits: np.ndarray, firsts: np.ndarray, k0: int) -> None:
+        """Set ``firsts`` to k0 plus the first hit's slot where unset."""
+        new = hits.any(0) & (firsts < 0)
+        firsts[new] = k0 + hits.argmax(0)[new]
+
+    def decide(k0: int, used: int) -> None:
+        """Exceedance and unsafe entry over the window's first ``used``
+        transitions, which start at transition k0."""
+        xs = [Xw[:used, i] for i in range(n)]
         bval = None
         if bfun is not None:
-            bval = beta[z] * bfun(cols)
-            hit = alive & (first_exceed < 0) & ~(bval < acbc.eta)
-            first_exceed[hit] = k
-        inside = alive & (first_unsafe < 0)
+            bval = beta[zw[:used]] * bfun(xs)
+            first(~(bval < acbc.eta), first_exceed, k0)
+        inside = np.ones((used, N), dtype=bool)
         for i, lo, hi in unsafe_box:
-            inside &= (lo <= cols[i]) & (cols[i] <= hi)
-        first_unsafe[inside] = k
+            inside &= (lo <= xs[i]) & (xs[i] <= hi)
+        first(inside, first_unsafe, k0)
         if n_kept:
-            snapshots.append((
-                k,
-                time[:n_kept].tolist(),
-                z[:n_kept].tolist(),
-                X[:n_kept].tolist(),
-                None if bval is None else bval[:n_kept].tolist(),
-                None if jumped is None else jumped[:n_kept].tolist(),
+            kept.append((
+                tw[:used].copy(),
+                zw[:used, :n_kept].copy(),
+                Xw[:used, :, :n_kept].copy(),
+                None if bval is None else bval[:, :n_kept].copy(),
+                jw[:used].copy(),
             ))
 
-    def step(rows: np.ndarray, new) -> list[int]:
-        """Store the rows' new states; the positions of those not finite."""
-        cols = np.empty((len(rows), n))
-        for i, col in enumerate(new):
-            cols[:, i] = col
-        X[rows] = cols
-        return np.flatnonzero(~np.isfinite(cols).all(axis=1)).tolist()
+    def blow_up(bad: np.ndarray, error) -> None:
+        """End the rows of mask ``bad``, each with ``error(row)``."""
+        for row in bad.nonzero()[0].tolist():
+            errors[row] = error(row)
+        alive[bad] = False
 
-    def jump(J: np.ndarray) -> None:
-        rows = J.tolist()
-        cols = [X[J, i] for i in range(n)]
-        nu = [f(cols) for f in jump_fns]
-        w = W[J, jumps[J] % JUMP_CHUNK]
-        for c in step(J, model.jump_map(cols, nu, [w[:, j] for j in range(w.shape[1])])):
-            errors[rows[c]] = BlowUpError(0, "jump map produced a non-finite state")
-            alive[rows[c]] = False
-        J = J[alive[J]]
-        z[J] = 0
-        jumps[J] += 1
-        rows, es = J.tolist(), (jumps[J] % JUMP_CHUNK).tolist()
-        for row, e in zip(rows, es):
-            if not e:
-                gaps[row] = _draw_jump_chunk(rngs[row], schedule, jp, int(jumps[row]), W[row])
-        gap[J] = [gaps[row][e] for row, e in zip(rows, es)]
+    def scalar_error(row: int, dw: np.ndarray, dp: np.ndarray) -> BlowUpError:
+        """The error of the scalar kernel on the period the row failed."""
+        x = [float(col[row]) for col in cols]
+        try:
+            model.scalar_flow(x, [f(x) for f in flow_fns], h, sqh, dw[row].tolist(), dp[row].tolist(), S)
+        except BlowUpError as err:
+            return err.with_traceback(None)
+        raise AssertionError("block and scalar flow kernels disagree")
 
-    def flow(F: np.ndarray) -> None:
-        e = flows[F] % C
-        for row in F[e == 0].tolist():
-            _draw_flow_chunk(rngs[row], means, dW[row], dP[row])
-        rows = F.tolist()
-        cols = [X[F, i] for i in range(n)]
-        nu = [f(cols) for f in flow_fns]
-        dw, dp = dW[F, e], dP[F, e]
-        # the kernel takes (substeps, b, m) and (substeps, r, m)
-        period = model.block_flow(cols, nu, h, sqh, dw.transpose(1, 2, 0), dp.transpose(1, 2, 0), S)
-        for c in step(F, period):
-            x = [float(col[c]) for col in cols]
-            try:
-                model.scalar_flow(x, [f(x) for f in flow_fns], h, sqh, dw[c].tolist(), dp[c].tolist(), S)
-            except BlowUpError as err:
-                errors[rows[c]] = err.with_traceback(None)
-                alive[rows[c]] = False
-            else:
-                raise AssertionError("block and scalar flow kernels disagree")
-        F = F[alive[F]]
-        flows[F] += 1
-        z[F] += 1
-        time[F] += jp.tau
+    def finite(out) -> np.ndarray:
+        ok = np.isfinite(out[0])
+        for col in out[1:]:
+            ok &= np.isfinite(col)
+        return ok
 
+    k0 = 0
+    slot = 0
     with np.errstate(over="ignore", invalid="ignore"):
-        record(0, None)
-        for k in range(1, config.horizon_T + 1):
-            live = np.flatnonzero(alive)
-            if not live.size:
+        for k in range(config.horizon_T + 1):
+            if k:
+                jumped = alive & (z == gap)
+                flowing = alive & ~jumped
+                new = cols
+                if np.count_nonzero(flowing):
+                    e = flows % C
+                    for row in (flowing & (e == 0)).nonzero()[0].tolist():
+                        _draw_flow_chunk(rngs[row], means, dW[row], dP[row])
+                    dw, dp = dW[rows, e], dP[rows, e]
+                    dp[~flowing] = 0
+                    nu = [f(cols) for f in flow_fns]
+                    # the kernel takes (substeps, b, N) and (substeps, r, N)
+                    out = model.block_flow(cols, nu, h, sqh, dw.transpose(1, 2, 0), dp.transpose(1, 2, 0), S)
+                    bad = flowing & ~finite(out)
+                    if np.count_nonzero(bad):
+                        blow_up(bad, lambda row: scalar_error(row, dw, dp))
+                        flowing &= alive
+                    new = [np.where(flowing, y, x) for y, x in zip(out, cols)]
+                    flows += flowing
+                    z += flowing
+                    if n_kept:
+                        time = time + np.where(flowing[:n_kept], jp.tau, 0.0)
+                if np.count_nonzero(jumped):
+                    e = jumps % JUMP_CHUNK
+                    nu = [f(cols) for f in jump_fns]
+                    w = W[rows, e]
+                    out = model.jump_map(cols, nu, [w[:, j] for j in range(w.shape[1])])
+                    bad = jumped & ~finite(out)
+                    if np.count_nonzero(bad):
+                        blow_up(bad, lambda row: BlowUpError(0, "jump map produced a non-finite state"))
+                        jumped &= alive
+                    new = [np.where(jumped, y, x) for y, x in zip(out, new)]
+                    jumps += jumped
+                    z[jumped] = 0
+                    e = jumps % JUMP_CHUNK
+                    for row in (jumped & (e == 0)).nonzero()[0].tolist():
+                        gaps[row] = _draw_jump_chunk(rngs[row], schedule, jp, int(jumps[row]), W[row])
+                    gap = gaps[rows, e]
+                cols = new
+                if n_kept:
+                    jw[slot] = jumped[:n_kept]
+            for i, col in enumerate(cols):
+                Xw[slot, i] = col
+            zw[slot] = z
+            if n_kept:
+                tw[slot] = time
+            slot += 1
+            if slot == WINDOW:
+                decide(k0, slot)
+                k0, slot = k + 1, 0
+            if not np.count_nonzero(alive):
                 break
-            jumped = z == gap
-            at_gap = jumped[live]
-            if at_gap.any():
-                jump(live[at_gap])
-            if not at_gap.all():
-                flow(live[~at_gap])
-            record(k, jumped)
+        if slot:
+            decide(k0, slot)
 
     out: list[Trajectory | BlowUpError] = []
+    if n_kept:
+        t_all, z_all, x_all, b_all, j_all = zip(*kept)
+        # per kept row, its value at each transition
+        times = np.concatenate(t_all).T.tolist()
+        zs = np.concatenate(z_all).T.tolist()
+        xs = np.concatenate(x_all).transpose(2, 0, 1).tolist()
+        bvals = None if bfun is None else np.concatenate(b_all).T.tolist()
+        jflags = np.concatenate(j_all).T.tolist()
     for row in range(N):
         if errors[row] is not None:
             out.append(errors[row])
@@ -518,13 +591,13 @@ def _simulate_block(
             records = tuple(
                 TransitionRecord(
                     k,
-                    t[row],
-                    zs[row],
-                    "init" if jj is None else JUMP if jj[row] else FLOW,
-                    tuple(xs[row]),
-                    None if bv is None else bv[row],
+                    t,
+                    zk,
+                    "init" if not k else JUMP if jj else FLOW,
+                    tuple(x),
+                    None if bvals is None else bvals[row][k],
                 )
-                for k, t, zs, xs, bv, jj in snapshots
+                for k, (t, zk, x, jj) in enumerate(zip(times[row], zs[row], xs[row], jflags[row]))
             )
         out.append(
             Trajectory(

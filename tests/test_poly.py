@@ -616,6 +616,28 @@ class TestGeneratedSource:
             got = np.broadcast_to(fn(columns), want.shape)
         assert np.array_equal(got, want, equal_nan=True)
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        p=sparse_polynomials(),
+        fixed=st.sets(st.sampled_from(NAMES)),
+        pt=st.tuples(VALUES, VALUES, VALUES),
+    )
+    def test_hoisted_products_keep_every_bit(self, p, fixed, pt):
+        # each name bound once to its product's text, the expression gives
+        # the value of the plain one
+        names = {v: f"vals[{i}]" for i, v in enumerate(NAMES)}
+        consts: dict[str, float] = {}
+        hoisted: dict[str, str] = {}
+        expr = p.source(names, consts, fixed, hoisted)
+        binds = "".join(f"    {name} = {text}\n" for text, name in hoisted.items())
+        fn = generated(f"def f(vals):\n{binds}    return {expr}\n", consts, "f")
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert _same(fn(pt), _chain_value(p, dict(zip(NAMES, pt))))
+        if fixed == set(NAMES):
+            assert "vals" not in expr
+        if not fixed:
+            assert not hoisted and expr == p.source(names, {})
+
     def test_non_finite_coefficients_are_bound_by_name(self):
         p = Polynomial(("x",), {(0,): math.inf, (1,): -2.0, (2,): math.nan})
         consts: dict[str, float] = {}

@@ -41,6 +41,13 @@ def blocks_of_8(monkeypatch):
     monkeypatch.setattr(sim, "BATCH_MIN", 8)
 
 
+@pytest.fixture
+def windows_of_4(monkeypatch):
+    """The batched engine decides exceedance and unsafe entry every four
+    transitions, whatever ``sim.WINDOW`` is."""
+    monkeypatch.setattr(sim, "WINDOW", 4)
+
+
 class TestFlowStep:
     def test_frozen_dynamics_keep_state(self):
         m = scalar_model(f1=0.0 * X, f2=X, sigma=0.0, rho=0.0, rate=0.0)
@@ -168,6 +175,14 @@ class TestSimulate:
         _ = trajectory_rng(7, 0).normal(size=100)
         b = trajectory_rng(7, 3).normal(size=4)
         assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("seed, idx", [(0, 0), (5, 3), (2**64 - 1, 2**63 + 5)])
+    def test_stream_is_that_of_the_direct_philox_key(self, seed, idx):
+        got, want = trajectory_rng(seed, idx), np.random.Generator(np.random.Philox(key=seed | idx << 64))
+        assert _state(got) == _state(want)
+        assert np.array_equal(got.standard_normal(300), want.standard_normal(300))
+        assert got.integers(0, 2**63, 50).tolist() == want.integers(0, 2**63, 50).tolist()
+        assert _state(got) == _state(want)
 
     def test_seed_fills_the_low_key_word(self, case1):
         for seed, idx in ((2**64 - 1, 3), (7, 2**64 - 1), (2**63, 0)):
@@ -530,8 +545,9 @@ class TestBatchedEngine:
                 want = replace(want, records=())
             assert_same(case3.model, got, want)
 
-    def test_nan_certificate_value_equal_scalar(self, case3):
-        # at 1 substep, trajectory 5 reaches x = 2.8e204 and ends on B = NaN
+    def test_nan_certificate_value_equal_scalar(self, case3, windows_of_4):
+        # at 1 substep, trajectory 5 reaches x = 2.8e204 and ends on B = NaN;
+        # the 64 transitions fill 16 windows exactly
         acbc = construct_acbc(case3.candidate, case3.model.jump, case3.eps1, case3.eps2)
         n = 30
         config = SimConfig(
@@ -543,6 +559,73 @@ class TestBatchedEngine:
             want = _outcome(lambda: simulate(case3.model, case3.candidate, config, acbc, i))
             assert_same(case3.model, got, want)
         assert math.isnan(batch[5].records[-1].b_value)
+
+    @pytest.mark.parametrize("case_id", [1, 2, 3])
+    def test_small_windows_equal_scalar(self, case_id, windows_of_4):
+        case = load_case(case_id)
+        acbc = construct_acbc(case.candidate, case.model.jump, case.eps1, case.eps2)
+        n = 40
+        config = SimConfig(
+            horizon_T=case.horizon, n_trajectories=n, master_seed=7, schedule=case.schedule
+        )
+        batch = _simulate_block(case.model, case.candidate, config, acbc, 0, n, keep=n)
+        for i, got in enumerate(batch):
+            assert_same(case.model, got, _outcome(lambda: simulate(case.model, case.candidate, config, acbc, i)))
+
+    def test_blow_ups_inside_windows_equal_scalar(self, windows_of_4):
+        # rows leave the block at transitions inside a window, among rows
+        # that exceed the level x^2 >= 0.25 and stay
+        model = _overflowing("drift")
+        zero = (Polynomial.constant(0.0),)
+        ctrl = CbcCandidate(X**2, 1.0, 0.5, 0.5, 0.01, 0.1, 0.25, zero, zero)
+        acbc = construct_acbc(ctrl, model.jump, 0.1, 8.0)
+        n = 64
+        config = SimConfig(horizon_T=13, n_trajectories=n, master_seed=2, substeps_per_tau=10)
+        batch = _simulate_block(model, ctrl, config, acbc, 0, n, keep=n)
+        scalar = [_outcome(lambda i=i: simulate(model, ctrl, config, acbc, i)) for i in range(n)]
+        for got, want in zip(batch, scalar, strict=True):
+            assert_same(model, got, want)
+        ends = {
+            next(
+                k for k in range(config.horizon_T + 1)
+                if isinstance(_outcome(lambda: simulate(model, ctrl, replace(config, horizon_T=k), acbc, i)), BlowUpError)
+            )
+            for i, t in enumerate(scalar) if isinstance(t, BlowUpError)
+        }
+        assert {k % 4 for k in ends} & {1, 2}
+        assert any(isinstance(t, sim.Trajectory) and t.first_exceed for t in scalar)
+
+    def test_first_exceedance_at_a_window_edge(self, case2, monkeypatch):
+        acbc = construct_acbc(case2.candidate, case2.model.jump, case2.eps1, case2.eps2)
+        n = 24
+        config = SimConfig(horizon_T=100, n_trajectories=n, master_seed=7, schedule=case2.schedule)
+        scalar = [_outcome(lambda i=i: simulate(case2.model, case2.candidate, config, acbc, i)) for i in range(n)]
+        k0 = max(t.first_exceed for t in scalar if isinstance(t, sim.Trajectory) and t.first_exceed)
+        assert k0 > 2
+        # k0 first in the second window, then last in the first one
+        for window in (k0, k0 + 1):
+            monkeypatch.setattr(sim, "WINDOW", window)
+            batch = _simulate_block(case2.model, case2.candidate, config, acbc, 0, n, keep=n)
+            for got, want in zip(batch, scalar, strict=True):
+                assert_same(case2.model, got, want)
+
+    def test_buffers_do_not_grow_with_the_horizon(self, case1):
+        # a history of every transition would hold T x N states and counters
+        import tracemalloc
+
+        acbc = construct_acbc(case1.candidate, case1.model.jump, case1.eps1, case1.eps2)
+        peaks = []
+        for T in (100, 4000):
+            config = SimConfig(horizon_T=T, n_trajectories=24, master_seed=3, substeps_per_tau=1)
+            tracemalloc.start()
+            try:
+                runs = _simulate_block(case1.model, case1.candidate, config, acbc, 0, 24, keep=0)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert all(isinstance(t, sim.Trajectory) for t in runs)
+        # 4000 x 24 states alone are 768 kB
+        assert peaks[1] - peaks[0] < 100_000
 
     def test_nan_certificate_value_counts_as_exceedance(self):
         # x^4 and x^5 both overflow at x = 1e80, so B = x^4 - x^5 is inf - inf
@@ -833,6 +916,77 @@ class TestGeneratedCode:
             for m in (model, loaded)
         ]
         assert texts[1] == texts[0]
+
+    def test_products_free_of_the_state_are_formed_once_per_period(self, monkeypatch):
+        # input-only drift terms of degree 2 (2 nu + nu nu, mu nu), a term
+        # led by an input (mu x), two inputs and a state-free rho: no input
+        # is read inside the substep loop, and every bit stays that of the
+        # plain expressions evaluated substep by substep
+        from shscert import model as model_module
+
+        sources = []
+
+        def recording(source, namespace={}, name=None):
+            sources.append(source)
+            return plain_generated(source, namespace, name)
+
+        plain_generated = model_module.generated
+        monkeypatch.setattr(model_module, "generated", recording)
+        x, y = Polynomial.variable("x"), Polynomial.variable("y")
+        mu, nu, w = Polynomial.variable("mu"), Polynomial.variable("nu"), Polynomial.variable("varsigma")
+        const = Polynomial.constant
+        model = SHSModel(
+            state_vars=("x", "y"), input_vars=("mu", "nu"), noise_vars=("varsigma",),
+            f1=(2.0 * nu + nu * nu + mu * x - 0.1 * x**3, -1.0 * x - 0.2 * y + 0.5 * mu * nu),
+            sigma=((const(0.2), 0.1 * x), (const(0.0), const(0.1))),
+            rho=((const(0.3),), (-0.2 * y,)),
+            rates=(3.0,),
+            f2=(0.8 * x + nu + 0.2 * w, y + mu * w),
+            noise=NoiseConfig((NoiseMoments.standard_normal(8),)),
+            jump=JumpParams(0.1, 1, 7),
+            X=IntervalBox({"x": (-3, 3), "y": (-3, 3)}),
+            X0=IntervalBox({"x": (0.5, 1.5), "y": (-0.5, 0.5)}),
+            Xu=IntervalBox({"x": (1.2, 3), "y": (-3, 3)}),
+        )
+        cand = CbcCandidate(
+            x**2 + y**2, 1.0, 0.5, 0.5, 0.01, 0.3, 1.5,
+            (0.1 * x, -0.2 * y + 0.1), (0.3 * y, const(0.5)),
+        )
+        acbc = construct_acbc(cand, model.jump, 0.1, 8.0)
+        n = 30
+        config = SimConfig(horizon_T=40, n_trajectories=n, master_seed=6)
+        batch = _simulate_block(model, cand, config, acbc, 0, n, keep=n)
+        for i, got in enumerate(batch):
+            assert_same(model, got, _outcome(lambda: simulate(model, cand, config, acbc, i)))
+        flows = [source for source in sources if source.startswith("def flow")]
+        assert len(flows) == 2
+        for source in flows:
+            head, loop = source.split("for s in range(substeps):")
+            assert "u0" in head and "u1" in head
+            assert "u0" not in loop and "u1" not in loop
+        # one period by hand on the plain expressions
+        S, h = 20, 0.1 / 20
+        sqh = math.sqrt(h)
+        rng = np.random.default_rng(6)
+        dW, dP = rng.standard_normal((S, 2)), rng.poisson(0.5, (S, 1))
+        f1 = [p.compiled(model.state_vars + model.input_vars) for p in model.f1]
+        sig = [[p.compiled(model.state_vars) for p in row] for row in model.sigma]
+        rho = [row[0].compiled(model.state_vars) for row in model.rho]
+        u = (0.3, -1.7)
+        xs = start = (0.9, -0.4)
+        for s in range(S):
+            ys = [
+                xs[i] + h * f1[i]((*xs, *u)) + sig[i][0](xs) * sqh * dW[s, 0] + sig[i][1](xs) * sqh * dW[s, 1]
+                for i in range(2)
+            ]
+            if dP[s, 0]:
+                ys = [ys[i] + rho[i](xs) * dP[s, 0] for i in range(2)]
+            xs = tuple(ys)
+        assert model.scalar_flow(list(start), list(u), h, sqh, dW.tolist(), dP.tolist(), S) == xs
+        cols = model.block_flow(
+            [np.array([v]) for v in start], [np.array([v]) for v in u], h, sqh, dW[:, :, None], dP[:, :, None], S
+        )
+        assert tuple(float(c[0]) for c in cols) == xs
 
     def test_flow_kernel_takes_a_long_drift(self):
         # 3000 terms, past the nesting a single expression allows

@@ -7,7 +7,8 @@ BASE and HEAD are source checkouts (for example ``git clone`` copies of two
 commits). Pair i runs ``perfbench/run.py --trace 0`` once in each, both on
 seed ``--seed + i``, base first in even pairs and head first in odd ones,
 so a drift of the machine weighs on both sides alike. The output records
-the machine, both git SHAs, each run's gated end-to-end metrics (the
+the machine, both git SHAs (marked ``-dirty`` for a checkout with
+uncommitted edits), each run's gated end-to-end metrics (the
 ``end_to_end`` names of HEAD's BENCHMARK.json), and per metric the median
 and quartiles of each side and the number of pairs the head wins. After
 the pairs of a workload, one ``--trace 1`` run per side on the first pair's
@@ -39,8 +40,11 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: int, trace: int 
 
 
 def git_sha(checkout: Path) -> str:
+    """The checkout's commit SHA, with ``-dirty`` appended when its tracked
+    files hold uncommitted edits."""
     done = subprocess.run(
-        ["git", "-C", str(checkout), "rev-parse", "HEAD"], capture_output=True, text=True
+        ["git", "-C", str(checkout), "describe", "--always", "--dirty", "--abbrev=40"],
+        capture_output=True, text=True,
     )
     return done.stdout.strip() or "unknown"
 
