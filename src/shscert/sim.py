@@ -40,6 +40,7 @@ its memory does not grow with the horizon.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, replace
 from typing import Iterator, Sequence
@@ -94,18 +95,23 @@ class Trajectory:
     first_exceed: int | None
 
 
-class _PhiloxKey(np.random.bit_generator.ISeedSequence):
-    """A seed sequence that hands Philox its two key words as given.
+@functools.cache
+def _philox_key() -> type:
+    """The seed-sequence type that hands Philox its two key words as given:
     ``Philox(key=...)`` would first seed a ``SeedSequence`` from OS entropy
     and then discard it, which costs more than the rest of the stream's
-    set-up."""
+    set-up. Built on first use, because ``numpy.random`` takes about 10 ms
+    to import, which every start-up would pay."""
 
-    def __init__(self, low: int, high: int):
-        self.words = (low, high)
+    class PhiloxKey(np.random.bit_generator.ISeedSequence):
+        def __init__(self, low: int, high: int):
+            self.words = (low, high)
 
-    def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
-        # Philox asks for its key once, as two 64-bit words
-        return np.array(self.words, dtype=np.uint64)
+        def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
+            # Philox asks for its key once, as two 64-bit words
+            return np.array(self.words, dtype=np.uint64)
+
+    return PhiloxKey
 
 
 def trajectory_rng(master_seed: int, traj_index: int) -> np.random.Generator:
@@ -115,7 +121,7 @@ def trajectory_rng(master_seed: int, traj_index: int) -> np.random.Generator:
     ``Philox(key=master_seed | traj_index << 64)``. The counter starts at
     0; its high word stays free for branches of a trajectory, so a plain run
     is branch 0."""
-    return np.random.Generator(np.random.Philox(_PhiloxKey(master_seed, traj_index)))
+    return np.random.Generator(np.random.Philox(_philox_key()(master_seed, traj_index)))
 
 
 # Flow noise is drawn a chunk of C = NOISE_SUBSTEPS // substeps flow periods

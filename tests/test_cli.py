@@ -445,12 +445,13 @@ class TestMalformedInput:
 
 class TestStartUp:
     def test_cli_and_cases_load_without_scipy(self):
-        # scipy.stats alone costs about a second of every start-up
+        # scipy.stats alone costs about a second of every start-up, and
+        # numpy.random about 10 ms
         code = (
             "import sys, shscert.cli\n"
             "from shscert.cases import list_cases, load_case\n"
             "[load_case(c) for c in list_cases()]\n"
-            "print(sorted(m for m in ('scipy.stats', 'scipy.optimize', 'scipy.special')"
+            "print(sorted(m for m in ('scipy.stats', 'scipy.optimize', 'scipy.special', 'numpy.random')"
             " if m in sys.modules))\n"
         )
         env = {**os.environ, "PYTHONPATH": str(Path(shscert.__file__).resolve().parents[1])}
