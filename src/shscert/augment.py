@@ -191,17 +191,11 @@ def check_acbc_conditions(model: SHSModel, acbc: Acbc) -> CbcReport:
     the jump scenario the exact post-jump expectation polynomial; each is
     compared against kappa beta(z) B + gamma on X. The relaxation rests on
     the base flow condition LB <= -kappa1 B + gamma1, so that is checked on
-    X as well ("flow[base]").
+    X as well ("flow[base]"). The conditions on the constants alone are the
+    Acbc constructor's, so the report has no entry for them.
     """
     cand, jp, X = acbc.base, acbc.jump, model.X
     B = cand.Bbar
-    # the constructor enforces these, so the entry always holds; it stays so
-    # that the report keeps its shape
-    constants = ConditionCheck(
-        "constants",
-        "holds" if acbc.eta > acbc.alpha and 0 < acbc.kappa < 1 and acbc.gamma >= 0 else "fails",
-        min(acbc.eta - acbc.alpha, acbc.kappa, 1 - acbc.kappa, acbc.gamma),
-    )
     counters = range(jp.q2 + 1)
     conditions = [
         ("initial", acbc.alpha - acbc.beta(0) * B, model.X0),
@@ -217,5 +211,6 @@ def check_acbc_conditions(model: SHSModel, acbc: Acbc) -> CbcReport:
             conditions.append((f"flow[z={z}]", level - flowed, X))
         if jp.admits(JUMP, z):
             conditions.append((f"jump[z={z}]", level - acbc.beta(0) * jexp, X))
-    checks = (ConditionCheck.of(name, nonneg_on_box(expr, box)) for name, expr, box in conditions)
-    return CbcReport((constants, *checks), X)
+    return CbcReport(
+        tuple(ConditionCheck.of(name, nonneg_on_box(expr, box)) for name, expr, box in conditions), X
+    )

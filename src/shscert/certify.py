@@ -16,7 +16,7 @@ from typing import Sequence
 
 from .codec import Codec
 from .model import SHSModel
-from .poly import IntervalBox, NonnegReport, Polynomial, interval_candidates, nonneg_on_box
+from .poly import IntervalBox, NonnegReport, Polynomial, nonneg_on_box
 
 
 @dataclass(frozen=True)
@@ -201,14 +201,6 @@ class _Last:
         return self.value
 
 
-class _CandidateSlot(_Last):
-    """interval_candidates, reused while the derivative coefficients and
-    the interval repeat bit for bit."""
-
-    def __call__(self, dp, a, b):
-        return self.get(_bits(a, b, *dp), interval_candidates, dp, a, b)
-
-
 class CbcChecker:
     """Checks candidates of one model on one domain, as check_cbc does.
 
@@ -221,8 +213,8 @@ class CbcChecker:
         nonneg:  Bbar
 
     On a miss it also reuses the last generator (keyed on Bbar and
-    nu_flow), the last jump expectation (keyed on Bbar and nu_jump) and,
-    for each condition, the last univariate candidate set. So a candidate
+    nu_flow) and the last jump expectation (keyed on Bbar and nu_jump); the
+    univariate critical points are reused by poly itself. So a candidate
     that shares part of its input with the previous one is checked faster,
     and every report is bitwise equal to a fresh check. One entry per slot
     keeps memory bounded.
@@ -234,11 +226,10 @@ class CbcChecker:
         self._gen = _Last()
         self._jexp = _Last()
         self._last = defaultdict(_Last)  # one outcome per condition
-        self._candidates = defaultdict(_CandidateSlot)  # one slot per condition
 
-    def _decide(self, name: str, build, box: IntervalBox) -> ConditionCheck:
-        report = nonneg_on_box(build(), box, candidates=self._candidates[name])
-        return ConditionCheck.of(name, report)
+    @staticmethod
+    def _decide(name: str, build, box: IntervalBox) -> ConditionCheck:
+        return ConditionCheck.of(name, nonneg_on_box(build(), box))
 
     def check(self, cand: CbcCandidate) -> CbcReport:
         model, dom, B = self.model, self.domain, cand.Bbar

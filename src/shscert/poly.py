@@ -17,10 +17,12 @@ gives bitwise equal values on Python floats and numpy arrays.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import itertools
 import math
 import operator
+import struct
 from dataclasses import dataclass
 from typing import Collection, Iterable, Mapping, Sequence
 
@@ -752,16 +754,31 @@ def interval_candidates(dp: Sequence[float], a: float, b: float) -> list[float]:
     return sorted(candidates)
 
 
-def min_on_interval(
-    p: Polynomial, a: float, b: float, candidates=interval_candidates
-) -> tuple[float, float]:
+# Candidate sets that _critical_points keeps, least recently used out first.
+# A search decides conditions again whose derivative and interval repeat.
+# One search meets about 300 distinct sets, so the memo holds only those of
+# its latest checks, and a search repeated in one process computes as many
+# sets as it did the first time.
+CRITICAL_MEMO = 32
+
+
+@functools.lru_cache(maxsize=CRITICAL_MEMO)
+def _critical_points(key: bytes) -> tuple[float, ...]:
+    """interval_candidates(dp, a, b) for key = the packed doubles (a, b,
+    *dp). A key holds the exact bits, so -0.0 and 0.0 never share an
+    entry."""
+    a, b, *dp = struct.unpack(f"{len(key) // 8}d", key)
+    return tuple(interval_candidates(dp, a, b))
+
+
+def min_on_interval(p: Polynomial, a: float, b: float) -> tuple[float, float]:
     """Minimum of a univariate polynomial on [a, b] with its argmin.
 
-    p is evaluated at ``candidates(p', a, b)`` (by default
-    interval_candidates) and ties are broken toward the smaller argument.
-    A replacement must return what interval_candidates would. A
-    polynomial with a non-finite coefficient has no reliable minimum and
-    gives NaN at a; with finite coefficients no value is NaN.
+    p is evaluated at interval_candidates(p', a, b), reused from a small
+    memo (_critical_points) while p' and the interval repeat bit for bit,
+    and ties are broken toward the smaller argument. A polynomial with a
+    non-finite coefficient has no reliable minimum and gives NaN at a;
+    with finite coefficients no value is NaN.
     """
     if not (math.isfinite(a) and math.isfinite(b)):
         raise ValueError(f"need finite endpoints, got [{a}, {b}]")
@@ -779,7 +796,8 @@ def min_on_interval(
     # Horner inlined: a call per candidate cost more than its arithmetic
     rc = c[::-1]
     best_x, best_v = None, math.inf
-    for x in candidates(_polyder(c), a, b):
+    dp = _polyder(c)
+    for x in _critical_points(struct.pack(f"{len(dp) + 2}d", a, b, *dp)):
         v = 0.0
         for coef in rc:
             v = v * x + coef
@@ -807,15 +825,10 @@ class NonnegReport(Codec):
     witness: dict[str, float] | None = None
 
 
-def nonneg_on_box(
-    p: Polynomial,
-    box: IntervalBox,
-    candidates=interval_candidates,
-) -> NonnegReport:
+def nonneg_on_box(p: Polynomial, box: IntervalBox) -> NonnegReport:
     """Check p >= 0 on the box.
 
-    Univariate polynomials are decided exactly through min_on_interval,
-    which gets ``candidates``.
+    Univariate polynomials are decided exactly through min_on_interval.
     Multivariate ones get a Bernstein enclosure search (see ``_enclose``)
     and may come back "inconclusive".
     """
@@ -836,7 +849,7 @@ def nonneg_on_box(
     if len(eff) == 1:
         var = eff[0]
         lo, hi = box[var]
-        value, arg = min_on_interval(p, lo, hi, candidates)
+        value, arg = min_on_interval(p, lo, hi)
         if value >= -1e-9:
             return NonnegReport("holds", value, None)
         witness = dict(lows)

@@ -423,12 +423,15 @@ def _simulate_block(
     ``scalar_flow``, which names the substep in its ``BlowUpError``. A row
     leaves the block when its state stops being finite.
 
-    Each transition writes its state and z, and the kept rows' time and
-    jump flag, to a buffer of ``WINDOW`` transitions. When the buffer is
-    full, and at the end, one pass over it decides certificate exceedance
-    and unsafe entry for every row; the kept rows' records are built from
-    what it keeps of each buffer. Beside the noise chunks, memory stays
-    O(WINDOW N n + T keep) over a horizon of T transitions.
+    Each transition writes its state and z to a buffer of ``WINDOW``
+    transitions. When the buffer is full, and at the end, one pass over it
+    decides certificate exceedance and unsafe entry for every row, and
+    keeps the kept rows' slices. Their records follow from these: after
+    transition 0, z > 0 marks a flow (which leaves z >= 1) and z == 0 a
+    jump (which resets it), and the time is the running sum of tau over the
+    flows, which ``cumsum`` adds in the order ``simulate`` does. Beside the
+    noise chunks, memory stays O(WINDOW N n + T keep) over a horizon of T
+    transitions.
     """
     jp, sv, n = model.jump, model.state_vars, model.n
     N = stop - start
@@ -459,18 +462,15 @@ def _simulate_block(
     first_exceed = np.full(N, -1, dtype=np.int64)
     first_unsafe = np.full(N, -1, dtype=np.int64)
     n_kept = max(0, min(keep, stop) - start)
-    time = np.zeros(n_kept)
 
     bfun = acbc.base.Bbar.compiled(sv) if acbc is not None else None
     beta = np.array([acbc.beta(q) for q in range(jp.q2 + 1)]) if acbc is not None else None
     unsafe_box = _unsafe_box(model)
 
-    # the window: per transition the state, z and the kept rows' time and
-    # jump flag; per full window, the kept rows' slices of it
+    # the window: per transition the state and z; per full window, the kept
+    # rows' slices of it
     Xw = np.empty((WINDOW, n, N))
     zw = np.empty((WINDOW, N), dtype=np.int64)
-    tw = np.empty((WINDOW, n_kept))
-    jw = np.zeros((WINDOW, n_kept), dtype=bool)
     kept: list[tuple] = []
 
     def first(hits: np.ndarray, firsts: np.ndarray, k0: int) -> None:
@@ -492,11 +492,9 @@ def _simulate_block(
         first(inside, first_unsafe, k0)
         if n_kept:
             kept.append((
-                tw[:used].copy(),
                 zw[:used, :n_kept].copy(),
                 Xw[:used, :, :n_kept].copy(),
                 None if bval is None else bval[:, :n_kept].copy(),
-                jw[:used].copy(),
             ))
 
     def blow_up(bad: np.ndarray, error) -> None:
@@ -544,8 +542,6 @@ def _simulate_block(
                     new = [np.where(flowing, y, x) for y, x in zip(out, cols)]
                     flows += flowing
                     z += flowing
-                    if n_kept:
-                        time = time + np.where(flowing[:n_kept], jp.tau, 0.0)
                 if np.count_nonzero(jumped):
                     e = jumps % JUMP_CHUNK
                     nu = [f(cols) for f in jump_fns]
@@ -563,13 +559,9 @@ def _simulate_block(
                         gaps[row] = _draw_jump_chunk(rngs[row], schedule, jp, int(jumps[row]), W[row])
                     gap = gaps[rows, e]
                 cols = new
-                if n_kept:
-                    jw[slot] = jumped[:n_kept]
             for i, col in enumerate(cols):
                 Xw[slot, i] = col
             zw[slot] = z
-            if n_kept:
-                tw[slot] = time
             slot += 1
             if slot == WINDOW:
                 decide(k0, slot)
@@ -581,13 +573,13 @@ def _simulate_block(
 
     out: list[Trajectory | BlowUpError] = []
     if n_kept:
-        t_all, z_all, x_all, b_all, j_all = zip(*kept)
-        # per kept row, its value at each transition
-        times = np.concatenate(t_all).T.tolist()
-        zs = np.concatenate(z_all).T.tolist()
+        z_all, x_all, b_all = zip(*kept)
+        z_kept = np.concatenate(z_all)
+        # per kept row, its value at each transition; z is 0 at transition 0
+        times = np.cumsum(np.where(z_kept != 0, jp.tau, 0.0), axis=0).T.tolist()
+        zs = z_kept.T.tolist()
         xs = np.concatenate(x_all).transpose(2, 0, 1).tolist()
         bvals = None if bfun is None else np.concatenate(b_all).T.tolist()
-        jflags = np.concatenate(j_all).T.tolist()
     for row in range(N):
         if errors[row] is not None:
             out.append(errors[row])
@@ -599,11 +591,11 @@ def _simulate_block(
                     k,
                     t,
                     zk,
-                    "init" if not k else JUMP if jj else FLOW,
+                    "init" if not k else FLOW if zk else JUMP,
                     tuple(x),
                     None if bvals is None else bvals[row][k],
                 )
-                for k, (t, zk, x, jj) in enumerate(zip(times[row], zs[row], xs[row], jflags[row]))
+                for k, (t, zk, x) in enumerate(zip(times[row], zs[row], xs[row]))
             )
         out.append(
             Trajectory(

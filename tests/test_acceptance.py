@@ -361,8 +361,13 @@ class TestCriterion6OracleSuites:
                 continue
             p = Polynomial.univariate("x", coeffs[::-1])
             grid = np.linspace(a, b, 1_000_001)
-            signs = np.sign(np.polyval(coeffs, grid))
-            scan = int(np.sum(signs[:-1] * signs[1:] < 0))
+            # np.polyval's Horner steps, in place: the same values, bit for bit
+            y = np.zeros_like(grid)
+            for c in coeffs:
+                y *= grid
+                y += c
+            pos, neg = y > 0, y < 0
+            scan = np.count_nonzero(pos[:-1] & neg[1:]) + np.count_nonzero(neg[:-1] & pos[1:])
             if sturm_root_count(p, a, b) != scan:
                 mismatches += 1
             checked += 1

@@ -380,17 +380,18 @@ class TestCbcChecker:
     again only the conditions that read the moved input."""
 
     def walk(self, model, cand, basis, steps, seed, monkeypatch):
-        from shscert import certify
+        from shscert import certify, poly
 
         calls = {"generator": 0, "interval_candidates": 0, "nonneg_on_box": 0}
-        for name in calls:
-            original = getattr(certify, name)
+        for module, name in ((certify, "generator"), (poly, "interval_candidates"),
+                             (certify, "nonneg_on_box")):
+            original = getattr(module, name)
 
             def counted(*args, _name=name, _original=original, **kwargs):
                 calls[_name] += 1
                 return _original(*args, **kwargs)
 
-            monkeypatch.setattr(certify, name, counted)
+            monkeypatch.setattr(module, name, counted)
 
         rng = np.random.default_rng(seed)
         var = model.state_vars[0]
@@ -463,11 +464,14 @@ class TestCbcChecker:
 
     @pytest.mark.parametrize("cid", ["1", "2", "3"])
     def test_walk_on_bundled_case(self, cid, monkeypatch):
+        from shscert import poly
+
         case = load_case(cid)
         basis = [Polynomial.variable("x") ** k for k in range(5)]
+        poly._critical_points.cache_clear()
         calls, steps = self.walk(case.model, case.candidate, basis, 200, int(cid), monkeypatch)
-        # the memo was used: most evaluations reused the generator and most
-        # univariate conditions the critical points of the previous one
+        # the memos were used: most evaluations reused the generator and most
+        # univariate conditions the critical points of an earlier one
         assert 0 < calls["generator"] < steps / 2
         assert 0 < calls["interval_candidates"] < 5 * steps / 2
 
@@ -475,3 +479,22 @@ class TestCbcChecker:
         model, basis = _two_state(case1)
         calls, steps = self.walk(model, case1.candidate, basis, 24, 4, monkeypatch)
         assert 0 < calls["generator"] < steps / 2
+
+    @pytest.mark.parametrize("cid", ["1", "2", "3"])
+    def test_reports_equal_with_cold_and_warm_memo(self, cid):
+        from shscert import poly
+
+        case = load_case(cid)
+        acbc = construct_acbc(case.candidate, case.model.jump, case.eps1, case.eps2)
+
+        def reports():
+            # repr keeps every bit of a margin or witness, and the sign of zero
+            return json.dumps([check_cbc(case.model, case.candidate).to_dict(),
+                               check_acbc_conditions(case.model, acbc).to_dict()])
+
+        poly._critical_points.cache_clear()
+        cold = reports()
+        hits = poly._critical_points.cache_info().hits
+        warm = reports()
+        assert poly._critical_points.cache_info().hits > hits
+        assert warm == cold

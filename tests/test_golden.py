@@ -93,9 +93,9 @@ GOLDEN = {
     "check_cbc[1]": "ad5ef53ceb8642f423174c3016e3982dcc4b25b0e6687dde63a784262db0a9bc",
     "check_cbc[2]": "ecbcb15a594c49781962f3f13bcf2cf9223b7ccc95fb5f463c3d55f170b615c9",
     "check_cbc[3]": "e018df2b3a3a89d6ddb6d2078080ac3f12315518badd0c29cb8eb3a348e058ca",
-    "check_acbc_conditions[1]": "e0ce291b2ff5d1937bb7dd6c40eb576a0d3d073a0f71e08be0da413c640fb27e",
-    "check_acbc_conditions[2]": "8ec3770c2d060eadf3cef9918f6cd7709c756cdd47e06a03113bba923dd876e0",
-    "check_acbc_conditions[3]": "d0e7eef0085b39b97815965cc1c50c3ad2ea3c0079620aa50df17a91d72f821a",
+    "check_acbc_conditions[1]": "fccaf0c34d892c1074c4988211e42b7bd17ece410bf7fea2a96ce6df9f0963c8",
+    "check_acbc_conditions[2]": "79df6b399e8d48cbc237652cae7c218203985c58db7f9588aee93329860a47a5",
+    "check_acbc_conditions[3]": "af88fa839794233da79b79e6238bb69415b84a755bf2ffc7e65028fa9094263a",
     "compute_delta_for[1]": "1b0103b22b007eee7cd92ec1139d56b6d592d80dc95fe6e18c4086a43b11421b",
     "compute_delta_for[2]": "7eea4a872696b6065c0ce3165252e481319be5a4b5ad31e594bac4eb5f7d1ba5",
     "compute_delta_for[3]": "7d8f3b6c4e8b8b4d3153c4583bb361077744595e0285944600737f23af93cf52",

@@ -609,22 +609,25 @@ class TestBatchedEngine:
             for got, want in zip(batch, scalar, strict=True):
                 assert_same(case2.model, got, want)
 
-    def test_buffers_do_not_grow_with_the_horizon(self, case1):
-        # a history of every transition would hold T x N states and counters
+    def test_buffers_do_not_grow_with_the_horizon(self, case1, windows_of_4):
+        # a history of every transition would hold T x N states and counters;
+        # tracemalloc slows the block many times over, so the horizon is
+        # short and the window small: at T = 400 it fills 100 times
         import tracemalloc
 
         acbc = construct_acbc(case1.candidate, case1.model.jump, case1.eps1, case1.eps2)
+        n = 200
         peaks = []
-        for T in (100, 4000):
-            config = SimConfig(horizon_T=T, n_trajectories=24, master_seed=3, substeps_per_tau=1)
+        for T in (20, 400):
+            config = SimConfig(horizon_T=T, n_trajectories=n, master_seed=3, substeps_per_tau=1)
             tracemalloc.start()
             try:
-                runs = _simulate_block(case1.model, case1.candidate, config, acbc, 0, 24, keep=0)
+                runs = _simulate_block(case1.model, case1.candidate, config, acbc, 0, n, keep=0)
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
             assert all(isinstance(t, sim.Trajectory) for t in runs)
-        # 4000 x 24 states alone are 768 kB
+        # 400 x 200 states alone are 640 kB
         assert peaks[1] - peaks[0] < 100_000
 
     def test_nan_certificate_value_counts_as_exceedance(self):

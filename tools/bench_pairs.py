@@ -9,13 +9,15 @@ seed ``--seed + i``, base first in even pairs and head first in odd ones,
 so a drift of the machine weighs on both sides alike. The output records
 the machine, both git SHAs (marked ``-dirty`` for a checkout with
 uncommitted edits), each run's gated end-to-end metrics (the
-``end_to_end`` names of HEAD's BENCHMARK.json), and per metric the median
-and quartiles of each side and the number of pairs the head wins. After
-the pairs of a workload, one ``--trace 1`` run per side on the first pair's
-seed adds the per-layer metrics of its traced replay, with the number of
-operations it traced. Every run's full result line also stays in
-``.perfbench_out/`` of its checkout. ``--workload`` may be given more than
-once.
+``end_to_end`` names of HEAD's BENCHMARK.json) with its counts of
+operations attempted and failed, and per metric the median and quartiles
+of each side and the number of pairs the head wins. ``--out`` is written
+after every pair, so a run cut short keeps the pairs it finished. After
+the pairs of a workload, one ``--trace 1`` run per side on the first
+pair's seed adds the per-layer metrics of its traced replay, with the
+number of operations it traced. Every run's full result line also stays
+in ``.perfbench_out/`` of its checkout. ``--workload`` may be given more
+than once.
 """
 
 from __future__ import annotations
@@ -111,10 +113,13 @@ def main(argv: list[str] | None = None) -> int:
                 metrics = run["result"]["metrics"]
                 pair[side] = {name: metrics[name]["value"] for name in gated}
                 pair[f"{side}_correct"] = run["result"]["correct"]
+                pair[f"{side}_ops"] = {k: run["result"][k] for k in ("attempted", "failed")}
             pairs.append(pair)
             print(json.dumps({"workload": workload, **pair}), flush=True)
-        doc["workloads"][workload] = {"pairs": pairs, "summary": summarize(pairs, gated)}
-        args.out.write_text(json.dumps(doc, indent=2) + "\n")
+            entry = doc["workloads"][workload] = {"pairs": pairs}
+            if len(pairs) > 1:  # quartiles need two runs a side
+                entry["summary"] = summarize(pairs, gated)
+            args.out.write_text(json.dumps(doc, indent=2) + "\n")
         trace = {"seed": args.seed}
         for side in ("base", "head"):
             run = run_once(sides[side], workload, args.seed, args.seconds, trace=1)
@@ -125,7 +130,7 @@ def main(argv: list[str] | None = None) -> int:
                 "operations": result["attempted"] // 2,
                 "metrics": {name: m["value"] for name, m in result["metrics"].items()},
             }
-        doc["workloads"][workload]["trace"] = trace
+        entry["trace"] = trace
         args.out.write_text(json.dumps(doc, indent=2) + "\n")
     return 0
 
