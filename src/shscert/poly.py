@@ -209,11 +209,6 @@ class Polynomial:
             (tuple(exp[i] for i in idx), c) for exp, c in self.terms.items()
         )))
 
-    def allclose(self, other: "Polynomial", tol: float = SIGN_TOL) -> bool:
-        _, a, b = self._aligned(other)
-        keys = set(a) | set(b)
-        return all(abs(a.get(k, 0.0) - b.get(k, 0.0)) <= tol for k in keys)
-
     def __repr__(self) -> str:
         if not self.terms:
             return "Polynomial(0)"
@@ -319,9 +314,6 @@ class Polynomial:
             out[key] = out.get(key, 0.0) + coef * exp[i]
         return Polynomial._unchecked(self.vars, out)
 
-    def second_derivative(self, var1: str, var2: str | None = None) -> "Polynomial":
-        return self.derivative(var1).derivative(var2 if var2 is not None else var1)
-
     def substitute(self, mapping: Mapping[str, "Polynomial | float"]) -> "Polynomial":
         """Simultaneously replace variables by polynomials (exact composition)."""
         # each variable's repeated squares, formed once and shared by
@@ -407,14 +399,34 @@ def bind_names(varorder: Sequence[str], slots: Sequence[str]) -> dict[str, str]:
 def generated(source: str, namespace: Mapping[str, object] = {}, name: str | None = None):
     """The function that ``source`` defines: an expression (a lambda), or,
     when ``name`` is given, statements defining ``name``. The code sees no
-    builtins, only ``namespace``."""
+    builtins, only ``namespace``.
+
+    ``source`` is compiled once per process while it stays among the last
+    ``CODE_CACHE`` texts (``_code``); each call runs that code in a fresh
+    scope, so functions built from one text share only the immutable code
+    object, never globals or the constants bound in ``namespace``."""
     scope = {"__builtins__": {}, **namespace}
     if name is None:
-        return eval(source, scope)
-    exec(source, scope)
+        return eval(_code(source, "eval"), scope)
+    exec(_code(source, "exec"), scope)
     # popped, so that the function and its globals form no reference cycle
     # and go with their model as soon as it is dropped
     return scope.pop(name)
+
+
+# Code objects that _code keeps, least recently used out first. A model's
+# kernels and its polynomials' compiled functions are rebuilt whenever a
+# model or candidate is loaded again, from the same text. A cli-session
+# replay builds 39 distinct texts and mc-repro 15; search-repair builds
+# none.
+CODE_CACHE = 256
+
+
+@functools.lru_cache(maxsize=CODE_CACHE)
+def _code(source: str, mode: str):
+    """``source`` compiled in ``mode`` ("eval" or "exec"), as eval and exec
+    compile a string."""
+    return compile(source, "<string>", mode)
 
 
 # Longest run of one operator that ``Polynomial.source`` writes as a single

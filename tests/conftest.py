@@ -13,6 +13,7 @@ from shscert import (
     load_case,
 )
 from shscert.model import NoiseConfig
+from shscert.poly import SIGN_TOL
 
 # acceptance criteria push their PASS/FAIL lines here; echoed after the run
 ACCEPTANCE_LINES: list[str] = []
@@ -23,6 +24,12 @@ def pytest_terminal_summary(terminalreporter):
         terminalreporter.section("acceptance criteria")
         for line in ACCEPTANCE_LINES:
             terminalreporter.write_line(line)
+
+
+def allclose(p: Polynomial, q: Polynomial, tol: float = SIGN_TOL) -> bool:
+    """Whether every coefficient of p and q differs by at most tol (a term
+    missing on one side counts as 0.0)."""
+    return all(abs(c) <= tol for c in (p - q).terms.values())
 
 
 @pytest.fixture(scope="session")

@@ -44,7 +44,7 @@ from shscert import (
 )
 from shscert.cli import main as cli_main
 
-from conftest import ACCEPTANCE_LINES, period_noise, scalar_model
+from conftest import ACCEPTANCE_LINES, allclose, period_noise, scalar_model
 
 X = Polynomial.variable("x")
 
@@ -307,7 +307,7 @@ class TestCriterion5FlowRelaxationBound:
         gen = generator(m, B, ctrl)
         slack = -gen - kappa1 * B + gamma1
         root = (2 * nu_val + 0.5) / 2
-        assert slack.allclose((X - root) ** 2, tol=1e-12)
+        assert allclose(slack, (X - root) ** 2, tol=1e-12)
 
         tau, substeps, n = 0.1, 50, 2000
         factor = math.exp(-kappa1 * tau)
@@ -418,7 +418,7 @@ class TestCriterion6OracleSuites:
             a, b = rng.uniform(-2, 2, 2)
             lhs = generator(m, a * p + b * q, ctrl)
             rhs = a * generator(m, p, ctrl) + b * generator(m, q, ctrl)
-            lin_ok &= lhs.allclose(rhs, tol=1e-10)
+            lin_ok &= allclose(lhs, rhs, tol=1e-10)
 
         nu = Polynomial.variable("nu")
         det = scalar_model(f1=-(X**3) + 1.0 + 0.0 * nu, f2=X, sigma=0.0, rho=0.0, rate=0.0)

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from shscert import poly
+from shscert import load_case, poly
 from shscert.poly import (
     IntervalBox,
     NoiseMoments,
@@ -23,6 +23,8 @@ from shscert.poly import (
     nonneg_on_box,
     sturm_root_count,
 )
+
+from conftest import allclose
 
 X = Polynomial.variable("x")
 B1 = Polynomial.univariate("x", [0.0369, -0.0849, 0.0814, -0.0345, 0.0054])
@@ -67,13 +69,13 @@ class TestCalculus:
         assert B1.derivative("x").eval({"x": 0.0}) == pytest.approx(-0.0849)
 
     def test_second_derivative(self):
-        assert (X**4).second_derivative("x") == 12 * X**2
+        assert (X**4).derivative("x").derivative("x") == 12 * X**2
 
 
 class TestSubstitute:
     def test_shift(self):
         got = (X**2).substitute({"x": X + 0.5})
-        assert got.allclose(X**2 + X + 0.25)
+        assert allclose(got, X**2 + X + 0.25)
 
     def test_identity(self):
         f2 = 0.01 * X**3 + 0.5 * Polynomial.variable("varsigma")
@@ -91,14 +93,14 @@ class TestSubstitute:
             + 0.06 * nu * w
             + 0.25 * w**2
         )
-        assert got.allclose(want)
+        assert allclose(got, want)
 
     def test_simultaneous_multivariate_substitution(self):
         y = Polynomial.variable("y")
         p = X * y + y**2
         got = p.substitute({"x": X + y, "y": 2 * y})
         # (x+y)(2y) + (2y)^2, with the original y everywhere at once
-        assert got.allclose(2 * X * y + 6 * y**2)
+        assert allclose(got, 2 * X * y + 6 * y**2)
 
     def test_substitution_respects_evaluation(self):
         rng = np.random.default_rng(7)
@@ -117,12 +119,12 @@ class TestExpect:
 
     def test_square(self):
         w = Polynomial.variable("w")
-        assert (w**2).expect({"w": self.std}).allclose(Polynomial.constant(1.0))
+        assert allclose((w**2).expect({"w": self.std}), Polynomial.constant(1.0))
 
     def test_shifted_square(self):
         w = Polynomial.variable("w")
         got = ((X + 0.5 * w) ** 2).expect({"w": self.std})
-        assert got.allclose(X**2 + 0.25)
+        assert allclose(got, X**2 + 0.25)
 
     def test_odd_moment_vanishes(self):
         w = Polynomial.variable("w")
@@ -142,12 +144,12 @@ class TestExpect:
             a, b = rng.uniform(-3, 3, 2)
             lhs = (a * p + b * q).expect({"w": self.std})
             rhs = a * p.expect({"w": self.std}) + b * q.expect({"w": self.std})
-            assert lhs.allclose(rhs, tol=1e-12)
+            assert allclose(lhs, rhs, tol=1e-12)
 
     def test_independent_components_factor(self):
         u, v = Polynomial.variable("u"), Polynomial.variable("v")
         got = (u**2 * v**2).expect({"u": self.std, "v": self.std})
-        assert got.allclose(Polynomial.constant(1.0))
+        assert allclose(got, Polynomial.constant(1.0))
 
 
 class TestArithmeticInvariants:
@@ -163,14 +165,14 @@ class TestArithmeticInvariants:
             a = Polynomial.univariate("x", rng.uniform(-1, 1, 4))
             b = Polynomial.univariate("x", rng.uniform(-1, 1, 4))
             c = Polynomial.univariate("x", rng.uniform(-1, 1, 4))
-            assert (a + b).allclose(b + a, tol=1e-12)
-            assert (a * b).allclose(b * a, tol=1e-12)
-            assert ((a + b) + c).allclose(a + (b + c), tol=1e-12)
-            assert ((a * b) * c).allclose(a * (b * c), tol=1e-12)
+            assert allclose(a + b, b + a, tol=1e-12)
+            assert allclose(a * b, b * a, tol=1e-12)
+            assert allclose((a + b) + c, a + (b + c), tol=1e-12)
+            assert allclose((a * b) * c, a * (b * c), tol=1e-12)
 
     def test_json_round_trip(self):
         p = B1 * Polynomial.variable("nu") + 2.5
-        assert Polynomial.from_dict(json.loads(json.dumps(p.to_dict()))).allclose(p, tol=0.0)
+        assert allclose(Polynomial.from_dict(json.loads(json.dumps(p.to_dict()))), p, tol=0.0)
 
     def test_json_keeps_term_order(self):
         # the order of the terms is the order of the sum, down to the last bit
@@ -691,8 +693,78 @@ class TestGeneratedSource:
         assert np.array_equal(fn(columns), want)
 
     def test_generated_code_sees_no_builtins(self):
-        with pytest.raises(NameError):
-            generated("lambda: open")()
+        # the second function runs the cached code, in a scope as bare
+        for _ in range(2):
+            with pytest.raises(NameError):
+                generated("lambda: open")()
+
+
+class TestCodeCache:
+    @staticmethod
+    def kernels(case):
+        model = case.model
+        return (
+            model.scalar_flow,
+            model.block_flow,
+            model.jump_map,
+            case.candidate.Bbar.compiled(model.state_vars),
+        )
+
+    @staticmethod
+    def outputs(kernels, noise):
+        scalar, block, jump, bbar = kernels
+        dW, dP, w, x = noise
+        substeps = dW.shape[0]
+        h = 0.1 / substeps
+        u = [np.full_like(x, 0.2)]
+        return [
+            scalar([x[0]], [0.2], h, math.sqrt(h), dW[..., 0].tolist(), dP[..., 0].tolist(), substeps),
+            block([x], u, h, math.sqrt(h), dW, dP, substeps),
+            jump([x[0]], [0.2], [w[0]]),
+            jump([x], u, [w]),
+            bbar([x]),
+        ]
+
+    def test_reloaded_case_compiles_nothing(self):
+        rng = np.random.default_rng(21)
+        n_rows, substeps = 6, 5
+        noise = (
+            rng.normal(size=(substeps, 1, n_rows)),
+            rng.poisson(0.3, size=(substeps, 1, n_rows)).astype(float),
+            rng.normal(size=n_rows),
+            rng.uniform(0.0, 1.5, size=n_rows),
+        )
+        first = self.kernels(load_case(2))
+        before = poly._code.cache_info()
+        second = self.kernels(load_case(2))
+        after = poly._code.cache_info()
+        assert after.misses == before.misses
+        assert after.hits == before.hits + len(second)
+        # fresh functions over one code object each
+        for f, g in zip(first, second):
+            assert f is not g and f.__code__ is g.__code__
+            assert f.__globals__ is not g.__globals__
+        for got, want in zip(self.outputs(second, noise), self.outputs(first, noise), strict=True):
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+    def test_constants_stay_with_their_function(self):
+        # both sources read ``0.0 + _k0``; each function keeps its own _k0
+        up = Polynomial.constant(math.inf).compiled(())
+        down = Polynomial.constant(-math.inf).compiled(())
+        assert up.__code__ is down.__code__
+        assert up(()) == math.inf and down(()) == -math.inf
+
+    def test_cache_stops_at_its_bound(self):
+        texts = [f"lambda: {i}" for i in range(poly.CODE_CACHE + 10)]
+        for text in texts:
+            generated(text)
+        info = poly._code.cache_info()
+        assert info.maxsize == poly.CODE_CACHE and info.currsize == poly.CODE_CACHE
+        # the newest text is kept and the oldest went first
+        generated(texts[-1])
+        assert poly._code.cache_info().hits == info.hits + 1
+        generated(texts[0])
+        assert poly._code.cache_info().misses == info.misses + 1
 
 
 # -- the float kernel against the algorithms it replaced ---------------------

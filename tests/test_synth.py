@@ -5,6 +5,7 @@ from dataclasses import replace
 import pytest
 
 from shscert import SynthResult, SynthTemplate, check_cbc, margin_objective, search
+from conftest import allclose
 from test_certify import _two_state
 
 
@@ -48,7 +49,7 @@ class TestSearch:
         assert r.status == "infeasible-at-budget"
         assert not r.feasible
         assert r.margin == pytest.approx(margin_objective(case1.model, case1.candidate))
-        assert r.candidate.Bbar.allclose(case1.candidate.Bbar, tol=0.0)
+        assert allclose(r.candidate.Bbar, case1.candidate.Bbar, tol=0.0)
         assert r.candidate.gamma2 == case1.candidate.gamma2
 
     def test_warm_start_repairs_case_study(self, case1):
@@ -75,7 +76,7 @@ class TestSearch:
         assert r1.margin == r2.margin
         assert r1.evaluations == r2.evaluations
         if r1.candidate is not None:
-            assert r1.candidate.Bbar.allclose(r2.candidate.Bbar, tol=0.0)
+            assert allclose(r1.candidate.Bbar, r2.candidate.Bbar, tol=0.0)
 
     def test_warm_start_degree_must_fit_template(self, case1):
         t = SynthTemplate(cert_degree=2, budget=10, seed=0)

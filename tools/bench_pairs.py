@@ -17,7 +17,9 @@ the pairs of a workload, one ``--trace 1`` run per side on the first
 pair's seed adds the per-layer metrics of its traced replay, with the
 number of operations it traced. Every run's full result line also stays
 in ``.perfbench_out/`` of its checkout. ``--workload`` may be given more
-than once.
+than once. The exit status is 1, after ``--out`` is written, when any run
+reports ``correct: false`` or failed operations; those runs are named on
+stderr.
 """
 
 from __future__ import annotations
@@ -39,6 +41,13 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: int, trace: int 
     )
     *_, report, result = done.stdout.strip().splitlines()
     return {"report": json.loads(report)["report"], "result": json.loads(result)}
+
+
+def fault(label: str, result: dict) -> str | None:
+    """A line naming the run when it was not correct or failed operations."""
+    if result["correct"] and not result["failed"]:
+        return None
+    return f"{label}: correct {result['correct']}, {result['failed']} failed operations"
 
 
 def git_sha(checkout: Path) -> str:
@@ -99,6 +108,7 @@ def main(argv: list[str] | None = None) -> int:
         "sha": {side: git_sha(path) for side, path in sides.items()},
         "workloads": {},
     }
+    faults = []
     for workload in args.workload:
         pairs = []
         for i in range(args.pairs):
@@ -107,8 +117,7 @@ def main(argv: list[str] | None = None) -> int:
             pair = {"seed": seed, "order": list(order)}
             for side in order:
                 run = run_once(sides[side], workload, seed, args.seconds)
-                if not run["result"]["correct"]:
-                    print(f"{workload} seed {seed} {side}: run not correct", file=sys.stderr)
+                faults.append(fault(f"{workload} seed {seed} {side}", run["result"]))
                 doc["machine"] = doc["machine"] or run["report"]["machine"]
                 metrics = run["result"]["metrics"]
                 pair[side] = {name: metrics[name]["value"] for name in gated}
@@ -124,6 +133,7 @@ def main(argv: list[str] | None = None) -> int:
         for side in ("base", "head"):
             run = run_once(sides[side], workload, args.seed, args.seconds, trace=1)
             result = run["result"]
+            faults.append(fault(f"{workload} seed {args.seed} {side} traced", result))
             trace[side] = {
                 "correct": result["correct"],
                 # a traced run replays every operation untraced, then traced
@@ -132,7 +142,10 @@ def main(argv: list[str] | None = None) -> int:
             }
         entry["trace"] = trace
         args.out.write_text(json.dumps(doc, indent=2) + "\n")
-    return 0
+    faults = [line for line in faults if line]
+    for line in faults:
+        print(line, file=sys.stderr)
+    return 1 if faults else 0
 
 
 if __name__ == "__main__":
