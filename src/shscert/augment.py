@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 from .certify import (
     CbcCandidate,
@@ -99,15 +100,25 @@ class Acbc(Codec):
         if self.gamma < 0:
             raise ValueError("gamma >= 0 violated")
 
+    @cached_property
+    def weights(self) -> tuple[float, ...]:
+        """The counter weights beta(0), ..., beta(q2)."""
+        return _weights(self.regime, self.base, self.jump, self.eps1, self.eps2)
+
     def beta(self, z: int) -> float:
         """Counter weight beta(z); defined for 0 <= z <= q2."""
         if not 0 <= z <= self.jump.q2:
             raise ValueError(f"counter z={z} outside 0..{self.jump.q2}")
-        if self.regime == R1:
-            return 1.0
-        if self.regime == R2:
-            return math.exp(self.base.kappa1 * self.jump.tau * self.eps1 * z)
-        return self.base.kappa2 ** (z / self.eps2)
+        return self.weights[z]
+
+
+def _weights(regime: str, cand: CbcCandidate, jump: JumpParams, eps1: float, eps2: float) -> tuple:
+    """beta(0), ..., beta(q2) by the regime's formula (module docstring)."""
+    if regime == R1:
+        return (1.0,) * (jump.q2 + 1)
+    if regime == R2:
+        return tuple(math.exp(cand.kappa1 * jump.tau * eps1 * z) for z in range(jump.q2 + 1))
+    return tuple(cand.kappa2 ** (z / eps2) for z in range(jump.q2 + 1))
 
 
 def construct_acbc(
@@ -134,33 +145,16 @@ def construct_acbc(
     regime = _regime(k1, k2)
 
     try:
+        weights = _weights(regime, cand, jump, eps1, eps2)
+        beta_eta, beta_alpha = sorted((weights[q1], weights[q2]))
+        decay = math.exp(-k1 * tau)
         if regime == R1:
-            beta_eta = 1.0
-            beta_alpha = 1.0
-            kappa = max(math.exp(-k1 * tau), k2)
-            gamma = max(math.exp(-k1 * tau) * tau * cand.gamma1, cand.gamma2)
+            kappa = max(decay, k2)
         elif regime == R2:
-            beta_eta = math.exp(k1 * tau * eps1 * q1)
-            beta_alpha = math.exp(k1 * tau * eps1 * q2)
-            kappa = max(
-                math.exp(-k1 * tau * (1 - eps1)),
-                math.exp(-k1 * tau * eps1 * q1) * k2,
-            )
-            gamma = max(
-                math.exp(k1 * tau * eps1 * q2) * math.exp(-k1 * tau) * tau * cand.gamma1,
-                cand.gamma2,
-            )
+            kappa = max(math.exp(-k1 * tau * (1 - eps1)), math.exp(-k1 * tau * eps1 * q1) * k2)
         else:
-            beta_eta = k2 ** (q2 / eps2)
-            beta_alpha = k2 ** (q1 / eps2)
-            kappa = max(
-                math.exp(-k1 * tau) * k2 ** (1 / eps2),
-                k2 ** ((eps2 - q2) / eps2),
-            )
-            gamma = max(
-                k2 ** (1 / eps2) * math.exp(-k1 * tau) * tau * cand.gamma1,
-                cand.gamma2,
-            )
+            kappa = max(decay * k2 ** (1 / eps2), k2 ** ((eps2 - q2) / eps2))
+        gamma = max(max(weights[1:]) * decay * tau * cand.gamma1, cand.gamma2)
     except OverflowError:
         raise ValueError(
             f"lifted constants overflow for kappa1={k1}, kappa2={k2}, tau={tau}"
@@ -195,22 +189,22 @@ def check_acbc_conditions(model: SHSModel, acbc: Acbc) -> CbcReport:
     Acbc constructor's, so the report has no entry for them.
     """
     cand, jp, X = acbc.base, acbc.jump, model.X
-    B = cand.Bbar
+    B, beta = cand.Bbar, acbc.weights
     counters = range(jp.q2 + 1)
     conditions = [
-        ("initial", acbc.alpha - acbc.beta(0) * B, model.X0),
-        *((f"unsafe[z={z}]", acbc.beta(z) * B - acbc.eta, model.Xu) for z in counters),
+        ("initial", acbc.alpha - beta[0] * B, model.X0),
+        *((f"unsafe[z={z}]", beta[z] * B - acbc.eta, model.Xu) for z in counters),
         ("flow[base]", flow_condition(cand, generator(model, B, cand.nu_flow)), X),
     ]
     decay = math.exp(-cand.kappa1 * jp.tau)
     jexp = jump_expectation(model, B, cand.nu_jump)
     for z in counters:
-        level = acbc.kappa * acbc.beta(z) * B + acbc.gamma
+        level = acbc.kappa * beta[z] * B + acbc.gamma
         if jp.admits(FLOW, z):
-            flowed = acbc.beta(z + 1) * decay * (B + jp.tau * cand.gamma1)
+            flowed = beta[z + 1] * decay * (B + jp.tau * cand.gamma1)
             conditions.append((f"flow[z={z}]", level - flowed, X))
         if jp.admits(JUMP, z):
-            conditions.append((f"jump[z={z}]", level - acbc.beta(0) * jexp, X))
+            conditions.append((f"jump[z={z}]", level - beta[0] * jexp, X))
     return CbcReport(
         tuple(ConditionCheck.of(name, nonneg_on_box(expr, box)) for name, expr, box in conditions), X
     )

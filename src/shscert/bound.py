@@ -60,8 +60,16 @@ def compute_delta(
         raise ValueError(f"eta > alpha violated (eta={eta}, alpha={alpha})")
     if not 0 <= gamma < math.inf:
         raise ValueError(f"0 <= gamma < inf violated (gamma={gamma})")
-    if eta <= 0:
-        raise ValueError(f"eta > 0 violated (eta={eta})")
+    return _delta(alpha, eta, kappa, gamma, horizon)
+
+
+def compute_delta_for(acbc, horizon: int) -> SafetyBound:
+    """Bound for a lifted certificate, whose constructor has checked the
+    constants; only the horizon is checked here."""
+    return _delta(acbc.alpha, acbc.eta, acbc.kappa, acbc.gamma, horizon)
+
+
+def _delta(alpha: float, eta: float, kappa: float, gamma: float, horizon: int) -> SafetyBound:
     if horizon < 0 or int(horizon) != horizon:
         raise ValueError(f"horizon must be a non-negative integer (got {horizon})")
     horizon = int(horizon)
@@ -84,8 +92,3 @@ def compute_delta(
         kappa=kappa,
         gamma=gamma,
     )
-
-
-def compute_delta_for(acbc, horizon: int) -> SafetyBound:
-    """Bound for a constructed lifted certificate."""
-    return compute_delta(acbc.alpha, acbc.eta, acbc.kappa, acbc.gamma, horizon)

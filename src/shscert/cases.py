@@ -4,7 +4,8 @@ Three parameterizations of the same scalar system ship with the package,
 each with its published degree-4 certificate, controllers, constants, and
 the published rounded lifted constants. The rounded constants feed the
 digit-exact reproduction path; everything else is recomputed from the raw
-data.
+data. An entry is read by the codec as a ``CaseStudy``, with its key in
+the bundle as ``case_id``.
 """
 
 from __future__ import annotations
@@ -14,11 +15,12 @@ from dataclasses import dataclass
 from importlib import resources
 
 from .certify import CbcCandidate
+from .codec import Codec
 from .model import JumpSchedule, SHSModel
 
 
 @dataclass(frozen=True)
-class CaseStudy:
+class CaseStudy(Codec):
     case_id: str
     model: SHSModel
     candidate: CbcCandidate
@@ -26,7 +28,7 @@ class CaseStudy:
     eps2: float
     horizon: int
     schedule: JumpSchedule
-    reported: dict
+    reported: dict[str, float]
 
     @property
     def reported_alpha(self) -> float:
@@ -51,14 +53,4 @@ def load_case(case: int | str) -> CaseStudy:
     key = str(case)
     if key not in doc:
         raise ValueError(f"unknown case {case!r}; available: {sorted(doc)}")
-    c = doc[key]
-    return CaseStudy(
-        case_id=key,
-        model=SHSModel.from_dict(c["model"]),
-        candidate=CbcCandidate.from_dict(c["candidate"]),
-        eps1=float(c["eps1"]),
-        eps2=float(c["eps2"]),
-        horizon=int(c["horizon"]),
-        schedule=JumpSchedule.parse(c["schedule"]),
-        reported=dict(c["reported"]),
-    )
+    return CaseStudy.from_dict({"case_id": key, **doc[key]})

@@ -227,10 +227,6 @@ class CbcChecker:
         self._jexp = _Last()
         self._last = defaultdict(_Last)  # one outcome per condition
 
-    @staticmethod
-    def _decide(name: str, build, box: IntervalBox) -> ConditionCheck:
-        return ConditionCheck.of(name, nonneg_on_box(build(), box))
-
     def check(self, cand: CbcCandidate) -> CbcReport:
         model, dom, B = self.model, self.domain, cand.Bbar
         bkey = _exact(B)
@@ -253,7 +249,9 @@ class CbcChecker:
         )
         return CbcReport(
             tuple(
-                self._last[name].get(key, self._decide, name, build, box)
+                self._last[name].get(
+                    key, lambda: ConditionCheck.of(name, nonneg_on_box(build(), box))
+                )
                 for name, key, build, box in conditions
             ),
             dom,

@@ -7,10 +7,11 @@ wall-clock next to its outputs; malformed input writes none. All data
 outputs are byte-deterministic for fixed inputs and seed; the manifest's
 wall-clock field is the one exception.
 
-Exit codes: 0 success (for verify: all conditions hold), 1 a condition
-fails or a pipeline stage fails, 2 verify was inconclusive (a margin the
-check cannot decide, NaN included), 3 malformed input (a usage error,
-bad JSON, a violated data invariant or a non-finite number).
+Exit codes: 0 success (for verify and augment --check: all conditions
+hold), 1 a condition or a pipeline stage fails, 2 a check was inconclusive
+(a margin it cannot decide, NaN included), 3 malformed input (a usage
+error, bad JSON, a value of the wrong type, a violated data invariant or
+a non-finite number).
 """
 
 from __future__ import annotations
@@ -148,11 +149,12 @@ def cmd_verify(args: argparse.Namespace, run: _Run) -> int:
     for c in report.conditions:
         witness = "" if c.witness is None else f" witness={c.witness}"
         print(f"{c.condition:8s} {c.status:12s} margin={c.margin:.6g}{witness}")
-    if report.any_fail:
-        return EXIT_FAIL
-    if not report.all_hold:
-        return EXIT_INCONCLUSIVE
-    return EXIT_OK
+    return _exit_code(report)
+
+
+def _exit_code(report) -> int:
+    """The exit code of a check's report: fail, else inconclusive, else ok."""
+    return EXIT_FAIL if report.any_fail else EXIT_OK if report.all_hold else EXIT_INCONCLUSIVE
 
 
 def cmd_augment(args: argparse.Namespace, run: _Run) -> int:
@@ -164,14 +166,15 @@ def cmd_augment(args: argparse.Namespace, run: _Run) -> int:
         print(f"construction failed: {e}", file=sys.stderr)
         return EXIT_FAIL
     run.write("acbc.json", _dump(acbc.to_dict()))
-    if args.check:
-        report = check_acbc_conditions(model, acbc)
-        run.write("acbc_report.json", _dump(report.to_dict()))
     print(
         f"regime={acbc.regime} alpha={acbc.alpha:.6g} eta={acbc.eta:.6g} "
         f"kappa={acbc.kappa:.6g} gamma={acbc.gamma:.6g}"
     )
-    return EXIT_OK
+    if not args.check:
+        return EXIT_OK
+    report = check_acbc_conditions(model, acbc)
+    run.write("acbc_report.json", _dump(report.to_dict()))
+    return _exit_code(report)
 
 
 def cmd_bound(args: argparse.Namespace, run: _Run) -> int:

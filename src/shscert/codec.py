@@ -1,13 +1,13 @@
 """One JSON codec for the package's dataclasses.
 
 A dataclass that inherits ``Codec`` is written as a JSON object with one
-key per field and read back by its type hints: scalars through
-``float()``, ``int()``, ``str()`` and ``bool()``, ``tuple[T, ...]``, fixed
-``tuple[A, B]``, ``dict[str, T]``, ``T | None``, and any class with a
-``from_dict``. An object where a list is expected, or the reverse, raises
-``TypeError``. A value with a ``to_dict`` is written by calling it;
-``Polynomial``, ``IntervalBox`` and ``NoiseMoments`` keep their own formats
-that way.
+key per field and read back by its type hints: ``float``, ``int``,
+``str`` and ``bool`` scalars, ``tuple[T, ...]``, fixed ``tuple[A, B]``,
+``dict[str, T]``, ``T | None``, and any class with a ``from_dict``. A
+value of another shape or type raises ``TypeError`` (a bool or a string
+is no number), and a non-integral ``int`` ``ValueError``. A value with a
+``to_dict`` is written by calling it; ``Polynomial``, ``IntervalBox``,
+``NoiseMoments`` and ``JumpSchedule`` keep their own formats that way.
 
 Field metadata renames a key: ``{"key": "lambda"}`` writes the field
 under another key, and ``{"key": None}`` leaves the field out. The class
@@ -20,6 +20,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import json
+import numbers
 import types
 import typing
 from collections.abc import Mapping
@@ -102,9 +103,13 @@ def _list(value) -> list | tuple:
 
 
 def _scalar(cast):
+    kind = cast if cast in (str, bool) else numbers.Real
+
     def read(value):
-        if isinstance(value, (Mapping, list, tuple)):
+        if not isinstance(value, kind) or (kind is numbers.Real and isinstance(value, bool)):
             raise TypeError(f"expected {cast.__name__}, got {type(value).__name__}")
+        if cast is int and value != int(value):
+            raise ValueError(f"expected an integer, got {value!r}")
         return cast(value)
 
     return read

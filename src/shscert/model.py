@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .codec import Codec
+from .codec import Codec, decode
 from .poly import IntervalBox, NoiseMoments, Polynomial, bind_names, generated
 
 
@@ -346,7 +346,7 @@ class JumpSchedule:
     @staticmethod
     def parse(text: str) -> "JumpSchedule":
         """Parse 'fixed:d', 'cyclic:d1,d2,...' or 'uniform'."""
-        head, _, tail = text.partition(":")
+        head, _, tail = decode(str, text).partition(":")
         if head == "fixed":
             return JumpSchedule.fixed(int(tail))
         if head == "cyclic":
@@ -359,6 +359,9 @@ class JumpSchedule:
         if self.policy == "uniform":
             return "uniform"
         return f"{self.policy}:{','.join(str(d) for d in self.gaps)}"
+
+    # the codec form is the text that parse reads
+    to_dict, from_dict = describe, parse
 
     def validate_for(self, jump: JumpParams) -> None:
         for d in self.gaps:

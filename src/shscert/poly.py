@@ -354,19 +354,12 @@ class Polynomial:
     # -- serialization ----------------------------------------------------
 
     def to_dict(self) -> dict:
-        return {
-            "vars": list(self.vars),
-            "terms": [
-                {"exp": list(exp), "coef": coef}
-                for exp, coef in self.terms.items()
-            ],
-        }
+        return _Written(self.vars, tuple(_Term(e, c) for e, c in self.terms.items())).to_dict()
 
     @staticmethod
     def from_dict(doc: Mapping) -> "Polynomial":
-        vs = tuple(doc["vars"])
-        terms = {tuple(t["exp"]): float(t["coef"]) for t in doc["terms"]}
-        return Polynomial(vs, terms)
+        doc = _Written.from_dict(doc)
+        return Polynomial(doc.vars, {t.exp: t.coef for t in doc.terms})
 
     # -- univariate helpers ------------------------------------------------
 
@@ -385,6 +378,18 @@ class Polynomial:
             k = exp[i] if i is not None else 0
             out[k] += coef
         return out
+
+
+@dataclass(frozen=True)
+class _Term(Codec):
+    exp: tuple[int, ...]
+    coef: float
+
+
+@dataclass(frozen=True)
+class _Written(Codec):  # a polynomial's form in the codec
+    vars: tuple[str, ...]
+    terms: tuple[_Term, ...]
 
 
 def bind_names(varorder: Sequence[str], slots: Sequence[str]) -> dict[str, str]:

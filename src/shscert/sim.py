@@ -288,7 +288,7 @@ def simulate(
     jump_fns = [p.compiled(sv) for p in cand.nu_jump]
     if acbc is not None:
         bfun = acbc.base.Bbar.compiled(sv)
-        beta = [acbc.beta(q) for q in range(jp.q2 + 1)]
+        beta = acbc.weights
     unsafe_box = _unsafe_box(model)
 
     flows = jumps = 0
@@ -464,7 +464,7 @@ def _simulate_block(
     n_kept = max(0, min(keep, stop) - start)
 
     bfun = acbc.base.Bbar.compiled(sv) if acbc is not None else None
-    beta = np.array([acbc.beta(q) for q in range(jp.q2 + 1)]) if acbc is not None else None
+    beta = np.array(acbc.weights) if acbc is not None else None
     unsafe_box = _unsafe_box(model)
 
     # the window: per transition the state and z; per full window, the kept
@@ -512,12 +512,6 @@ def _simulate_block(
             return err.with_traceback(None)
         raise AssertionError("block and scalar flow kernels disagree")
 
-    def finite(out) -> np.ndarray:
-        ok = np.isfinite(out[0])
-        for col in out[1:]:
-            ok &= np.isfinite(col)
-        return ok
-
     k0 = 0
     slot = 0
     with np.errstate(over="ignore", invalid="ignore"):
@@ -535,7 +529,7 @@ def _simulate_block(
                     nu = [f(cols) for f in flow_fns]
                     # the kernel takes (substeps, b, N) and (substeps, r, N)
                     out = model.block_flow(cols, nu, h, sqh, dw.transpose(1, 2, 0), dp.transpose(1, 2, 0), S)
-                    bad = flowing & ~finite(out)
+                    bad = flowing & ~np.isfinite(out).all(0)
                     if np.count_nonzero(bad):
                         blow_up(bad, lambda row: scalar_error(row, dw, dp))
                         flowing &= alive
@@ -547,7 +541,8 @@ def _simulate_block(
                     nu = [f(cols) for f in jump_fns]
                     w = W[rows, e]
                     out = model.jump_map(cols, nu, [w[:, j] for j in range(w.shape[1])])
-                    bad = jumped & ~finite(out)
+                    # a constant row of f2 comes back as one float, not a column
+                    bad = jumped & ~np.isfinite(np.broadcast_arrays(*out)).all(0)
                     if np.count_nonzero(bad):
                         blow_up(bad, lambda row: BlowUpError(0, "jump map produced a non-finite state"))
                         jumped &= alive

@@ -5,6 +5,8 @@ import math
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from shscert import (
     Acbc,
@@ -149,6 +151,71 @@ class TestBeta:
             eligible = [a.beta(z) for z in range(JP.q1, JP.q2 + 1)]
             assert a.beta_eta == pytest.approx(min(eligible))
             assert a.beta_alpha == pytest.approx(max(eligible))
+
+
+@st.composite
+def lift_inputs(draw, regime):
+    """(candidate, jump params, eps1, eps2) in ``regime`` that satisfy every
+    invariant of ``Acbc``: the level constants leave room for any counter
+    weight drawn here, and kappa2 keeps the per-counter decay condition and
+    kappa below 1."""
+    tau = draw(st.floats(0.01, 0.5))
+    q1 = draw(st.integers(1, 8))
+    q2 = draw(st.integers(q1, 8))
+    eps1 = draw(st.floats(0.01, 0.99))
+    eps2 = q2 + draw(st.floats(0.01, 4.0))
+    if regime == "R1":
+        kappa1, kappa2 = draw(st.floats(0.01, 2.0)), draw(st.floats(0.01, 0.99))
+    elif regime == "R2":
+        kappa1 = draw(st.floats(0.01, 2.0))
+        # ln(kappa2) below kappa1 tau eps1 q1 keeps both conditions
+        kappa2 = math.exp(draw(st.floats(0.0, 0.99)) * eps1 * kappa1 * tau * q1)
+    else:
+        kappa1 = draw(st.floats(-1.0, 0.0))
+        kappa2 = math.exp(kappa1 * tau * eps2 - draw(st.floats(0.01, 3.0)))
+    gamma1, gamma2 = draw(st.floats(0.0, 1.0)), draw(st.floats(0.0, 1.0))
+    cand = make_candidate(kappa1, kappa2, gamma1, gamma2, alphabar=0.001, etabar=100.0)
+    return cand, JumpParams(tau, q1, q2), eps1, eps2
+
+
+def paper_constants(regime, cand, jp, eps1, eps2):
+    """(beta_alpha, beta_eta, kappa, gamma) of the paper's closed forms for
+    the regime, each written out in full."""
+    k1, k2, g1, g2 = cand.kappa1, cand.kappa2, cand.gamma1, cand.gamma2
+    tau, q1, q2, exp = jp.tau, jp.q1, jp.q2, math.exp
+    if regime == "R1":
+        return 1.0, 1.0, max(exp(-k1 * tau), k2), max(exp(-k1 * tau) * tau * g1, g2)
+    if regime == "R2":
+        return (
+            exp(k1 * tau * eps1 * q2),
+            exp(k1 * tau * eps1 * q1),
+            max(exp(-k1 * tau * (1 - eps1)), exp(-k1 * tau * eps1 * q1) * k2),
+            max(exp(k1 * tau * eps1 * q2) * exp(-k1 * tau) * tau * g1, g2),
+        )
+    return (
+        k2 ** (q1 / eps2),
+        k2 ** (q2 / eps2),
+        max(exp(-k1 * tau) * k2 ** (1 / eps2), k2 ** ((eps2 - q2) / eps2)),
+        max(k2 ** (1 / eps2) * exp(-k1 * tau) * tau * g1, g2),
+    )
+
+
+class TestCounterWeights:
+    @pytest.mark.parametrize("regime", ["R1", "R2", "R3"])
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_constants_are_the_closed_forms(self, regime, data):
+        cand, jp, eps1, eps2 = data.draw(lift_inputs(regime))
+        a = construct_acbc(cand, jp, eps1, eps2)
+        assert a.regime == regime
+        got = (a.beta_alpha, a.beta_eta, a.kappa, a.gamma)
+        want = paper_constants(regime, cand, jp, eps1, eps2)
+        assert [v.hex() for v in got] == [v.hex() for v in want]
+        assert len(a.weights) == jp.q2 + 1
+        assert all(a.beta(z) == w for z, w in enumerate(a.weights))
+        for z in (-1, jp.q2 + 1):
+            with pytest.raises(ValueError, match=f"z={z}"):
+                a.beta(z)
 
 
 class TestAcbcConditions:

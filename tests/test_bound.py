@@ -105,6 +105,12 @@ class TestIntegration:
         # reappears even at full precision
         assert sb.safety_probability == pytest.approx(0.9443, abs=1e-4)
 
+    @pytest.mark.parametrize("horizon", [-1, 2.5])
+    def test_constructed_certificate_checks_the_horizon(self, case1, horizon):
+        acbc = construct_acbc(case1.candidate, case1.model.jump, case1.eps1, case1.eps2)
+        with pytest.raises(ValueError, match="horizon must be a non-negative integer"):
+            compute_delta_for(acbc, horizon)
+
     def test_json_round_trip(self):
         sb = compute_delta(0.13, 4.4, 0.99, 0.0012, 100)
         again = SafetyBound.from_dict(sb.to_dict())

@@ -289,6 +289,48 @@ class TestMalformedInput:
         assert code == 3
         assert capsys.readouterr().err.startswith(f"error: invalid template {bad}")
 
+    @pytest.mark.parametrize(
+        "target, edit, key",
+        [
+            ("model", lambda d: d["model"]["jump"].update(q1=1.5), "q1"),
+            ("model", lambda d: d["model"]["jump"].update(q1="1"), "q1"),
+            ("model", lambda d: d["model"]["jump"].update(q1=True), "q1"),
+            ("model", lambda d: d["model"]["jump"].update(tau="0.1"), "tau"),
+            ("model", lambda d: d["model"].update(state_vars=[1]), "state_vars"),
+            ("template", lambda d: d["template"].update(budget=2.9), "budget"),
+            ("template", lambda d: d["template"].update(seed=3.7), "seed"),
+            ("candidate", lambda d: d["candidate"]["Bbar"].update(vars="x"), "vars"),
+            ("candidate", lambda d: d["candidate"]["Bbar"]["terms"][0].update(exp=[1.5]), "exp"),
+            ("candidate", lambda d: d["candidate"]["Bbar"]["terms"][0].update(coef="1"), "coef"),
+            ("candidate", lambda d: d["candidate"].update(etabar=False), "etabar"),
+        ],
+        ids=[
+            "fractional-int", "int-as-string", "int-as-bool", "float-as-string", "str-as-int",
+            "fractional-budget", "fractional-seed", "vars-as-string", "fractional-exponent",
+            "coefficient-as-string", "float-as-bool",
+        ],
+    )
+    def test_wrong_scalar_type_exit_three(self, artifacts, tmp_path, capsys, target, edit, key):
+        docs = {
+            "model": json.loads((artifacts / "model1.json").read_text()),
+            "candidate": json.loads((artifacts / "cand1.json").read_text()),
+            "template": {},
+        }
+        edit(docs)
+        paths = {}
+        for name, doc in docs.items():
+            paths[name] = tmp_path / f"{name}.json"
+            paths[name].write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        if target == "template":
+            argv = ["synthesize", str(paths["model"]), "--template", str(paths["template"])]
+        else:
+            argv = ["verify", str(paths["model"]), str(paths["candidate"])]
+        assert main([*argv, "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: invalid {target} {paths[target]}: ") and f"{key}: " in err
+        assert not list(out.glob("*_manifest.json"))
+
     @pytest.mark.parametrize("name, value", [("gamma1", math.nan), ("etabar", math.inf)])
     def test_non_finite_constant_exit_three(self, artifacts, tmp_path, capsys, name, value):
         doc = json.loads((artifacts / "cand1.json").read_text())
@@ -530,6 +572,31 @@ class TestPipelineRoundTrip:
         ])
         assert code == 1
         assert "unsupported regime" in capsys.readouterr().err
+
+    def test_augment_check_failing_lift_exit_one(self, artifacts, tmp_path):
+        code = main([
+            "augment", str(artifacts / "model1.json"), str(artifacts / "cand1.json"),
+            "--check", "--out", str(tmp_path),
+        ])
+        assert code == 1
+        assert not json.loads((tmp_path / "acbc_report.json").read_text())["all_hold"]
+        manifest = json.loads((tmp_path / "augment_manifest.json").read_text())
+        assert manifest["outputs"] == [str(tmp_path / "acbc.json"), str(tmp_path / "acbc_report.json")]
+
+    def test_augment_check_proved_lift_exit_zero(self, tmp_path):
+        from test_acceptance import proved_certificate
+
+        model = load_case(1).model
+        (tmp_path / "model.json").write_text(model.to_json())
+        (tmp_path / "cand.json").write_text(proved_certificate(model).to_json())
+        out = tmp_path / "out"
+        code = main([
+            "augment", str(tmp_path / "model.json"), str(tmp_path / "cand.json"),
+            "--check", "--out", str(out),
+        ])
+        assert code == 0
+        assert json.loads((out / "acbc_report.json").read_text())["all_hold"]
+        assert (out / "acbc.json").exists() and (out / "augment_manifest.json").exists()
 
     def test_augment_overflow_exit_one(self, artifacts, tmp_path, capsys):
         doc = json.loads((artifacts / "cand1.json").read_text())

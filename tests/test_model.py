@@ -3,11 +3,12 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import replace
+from importlib import resources
 
 import numpy as np
 import pytest
 
-from shscert import JumpParams, JumpSchedule, Polynomial, SHSModel
+from shscert import CaseStudy, JumpParams, JumpSchedule, Polynomial, SHSModel, load_case
 from shscert.model import FLOW, JUMP
 
 from conftest import scalar_model
@@ -130,6 +131,17 @@ class TestJumpSchedule:
         for text in ("fixed:3", "cyclic:1,7,2", "uniform"):
             assert JumpSchedule.parse(text).describe() == text
 
+    @pytest.mark.parametrize(
+        "schedule", [JumpSchedule.fixed(3), JumpSchedule.cyclic([1, 7, 2]), JumpSchedule.uniform()]
+    )
+    def test_codec_round_trip(self, schedule):
+        assert schedule.to_dict() == schedule.describe()
+        assert JumpSchedule.from_dict(schedule.to_dict()) == schedule
+
+    def test_codec_reads_only_text(self):
+        with pytest.raises(TypeError, match="expected str"):
+            JumpSchedule.from_dict(["fixed", 3])
+
     def test_parse_rejects_garbage(self):
         with pytest.raises(ValueError):
             JumpSchedule.parse("sometimes")
@@ -166,3 +178,12 @@ class TestJumpSchedule:
         assert g1 == g2 == np.random.default_rng(42).integers(1, 8, 20).tolist()
         assert all(1 <= g <= 7 for g in g1)
         assert len(set(g1)) > 1
+
+
+class TestCaseStudy:
+    @pytest.mark.parametrize("case_id", ["1", "2", "3"])
+    def test_bundled_entry_read_by_the_codec(self, case_id):
+        raw = json.loads(resources.files("shscert").joinpath("data/case_study.json").read_text())
+        case = load_case(case_id)
+        assert case == CaseStudy.from_dict({"case_id": case_id, **raw["cases"][case_id]})
+        assert CaseStudy.from_dict(json.loads(case.to_json())) == case

@@ -486,6 +486,19 @@ class TestBatchedEngine:
         (alone,) = _simulate_block(model, cand, config, acbc, 17, 18, keep=18)
         assert_same(model, alone, batch[17])
 
+    def test_constant_jump_row_equal_scalar(self):
+        # the jump kernel returns a constant row of f2 as one float beside
+        # the other rows' columns
+        model, cand = _noisy_plane()
+        y, w = Polynomial.variable("y"), Polynomial.variable("varsigma")
+        model = replace(model, f2=(Polynomial.constant(0.5), y * w))
+        acbc = construct_acbc(cand, model.jump, 0.1, 8.0)
+        n = 24
+        config = SimConfig(horizon_T=30, n_trajectories=n, master_seed=5)
+        batch = _simulate_block(model, cand, config, acbc, 0, n, keep=n)
+        for i, got in enumerate(batch):
+            assert_same(model, got, _outcome(lambda: simulate(model, cand, config, acbc, i)))
+
     def test_block_without_blow_up_generates_no_scalar_flow(self, case1, blocks_of_8):
         # the scalar flow kernel is needed only to name a blow-up's substep
         model = SHSModel.from_dict(case1.model.to_dict())
