@@ -103,10 +103,11 @@ def _list(value) -> list | tuple:
 
 
 def _scalar(cast):
-    kind = cast if cast in (str, bool) else numbers.Real
-
     def read(value):
-        if not isinstance(value, kind) or (kind is numbers.Real and isinstance(value, bool)):
+        if type(value) is cast:
+            return value
+        # else only a number may convert, to a number; a bool is none
+        if cast in (str, bool) or isinstance(value, bool) or not isinstance(value, numbers.Real):
             raise TypeError(f"expected {cast.__name__}, got {type(value).__name__}")
         if cast is int and value != int(value):
             raise ValueError(f"expected an integer, got {value!r}")
@@ -124,7 +125,7 @@ def _decoder(hint):
         return lambda v: None if v is None else dec(v)
     if origin is tuple and args[-1] is Ellipsis:
         dec = _decoder(args[0])
-        return lambda v: tuple(dec(x) for x in _list(v))
+        return lambda v: tuple([dec(x) for x in _list(v)])
     if origin is tuple:
         decs = tuple(_decoder(a) for a in args)
 
