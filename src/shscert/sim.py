@@ -529,7 +529,7 @@ def _simulate_block(
                     nu = [f(cols) for f in flow_fns]
                     # the kernel takes (substeps, b, N) and (substeps, r, N)
                     out = model.block_flow(cols, nu, h, sqh, dw.transpose(1, 2, 0), dp.transpose(1, 2, 0), S)
-                    bad = flowing & ~np.isfinite(out).all(0)
+                    bad = flowing & ~functools.reduce(np.logical_and, map(np.isfinite, out))
                     if np.count_nonzero(bad):
                         blow_up(bad, lambda row: scalar_error(row, dw, dp))
                         flowing &= alive
@@ -541,8 +541,8 @@ def _simulate_block(
                     nu = [f(cols) for f in jump_fns]
                     w = W[rows, e]
                     out = model.jump_map(cols, nu, [w[:, j] for j in range(w.shape[1])])
-                    # a constant row of f2 comes back as one float, not a column
-                    bad = jumped & ~np.isfinite(np.broadcast_arrays(*out)).all(0)
+                    # a constant row of f2 comes back as one float, which broadcasts
+                    bad = jumped & ~functools.reduce(np.logical_and, map(np.isfinite, out))
                     if np.count_nonzero(bad):
                         blow_up(bad, lambda row: BlowUpError(0, "jump map produced a non-finite state"))
                         jumped &= alive
