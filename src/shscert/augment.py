@@ -13,8 +13,7 @@ The remaining quadrant (kappa1 <= 0, kappa2 >= 1) admits no construction.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 
 from .certify import (
     CbcCandidate,
@@ -48,77 +47,81 @@ def _regime(kappa1: float, kappa2: float) -> str:
 
 @dataclass(frozen=True)
 class Acbc(Codec):
-    """Lifted certificate: base candidate, regime tag, and the constants
-    feeding the finite-horizon safety bound.
+    """Lifted certificate of a base candidate for the jump parameters and
+    the slack constants 0 < eps1 < 1 and eps2 > q2.
 
-    The constructor enforces what ``construct_acbc`` guarantees: finite
-    constants, the regime of the base's (kappa1, kappa2), 0 < eps1 < 1,
-    eps2 > q2, the separation eta > alpha >= 0, the per-counter decay
-    condition ln(kappa2) - kappa1 tau z < 0 for z in q1..q2, 0 < kappa < 1
-    and gamma >= 0. It raises ``ValueError`` at the first one that fails.
+    The constructor derives the rest: the regime of the base's (kappa1,
+    kappa2), the counter weights beta(0), ..., beta(q2) (``weights``),
+    beta_alpha and beta_eta (the larger and smaller of beta(q1) and
+    beta(q2)), alpha = beta_alpha alphabar, eta = beta_eta etabar, kappa
+    and gamma, whose flow factor is the largest of beta(1..q2). It raises
+    ``ValueError`` at the first condition the result breaks: an unsupported
+    regime, an overflow, a non-finite constant, the separation eta > alpha,
+    the per-counter decay condition ln(kappa2) - kappa1 tau z < 0 for z in
+    q1..q2, or 0 < kappa < 1.
     """
+
+    derived_keys = ("regime", "alpha", "eta", "kappa", "gamma", "beta_alpha", "beta_eta")
 
     base: CbcCandidate
     jump: JumpParams
-    regime: str
     eps1: float
     eps2: float
-    alpha: float
-    eta: float
-    kappa: float
-    gamma: float
-    beta_alpha: float
-    beta_eta: float
+    regime: str = field(init=False)
+    weights: tuple[float, ...] = field(init=False)
+    alpha: float = field(init=False)
+    eta: float = field(init=False)
+    kappa: float = field(init=False)
+    gamma: float = field(init=False)
+    beta_alpha: float = field(init=False)
+    beta_eta: float = field(init=False)
 
     def __post_init__(self):
-        for name in ("eps1", "eps2", "alpha", "eta", "kappa", "gamma", "beta_alpha", "beta_eta"):
-            if not math.isfinite(getattr(self, name)):
+        cand, jp, eps1, eps2 = self.base, self.jump, self.eps1, self.eps2
+        k1, k2, tau, q1, q2 = cand.kappa1, cand.kappa2, jp.tau, jp.q1, jp.q2
+        if not 0 < eps1 < 1:
+            raise ValueError(f"eps1 must be in (0, 1), got {eps1}")
+        if not q2 < eps2 < math.inf:
+            raise ValueError(f"eps2 must be finite and exceed q2={q2}, got {eps2}")
+        regime = _regime(k1, k2)
+        try:
+            decay = math.exp(-k1 * tau)
+            if regime == R1:
+                weights = (1.0,) * (q2 + 1)
+                kappa = max(decay, k2)
+            elif regime == R2:
+                weights = tuple(math.exp(k1 * tau * eps1 * z) for z in range(q2 + 1))
+                kappa = max(math.exp(-k1 * tau * (1 - eps1)), math.exp(-k1 * tau * eps1 * q1) * k2)
+            else:
+                weights = tuple(k2 ** (z / eps2) for z in range(q2 + 1))
+                kappa = max(decay * k2 ** (1 / eps2), k2 ** ((eps2 - q2) / eps2))
+            beta_eta, beta_alpha = sorted((weights[q1], weights[q2]))
+            gamma = max(max(weights[1:]) * decay * tau * cand.gamma1, cand.gamma2)
+        except OverflowError:
+            raise ValueError(
+                f"lifted constants overflow for kappa1={k1}, kappa2={k2}, tau={tau}"
+            ) from None
+        alpha, eta = beta_alpha * cand.alphabar, beta_eta * cand.etabar
+        for name, value in (("alpha", alpha), ("eta", eta), ("kappa", kappa), ("gamma", gamma)):
+            if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite")
-        k1, k2, jp = self.base.kappa1, self.base.kappa2, self.jump
-        if self.regime != _regime(k1, k2):
-            raise ValueError(f"regime {self.regime!r} does not match kappa1={k1}, kappa2={k2}")
-        if not 0 < self.eps1 < 1:
-            raise ValueError(f"eps1 must be in (0, 1), got {self.eps1}")
-        if not self.eps2 > jp.q2:
-            raise ValueError(f"eps2 must exceed q2={jp.q2}, got {self.eps2}")
-        if not self.eta > self.alpha:
+        if not eta > alpha:
             raise ValueError(
                 "separation condition violated: "
-                f"beta_eta*etabar = {self.eta:.6g} must exceed "
-                f"beta_alpha*alphabar = {self.alpha:.6g}"
+                f"beta_eta*etabar = {eta:.6g} must exceed beta_alpha*alphabar = {alpha:.6g}"
             )
-        if self.alpha < 0:
-            raise ValueError("alpha >= 0 violated")
-        for z in range(jp.q1, jp.q2 + 1):
-            if not math.log(k2) - k1 * jp.tau * z < 0:
+        for z in range(q1, q2 + 1):
+            if not math.log(k2) - k1 * tau * z < 0:
                 raise ValueError(
                     f"per-counter decay condition violated at z={z}: "
-                    f"ln(kappa2) - kappa1*tau*z = {math.log(k2) - k1 * jp.tau * z:.6g}"
+                    f"ln(kappa2) - kappa1*tau*z = {math.log(k2) - k1 * tau * z:.6g}"
                 )
-        if not 0 < self.kappa < 1:
-            raise ValueError(f"lifted decay rate kappa={self.kappa:.6g} outside (0, 1)")
-        if self.gamma < 0:
-            raise ValueError("gamma >= 0 violated")
-
-    @cached_property
-    def weights(self) -> tuple[float, ...]:
-        """The counter weights beta(0), ..., beta(q2)."""
-        return _weights(self.regime, self.base, self.jump, self.eps1, self.eps2)
-
-    def beta(self, z: int) -> float:
-        """Counter weight beta(z); defined for 0 <= z <= q2."""
-        if not 0 <= z <= self.jump.q2:
-            raise ValueError(f"counter z={z} outside 0..{self.jump.q2}")
-        return self.weights[z]
-
-
-def _weights(regime: str, cand: CbcCandidate, jump: JumpParams, eps1: float, eps2: float) -> tuple:
-    """beta(0), ..., beta(q2) by the regime's formula (module docstring)."""
-    if regime == R1:
-        return (1.0,) * (jump.q2 + 1)
-    if regime == R2:
-        return tuple(math.exp(cand.kappa1 * jump.tau * eps1 * z) for z in range(jump.q2 + 1))
-    return tuple(cand.kappa2 ** (z / eps2) for z in range(jump.q2 + 1))
+        if not 0 < kappa < 1:
+            raise ValueError(f"lifted decay rate kappa={kappa:.6g} outside (0, 1)")
+        vars(self).update(
+            regime=regime, weights=weights, alpha=alpha, eta=eta, kappa=kappa, gamma=gamma,
+            beta_alpha=beta_alpha, beta_eta=beta_eta,
+        )
 
 
 def construct_acbc(
@@ -127,52 +130,9 @@ def construct_acbc(
     eps1: float = 0.1,
     eps2: float | None = None,
 ) -> Acbc:
-    """Build the lifted certificate constants for the candidate's regime.
-
-    eps1 must lie in (0, 1) and eps2 above q2 (default q2 + 1). Raises
-    ``ValueError`` if the regime is unsupported, a constant overflows, or
-    the result breaks an invariant of ``Acbc``: the separation condition
-    beta_eta * etabar > beta_alpha * alphabar, the per-counter decay
-    condition, or kappa in (0, 1).
-    """
-    if eps2 is None:
-        eps2 = float(jump.q2 + 1)
-    if not eps2 > jump.q2:
-        raise ValueError(f"eps2 must exceed q2={jump.q2}, got {eps2}")
-
-    k1, k2 = cand.kappa1, cand.kappa2
-    tau, q1, q2 = jump.tau, jump.q1, jump.q2
-    regime = _regime(k1, k2)
-
-    try:
-        weights = _weights(regime, cand, jump, eps1, eps2)
-        beta_eta, beta_alpha = sorted((weights[q1], weights[q2]))
-        decay = math.exp(-k1 * tau)
-        if regime == R1:
-            kappa = max(decay, k2)
-        elif regime == R2:
-            kappa = max(math.exp(-k1 * tau * (1 - eps1)), math.exp(-k1 * tau * eps1 * q1) * k2)
-        else:
-            kappa = max(decay * k2 ** (1 / eps2), k2 ** ((eps2 - q2) / eps2))
-        gamma = max(max(weights[1:]) * decay * tau * cand.gamma1, cand.gamma2)
-    except OverflowError:
-        raise ValueError(
-            f"lifted constants overflow for kappa1={k1}, kappa2={k2}, tau={tau}"
-        ) from None
-
-    return Acbc(
-        base=cand,
-        jump=jump,
-        regime=regime,
-        eps1=eps1,
-        eps2=eps2,
-        alpha=beta_alpha * cand.alphabar,
-        eta=beta_eta * cand.etabar,
-        kappa=kappa,
-        gamma=gamma,
-        beta_alpha=beta_alpha,
-        beta_eta=beta_eta,
-    )
+    """The lifted certificate of ``cand`` (see ``Acbc``); eps2 defaults to
+    q2 + 1."""
+    return Acbc(cand, jump, eps1, float(jump.q2 + 1) if eps2 is None else eps2)
 
 
 def check_acbc_conditions(model: SHSModel, acbc: Acbc) -> CbcReport:

@@ -64,8 +64,9 @@ def compute_delta(
 
 
 def compute_delta_for(acbc, horizon: int) -> SafetyBound:
-    """Bound for a lifted certificate, whose constructor has checked the
-    constants; only the horizon is checked here."""
+    """Bound for a lifted certificate. Its constants are those the
+    ``Acbc`` constructor derived from the base certificate and checked, so
+    only the horizon is checked here."""
     return _delta(acbc.alpha, acbc.eta, acbc.kappa, acbc.gamma, horizon)
 
 

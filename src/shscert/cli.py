@@ -198,10 +198,11 @@ def _sim_config(
     horizon: int,
     schedule: JumpSchedule | None = None,
     x0: str | None = None,
+    acbc: Acbc | None = None,
 ) -> SimConfig:
-    """The run's SimConfig, checked against model: --schedule, when given,
-    overrides ``schedule``, and ``x0`` is the text of --x0. A value that
-    does not fit is malformed input."""
+    """The run's SimConfig, checked against model together with acbc:
+    --schedule, when given, overrides ``schedule``, and ``x0`` is the text
+    of --x0. A value that does not fit is malformed input."""
     try:
         config = SimConfig(
             horizon_T=horizon,
@@ -211,7 +212,7 @@ def _sim_config(
             schedule=schedule if args.schedule is None else JumpSchedule.parse(args.schedule),
             x0=tuple(float(v) for v in x0.split(",")) if x0 else None,
         )
-        check_config(model, config, x0_name="--x0")
+        check_config(model, config, acbc, x0_name="--x0")
     except ValueError as e:
         raise CliError(EXIT_BAD_INPUT, str(e)) from None
     return config
@@ -221,7 +222,7 @@ def cmd_simulate(args: argparse.Namespace, run: _Run) -> int:
     model = run.load(args.model, SHSModel, "model")
     cand = run.load(args.candidate, CbcCandidate, "candidate")
     acbc = run.load(args.acbc, Acbc, "lifted certificate") if args.acbc else None
-    config = _sim_config(args, model, args.horizon, x0=args.x0)
+    config = _sim_config(args, model, args.horizon, x0=args.x0, acbc=acbc)
 
     keep = max(0, min(args.runs, args.keep_trajectories))
     report = None

@@ -10,9 +10,12 @@ is no number), and a non-integral ``int`` ``ValueError``. A value with a
 ``NoiseMoments`` and ``JumpSchedule`` keep their own formats that way.
 
 Field metadata renames a key: ``{"key": "lambda"}`` writes the field
-under another key, and ``{"key": None}`` leaves the field out. The class
-attribute ``derived_keys`` names properties written after the fields and
-ignored when reading.
+under another key, and ``{"key": None}`` leaves the field out, as does
+``init=False``. The class attribute ``derived_keys`` names attributes
+that the object derives from its fields, written after them. Reading
+does not take them as input but checks them: a derived key present in
+the document must equal the value the object derives, else
+``ValueError``.
 """
 
 from __future__ import annotations
@@ -44,7 +47,8 @@ class Codec:
     def from_dict(cls, doc: Mapping):
         """Read an object written by ``to_dict``. A missing key takes the
         field's default, or raises ``KeyError`` if the field has none; a
-        value of the wrong shape raises ``TypeError``."""
+        value of the wrong shape raises ``TypeError``, and a derived key
+        that differs from the derived value ``ValueError``."""
         doc = _object(doc)
         kwargs = {}
         for name, key, dec, required in _plan(cls):
@@ -55,7 +59,12 @@ class Codec:
                     raise type(e)(f"{key}: {e}") from None
             elif required:
                 raise KeyError(key)
-        return cls(**kwargs)
+        obj = cls(**kwargs)
+        for key in cls.derived_keys:
+            derived = getattr(obj, key)
+            if key in doc and doc[key] != _encode(derived):
+                raise ValueError(f"{key}: written {doc[key]!r}, derived {derived!r}")
+        return obj
 
 
 def _encode(value):
@@ -83,7 +92,7 @@ def _plan(cls) -> tuple:
     plan = []
     for f in dataclasses.fields(cls):
         key = f.metadata.get("key", f.name)
-        if key is None:
+        if key is None or not f.init:
             continue
         required = f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING
         plan.append((f.name, key, _decoder(hints[f.name]), required))

@@ -345,14 +345,15 @@ class JumpSchedule:
 
     @staticmethod
     def parse(text: str) -> "JumpSchedule":
-        """Parse 'fixed:d', 'cyclic:d1,d2,...' or 'uniform'."""
+        """Parse 'fixed:d', 'cyclic:d1,d2,...' or 'uniform', exactly as
+        ``describe`` writes it."""
         head, _, tail = decode(str, text).partition(":")
-        if head == "fixed":
-            return JumpSchedule.fixed(int(tail))
-        if head == "cyclic":
-            return JumpSchedule.cyclic([int(d) for d in tail.split(",") if d])
-        if head == "uniform":
-            return JumpSchedule.uniform()
+        try:
+            schedule = JumpSchedule(head, tuple(map(int, tail.split(","))) if tail else ())
+            if schedule.describe() == text:
+                return schedule
+        except ValueError:
+            pass
         raise ValueError(f"cannot parse schedule {text!r}")
 
     def describe(self) -> str:

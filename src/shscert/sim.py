@@ -231,11 +231,18 @@ def jump_step(
     return out
 
 
-def check_config(model: SHSModel, config: SimConfig, x0_name: str = "x0") -> None:
-    """Raise ``ValueError`` when ``config`` does not fit ``model``: a
-    schedule gap outside [q1, q2], or a fixed start of the wrong length or
-    with a non-finite component (the message calls the start ``x0_name``)."""
+def check_config(
+    model: SHSModel, config: SimConfig, acbc: Acbc | None = None, x0_name: str = "x0"
+) -> None:
+    """Raise ``ValueError`` when ``config`` or ``acbc`` does not fit
+    ``model``: a schedule gap outside [q1, q2], a fixed start of the wrong
+    length or with a non-finite component (the message calls the start
+    ``x0_name``), or a lifted certificate for other jump parameters."""
     config.schedule.validate_for(model.jump)
+    if acbc is not None and acbc.jump != model.jump:
+        raise ValueError(
+            f"the lifted certificate's jump parameters {acbc.jump} differ from the model's {model.jump}"
+        )
     if config.x0 is not None and len(config.x0) != model.n:
         raise ValueError(f"{x0_name} needs {model.n} component(s)")
     if config.x0 is not None and not all(map(math.isfinite, config.x0)):
@@ -262,14 +269,15 @@ def simulate(
     transition flows for one period with the flow controller's value held
     constant. Unsafe entry (x in Xu) and certificate exceedance
     (beta(z) B(x) >= eta or NaN, when a lifted certificate is supplied)
-    are recorded at transition boundaries only. A config that does not fit
-    the model raises ``ValueError`` (see ``check_config``).
+    are recorded at transition boundaries only. A config or a lifted
+    certificate that does not fit the model raises ``ValueError`` (see
+    ``check_config``).
 
     This is the reference for the batched engine behind ``trajectories``,
     which must give bitwise equal trajectories.
     """
     jp, sv = model.jump, model.state_vars
-    check_config(model, config)
+    check_config(model, config, acbc)
     rng = trajectory_rng(config.master_seed, traj_index)
     S = config.substeps_per_tau
     C = _chunk_periods(S)
@@ -376,7 +384,7 @@ def trajectories(
     arrays; a block of fewer than ``BATCH_MIN`` runs on ``simulate``. Both
     give the same result for every index.
     """
-    check_config(model, config)
+    check_config(model, config, acbc)
     n = config.n_trajectories
     for start in range(0, n, BLOCK_SIZE):
         stop = min(start + BLOCK_SIZE, n)

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from dataclasses import replace
 
 import pytest
@@ -69,8 +70,9 @@ class TestConstruction:
             construct_acbc(case1.candidate, JP, eps1=1.0)
 
     def test_eps2_must_exceed_q2(self, case1):
-        with pytest.raises(ValueError, match="eps2"):
-            construct_acbc(case1.candidate, JP, eps2=7.0)
+        for eps2 in (7.0, math.inf, math.nan):
+            with pytest.raises(ValueError, match="eps2 must be finite and exceed q2=7"):
+                construct_acbc(case1.candidate, JP, eps2=eps2)
 
     def test_eps2_defaults_above_q2(self, case1):
         a = construct_acbc(case1.candidate, JP)
@@ -100,9 +102,28 @@ class TestConstruction:
     @pytest.mark.parametrize("name", ["gamma", "eta", "beta_alpha"])
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     def test_non_finite_constant_rejected(self, case1, name, value):
+        # a document cannot state a constant: it must be the derived one
         a = construct_acbc(case1.candidate, JP, 0.1, 8.0)
-        with pytest.raises(ValueError, match=f"{name} must be finite"):
-            replace(a, **{name: value})
+        derived = getattr(a, name)
+        assert math.isfinite(derived)
+        message = f"{name}: written {value!r}, derived {derived!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            Acbc.from_dict({**a.to_dict(), name: value})
+
+    @pytest.mark.parametrize(
+        "name, cand, jump",
+        [
+            # finite inputs, but a counter weight above 1 (R2), or tau,
+            # scales them past the largest float
+            ("alpha", make_candidate(10.0, 1.0, alphabar=1.7e308, etabar=1.79e308), JP),
+            ("eta", make_candidate(10.0, 1.0, etabar=1.7e308), JP),
+            ("gamma", make_candidate(0.01, 0.5, gamma1=1e307), JumpParams(100.0, 1, 7)),
+        ],
+        ids=["alpha", "eta", "gamma"],
+    )
+    def test_non_finite_derived_constant_rejected(self, name, cand, jump):
+        with pytest.raises(ValueError, match=f"^{name} must be finite$"):
+            construct_acbc(cand, jump, 0.1, 8.0)
 
     def test_constructed_instances_satisfy_invariants(self, case1, case2, case3):
         for case in (case1, case2, case3):
@@ -114,41 +135,47 @@ class TestConstruction:
             for z in range(JP.q1, JP.q2 + 1):
                 assert math.exp(-k1 * tau * z) * k2 < 1
 
-    def test_json_round_trip(self, case3):
-        a = construct_acbc(case3.candidate, JP, 0.1, 8.0)
-        again = Acbc.from_dict(json.loads(a.to_json()))
-        assert again.regime == a.regime
-        assert again.kappa == a.kappa
-        assert again.beta(5) == a.beta(5)
+    def test_json_round_trip(self, case1, case2, case3):
+        for case in (case1, case2, case3):
+            a = construct_acbc(case.candidate, case.model.jump, case.eps1, case.eps2)
+            again = Acbc.from_dict(json.loads(a.to_json()))
+            assert again == a and again.weights == a.weights
+
+    def test_reads_only_base_jump_and_slacks(self, case2):
+        a = construct_acbc(case2.candidate, case2.model.jump, case2.eps1, case2.eps2)
+        doc = a.to_dict()
+        kept = {key: doc[key] for key in ("base", "jump", "eps1", "eps2")}
+        assert Acbc.from_dict(kept) == a
+        assert set(doc) == set(kept) | set(Acbc.derived_keys)
+        with pytest.raises(TypeError):
+            Acbc(a.base, a.jump, a.eps1, a.eps2, a.regime)
 
 
 class TestBeta:
     def test_r1_is_flat(self, case1):
         a = construct_acbc(case1.candidate, JP, 0.1, 8.0)
-        assert [a.beta(z) for z in range(8)] == [1.0] * 8
+        assert a.weights == (1.0,) * 8
 
     def test_r2_at_zero(self, case2):
         a = construct_acbc(case2.candidate, JP, 0.1, 8.0)
-        assert a.beta(0) == 1.0
+        assert a.weights[0] == 1.0
 
     def test_r3_values_and_range(self, case3):
+        # the table covers exactly the counter values 0..q2
         a = construct_acbc(case3.candidate, JP, 0.1, 8.0)
-        assert a.beta(7) == pytest.approx(0.98 ** (7 / 8))
-        assert a.beta(7) == pytest.approx(0.98248, abs=1e-5)
-        with pytest.raises(ValueError, match="z=8"):
-            a.beta(8)
-        with pytest.raises(ValueError):
-            a.beta(-1)
+        assert a.weights[7] == pytest.approx(0.98 ** (7 / 8))
+        assert a.weights[7] == pytest.approx(0.98248, abs=1e-5)
+        assert len(a.weights) == JP.q2 + 1
 
     def test_monotonicity_and_table_consistency(self, case2, case3):
         a2 = construct_acbc(case2.candidate, JP, 0.1, 8.0)
-        vals2 = [a2.beta(z) for z in range(8)]
+        vals2 = a2.weights
         assert all(b2 >= b1 for b1, b2 in zip(vals2, vals2[1:]))  # R2 nondecreasing
         a3 = construct_acbc(case3.candidate, JP, 0.1, 8.0)
-        vals3 = [a3.beta(z) for z in range(8)]
+        vals3 = a3.weights
         assert all(b2 <= b1 for b1, b2 in zip(vals3, vals3[1:]))  # R3 nonincreasing
         for a in (a2, a3):
-            eligible = [a.beta(z) for z in range(JP.q1, JP.q2 + 1)]
+            eligible = a.weights[JP.q1 : JP.q2 + 1]
             assert a.beta_eta == pytest.approx(min(eligible))
             assert a.beta_alpha == pytest.approx(max(eligible))
 
@@ -176,6 +203,15 @@ def lift_inputs(draw, regime):
     gamma1, gamma2 = draw(st.floats(0.0, 1.0)), draw(st.floats(0.0, 1.0))
     cand = make_candidate(kappa1, kappa2, gamma1, gamma2, alphabar=0.001, etabar=100.0)
     return cand, JumpParams(tau, q1, q2), eps1, eps2
+
+
+def paper_weight(regime, cand, jp, eps1, eps2, z):
+    """beta(z) of the paper's closed form for the regime."""
+    if regime == "R1":
+        return 1.0
+    if regime == "R2":
+        return math.exp(cand.kappa1 * jp.tau * eps1 * z)
+    return cand.kappa2 ** (z / eps2)
 
 
 def paper_constants(regime, cand, jp, eps1, eps2):
@@ -211,11 +247,8 @@ class TestCounterWeights:
         got = (a.beta_alpha, a.beta_eta, a.kappa, a.gamma)
         want = paper_constants(regime, cand, jp, eps1, eps2)
         assert [v.hex() for v in got] == [v.hex() for v in want]
-        assert len(a.weights) == jp.q2 + 1
-        assert all(a.beta(z) == w for z, w in enumerate(a.weights))
-        for z in (-1, jp.q2 + 1):
-            with pytest.raises(ValueError, match=f"z={z}"):
-                a.beta(z)
+        want = [paper_weight(regime, cand, jp, eps1, eps2, z) for z in range(jp.q2 + 1)]
+        assert [w.hex() for w in a.weights] == [w.hex() for w in want]
 
 
 class TestAcbcConditions:
@@ -255,23 +288,20 @@ class TestAcbcConditions:
         assert all(c.status == "holds" for c in rep.conditions if c.condition != "flow[base]")
 
     def test_equal_levels_fail_constants_check(self, case1):
-        # the report needs no entry for the constants: an Acbc that breaks
-        # one of them cannot be built
+        # the report needs no entry for the constants: they are derived, so
+        # a document that states other levels cannot be read
         a = construct_acbc(case1.candidate, JP, 0.1, 8.0)
-        with pytest.raises(ValueError, match="separation condition violated"):
-            Acbc(
-                base=a.base, jump=a.jump, regime=a.regime, eps1=a.eps1, eps2=a.eps2,
-                alpha=a.eta, eta=a.eta, kappa=a.kappa, gamma=a.gamma,
-                beta_alpha=a.beta_alpha, beta_eta=a.beta_eta,
-            )
+        message = f"alpha: written {a.eta!r}, derived {a.alpha!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            Acbc.from_dict({**a.to_dict(), "alpha": a.eta})
 
     def test_r2_jump_comparison_scalar_relation(self, case2):
         # at z = q2 the jump check reduces to kappa*beta(q2) >= kappa2 and
         # gamma >= gamma2, which the construction guarantees
         a = construct_acbc(case2.candidate, JP, 0.1, 8.0)
         c = case2.candidate
-        assert a.kappa * a.beta(JP.q2) >= c.kappa2
+        assert a.kappa * a.weights[JP.q2] >= c.kappa2
         assert a.gamma >= c.gamma2
         bmax = 9.0  # exceeds max of the certificate on the working box
         for bval in [bmax * k / 10 for k in range(11)]:
-            assert c.kappa2 * bval + c.gamma2 <= a.kappa * a.beta(JP.q2) * bval + a.gamma
+            assert c.kappa2 * bval + c.gamma2 <= a.kappa * a.weights[JP.q2] * bval + a.gamma

@@ -246,10 +246,14 @@ class TestMalformedInput:
                 },
                 "variable name(s) ['nu'] declared more than once",
             ),
+            # n and m are derived from the variables: a document may only repeat them
+            ({"n": 2}, "n: written 2, derived 1"),
+            ({"m": 0}, "m: written 0, derived 1"),
         ],
         ids=[
             "box-as-list", "q1-above-q2", "unknown-sampler", "wide-moments", "nan-bound",
             "nan-tau", "infinite-tau", "nan-rate", "box-names-non-state", "repeated-name",
+            "wrong-n", "wrong-m",
         ],
     )
     def test_bad_model_exit_three(self, artifacts, tmp_path, capsys, changes, message):
@@ -542,6 +546,17 @@ class TestPipelineRoundTrip:
         ])
         assert code == 3
 
+    @pytest.mark.parametrize("text", ["uniform:7", "uniform:", "cyclic:1,,2", "cyclic:2,", "fixed: 2"])
+    def test_non_canonical_schedule_exit_three(self, artifacts, tmp_path, capsys, text):
+        # only the text describe() writes is read, so no part of it is dropped
+        code = main([
+            "simulate", str(artifacts / "model1.json"), str(artifacts / "cand1.json"),
+            "--schedule", text, "--out", str(tmp_path),
+        ])
+        assert code == 3
+        assert capsys.readouterr().err == f"error: cannot parse schedule {text!r}\n"
+        assert list(tmp_path.iterdir()) == []
+
     def test_fixed_start_flag(self, artifacts, tmp_path):
         code = main([
             "simulate", str(artifacts / "model1.json"), str(artifacts / "cand1.json"),
@@ -614,24 +629,22 @@ class TestPipelineRoundTrip:
     @pytest.mark.parametrize(
         "key, value, message",
         [
-            ("gamma", math.nan, "gamma must be finite"),
-            ("gamma", math.inf, "gamma must be finite"),
-            ("kappa", 1.5, "lifted decay rate kappa=1.5 outside (0, 1)"),
-            ("kappa", 0.0, "lifted decay rate kappa=0 outside (0, 1)"),
-            ("gamma", -0.001, "gamma >= 0 violated"),
-            (
-                "alpha", 5.0,
-                "separation condition violated: "
-                "beta_eta*etabar = 4.4 must exceed beta_alpha*alphabar = 5",
-            ),
+            # a derived constant must be the one derived: {derived} is its value
+            ("gamma", math.nan, "gamma: written nan, derived {derived!r}"),
+            ("gamma", math.inf, "gamma: written inf, derived {derived!r}"),
+            ("kappa", 1.5, "kappa: written 1.5, derived {derived!r}"),
+            ("kappa", 0.0, "kappa: written 0.0, derived {derived!r}"),
+            ("gamma", -0.001, "gamma: written -0.001, derived {derived!r}"),
+            ("alpha", 5.0, "alpha: written 5.0, derived {derived!r}"),
             ("eps1", 1.0, "eps1 must be in (0, 1), got 1.0"),
-            ("eps2", 7.0, "eps2 must exceed q2=7, got 7.0"),
-            ("regime", "R4", "regime 'R4' does not match kappa1=0.01, kappa2=0.99"),
-            ("regime", "R3", "regime 'R3' does not match kappa1=0.01, kappa2=0.99"),
+            ("eps2", 7.0, "eps2 must be finite and exceed q2=7, got 7.0"),
+            ("regime", "R4", "regime: written 'R4', derived 'R1'"),
+            ("regime", "R3", "regime: written 'R3', derived 'R1'"),
+            ("eps2", math.inf, "eps2 must be finite and exceed q2=7, got inf"),
         ],
         ids=[
             "nan", "inf", "kappa-above-one", "zero-kappa", "negative-gamma", "alpha-above-eta",
-            "eps1-at-one", "eps2-at-q2", "unknown-regime", "other-regime",
+            "eps1-at-one", "eps2-at-q2", "unknown-regime", "other-regime", "infinite-eps2",
         ],
     )
     def test_non_finite_lifted_constant_exit_three(
@@ -643,6 +656,7 @@ class TestPipelineRoundTrip:
             "--out", str(out1),
         ])
         doc = json.loads((out1 / "acbc.json").read_text())
+        message = message.format(derived=doc[key])
         doc[key] = value
         bad = tmp_path / "acbc_bad.json"
         bad.write_text(json.dumps(doc))
@@ -704,6 +718,81 @@ class TestPipelineRoundTrip:
             main(["verify"])
         assert exc.value.code == 3
         assert "required: model, candidate" in capsys.readouterr().err
+
+
+class TestDerivedLiftedConstants:
+    """acbc.json states the lifted constants, but they follow from its base,
+    jump parameters and slacks: a file that states others is malformed."""
+
+    @pytest.fixture(scope="class")
+    def case2_files(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("case2")
+        case = load_case(2)
+        (root / "model.json").write_text(case.model.to_json())
+        (root / "cand.json").write_text(case.candidate.to_json())
+        code = main([
+            "augment", str(root / "model.json"), str(root / "cand.json"),
+            "--eps1", str(case.eps1), "--eps2", str(case.eps2), "--out", str(root),
+        ])
+        assert code == 0
+        return root
+
+    def test_unedited_file_bounds(self, case2_files, tmp_path, capsys):
+        code = main(["bound", str(case2_files / "acbc.json"), "--horizon", "20", "--out", str(tmp_path)])
+        assert code == 0
+        assert capsys.readouterr().out.startswith("delta=0.0389")
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            ({"kappa": 0.5, "gamma": 0.0}, "kappa: written 0.5, derived {kappa!r}"),
+            ({"base": {"gamma2": 0.5}}, "gamma: written {gamma!r}, derived 0.5"),
+            (
+                {"base": {"kappa1": 1e6}},
+                "lifted constants overflow for kappa1=1000000.0, kappa2=1.00001, tau=0.1",
+            ),
+        ],
+        ids=["stated-bound", "raised-gamma2", "overflowing-weights"],
+    )
+    def test_hand_edited_file_exit_three(self, case2_files, tmp_path, capsys, edit, message):
+        doc = json.loads((case2_files / "acbc.json").read_text())
+        message = message.format(**doc)
+        for key, value in edit.items():
+            doc[key] = {**doc[key], **value} if isinstance(value, dict) else value
+        bad = tmp_path / "acbc_edited.json"
+        bad.write_text(json.dumps(doc))
+        capsys.readouterr()
+        out = tmp_path / "bound"
+        assert main(["bound", str(bad), "--horizon", "20", "--out", str(out)]) == 3
+        assert capsys.readouterr().err == f"error: invalid lifted certificate {bad}: {message}\n"
+        assert list(out.iterdir()) == []
+        out = tmp_path / "sim"
+        code = main([
+            "simulate", str(case2_files / "model.json"), str(case2_files / "cand.json"),
+            "--acbc", str(bad), "--runs", "1", "--horizon", "5", "--out", str(out),
+        ])
+        assert code == 3
+        assert capsys.readouterr().err == f"error: invalid lifted certificate {bad}: {message}\n"
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("runs", ["1", "40"])
+    def test_lifted_certificate_for_other_jump_exit_three(self, case2_files, tmp_path, capsys, runs):
+        # weights for q2 = 7 cannot weigh the counter of a model with q2 = 12
+        doc = json.loads((case2_files / "model.json").read_text())
+        doc["jump"]["q2"] = 12
+        (tmp_path / "model12.json").write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        code = main([
+            "simulate", str(tmp_path / "model12.json"), str(case2_files / "cand.json"),
+            "--acbc", str(case2_files / "acbc.json"), "--schedule", "fixed:12",
+            "--runs", runs, "--horizon", "20", "--out", str(out),
+        ])
+        assert code == 3
+        assert capsys.readouterr().err == (
+            "error: the lifted certificate's jump parameters JumpParams(tau=0.1, q1=1, q2=7) "
+            "differ from the model's JumpParams(tau=0.1, q1=1, q2=12)\n"
+        )
+        assert list(out.iterdir()) == []
 
 
 class TestSimulateBlowUp:

@@ -143,8 +143,10 @@ class TestJumpSchedule:
             JumpSchedule.from_dict(["fixed", 3])
 
     def test_parse_rejects_garbage(self):
-        with pytest.raises(ValueError):
-            JumpSchedule.parse("sometimes")
+        # only what describe() writes: nothing of the text may be dropped
+        for text in ("sometimes", "uniform:7", "uniform:", "cyclic:1,,2", "cyclic:2,", "fixed: 2"):
+            with pytest.raises(ValueError, match="cannot parse schedule"):
+                JumpSchedule.parse(text)
 
     def test_policy_shape_validation(self):
         with pytest.raises(ValueError, match="exactly one gap"):

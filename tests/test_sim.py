@@ -347,6 +347,20 @@ class TestMonteCarlo:
         rep2 = monte_carlo(case1.model, case1.candidate, acbc, config)
         assert rep1 == rep2
 
+    @pytest.mark.parametrize("runs", [1, 40])
+    def test_lifted_certificate_for_other_jump_rejected(self, case2, runs):
+        # its weights end at q2 = 7, the model's counter runs to 12
+        acbc = construct_acbc(case2.candidate, case2.model.jump, 0.1, 8.0)
+        model = replace(case2.model, jump=JumpParams(0.1, 1, 12))
+        config = SimConfig(horizon_T=20, n_trajectories=runs, schedule=JumpSchedule.fixed(12))
+        match = "lifted certificate's jump parameters .* differ from the model's"
+        with pytest.raises(ValueError, match=match):
+            monte_carlo(model, case2.candidate, acbc, config)
+        with pytest.raises(ValueError, match=match):
+            next(trajectories(model, case2.candidate, config, acbc))
+        with pytest.raises(ValueError, match=match):
+            simulate(model, case2.candidate, config, acbc)
+
     def test_blowups_counted_conservatively(self, case2):
         acbc = construct_acbc(case2.candidate, case2.model.jump, 0.1, 8.0)
         config = SimConfig(
