@@ -53,8 +53,9 @@ class Acbc(Codec):
     The constructor derives the rest: the regime of the base's (kappa1,
     kappa2), the counter weights beta(0), ..., beta(q2) (``weights``),
     beta_alpha and beta_eta (the larger and smaller of beta(q1) and
-    beta(q2)), alpha = beta_alpha alphabar, eta = beta_eta etabar, kappa
-    and gamma, whose flow factor is the largest of beta(1..q2). It raises
+    beta(q2)), alpha = beta_alpha alphabar, eta = beta_eta etabar, the flow
+    period's decay factor exp(-kappa1 tau) (``decay``), kappa and gamma,
+    whose flow factor is the largest of beta(1..q2). It raises
     ``ValueError`` at the first condition the result breaks: an unsupported
     regime, an overflow, a non-finite constant, the separation eta > alpha,
     the per-counter decay condition ln(kappa2) - kappa1 tau z < 0 for z in
@@ -75,6 +76,7 @@ class Acbc(Codec):
     gamma: float = field(init=False)
     beta_alpha: float = field(init=False)
     beta_eta: float = field(init=False)
+    decay: float = field(init=False)
 
     def __post_init__(self):
         cand, jp, eps1, eps2 = self.base, self.jump, self.eps1, self.eps2
@@ -120,7 +122,7 @@ class Acbc(Codec):
             raise ValueError(f"lifted decay rate kappa={kappa:.6g} outside (0, 1)")
         vars(self).update(
             regime=regime, weights=weights, alpha=alpha, eta=eta, kappa=kappa, gamma=gamma,
-            beta_alpha=beta_alpha, beta_eta=beta_eta,
+            beta_alpha=beta_alpha, beta_eta=beta_eta, decay=decay,
         )
 
 
@@ -141,7 +143,8 @@ def check_acbc_conditions(model: SHSModel, acbc: Acbc) -> CbcReport:
     Level conditions: alpha - beta(0) B on X0, and beta(z) B - eta on Xu
     for every counter value. The one-step expectation condition is checked
     semi-analytically per counter: the flow scenario uses the exponential
-    relaxation bound E[B(x(tau-))] <= exp(-kappa1 tau)(B(x) + tau gamma1),
+    relaxation bound E[B(x(tau-))] <= decay (B(x) + tau gamma1), with
+    decay = exp(-kappa1 tau) (``Acbc.decay``),
     the jump scenario the exact post-jump expectation polynomial; each is
     compared against kappa beta(z) B + gamma on X. The relaxation rests on
     the base flow condition LB <= -kappa1 B + gamma1, so that is checked on
@@ -156,12 +159,11 @@ def check_acbc_conditions(model: SHSModel, acbc: Acbc) -> CbcReport:
         *((f"unsafe[z={z}]", beta[z] * B - acbc.eta, model.Xu) for z in counters),
         ("flow[base]", flow_condition(cand, generator(model, B, cand.nu_flow)), X),
     ]
-    decay = math.exp(-cand.kappa1 * jp.tau)
     jexp = jump_expectation(model, B, cand.nu_jump)
     for z in counters:
         level = acbc.kappa * beta[z] * B + acbc.gamma
         if jp.admits(FLOW, z):
-            flowed = beta[z + 1] * decay * (B + jp.tau * cand.gamma1)
+            flowed = beta[z + 1] * acbc.decay * (B + jp.tau * cand.gamma1)
             conditions.append((f"flow[z={z}]", level - flowed, X))
         if jp.admits(JUMP, z):
             conditions.append((f"jump[z={z}]", level - beta[0] * jexp, X))

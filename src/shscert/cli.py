@@ -251,7 +251,7 @@ def cmd_simulate(args: argparse.Namespace, run: _Run) -> int:
             f"violated={report.bound_violated}"
         )
     else:
-        print(f"wrote {keep} trajectorie(s) to {run.outdir}")
+        print(f"wrote {keep} trajectory file(s) to {run.outdir}")
     return EXIT_OK
 
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Sequence
 
 import numpy as np
 
@@ -330,14 +329,6 @@ class JumpSchedule:
             raise ValueError("cyclic schedule needs at least one gap")
         if self.policy == "uniform" and self.gaps:
             raise ValueError("uniform schedule takes no explicit gaps")
-
-    @staticmethod
-    def fixed(d: int) -> "JumpSchedule":
-        return JumpSchedule("fixed", (int(d),))
-
-    @staticmethod
-    def cyclic(ds: Sequence[int]) -> "JumpSchedule":
-        return JumpSchedule("cyclic", tuple(int(d) for d in ds))
 
     @staticmethod
     def uniform() -> "JumpSchedule":

@@ -33,9 +33,12 @@ results. Both engines give the same trajectories bitwise, because both
 read the same noise and evaluate every polynomial with the order of
 operations of ``Polynomial.source``. The block kernel skips the
 per-substep finiteness test; the block checks once per period and leaves
-the substep of a blow-up to the scalar kernel. A block decides certificate
-exceedance and unsafe entry once per window of ``WINDOW`` transitions, so
-its memory does not grow with the horizon.
+the substep of a blow-up to the scalar kernel.
+
+Neither engine decides anything from the states it steps: ``_Outcomes``
+computes beta(z) B(x), decides exceedance and unsafe entry and builds the
+records, from ``WINDOW`` transitions at a time of a block, so its memory
+does not grow with the horizon, and from the whole run of ``simulate``.
 """
 
 from __future__ import annotations
@@ -249,10 +252,96 @@ def check_config(
         raise ValueError(f"{x0_name} must be finite, got {config.x0}")
 
 
-def _unsafe_box(model: SHSModel) -> list[tuple[int, float, float]]:
-    """(state index, lo, hi) per coordinate of Xu; x is unsafe when every
-    coordinate lies within its bounds."""
-    return [(model.state_vars.index(v), lo, hi) for v, (lo, hi) in model.Xu.intervals.items()]
+class _Outcomes:
+    """What N trajectories decide from their stepped states, whichever
+    engine stepped them: per transition k, the certificate value b =
+    beta(z) Bbar(x) when a lifted certificate is given, exceedance (``not b
+    < eta``, so NaN counts), and unsafe entry (x in Xu); per row, the first
+    k of each; and the records of the first ``n_kept`` rows.
+
+    An engine hands over consecutive transitions in windows (``window``)
+    and collects the results at the end (``results``). A record's scenario
+    and time follow from z: after transition 0, z > 0 marks a flow (which
+    leaves z >= 1) and z == 0 a jump (which resets it), and the time is
+    the running sum of tau over the flows, which ``cumsum`` adds in order.
+    Memory holds the first indices and the kept rows' slices only.
+    """
+
+    def __init__(self, model: SHSModel, acbc: Acbc | None, N: int, n_kept: int):
+        self.bfun = None if acbc is None else acbc.base.Bbar.compiled(model.state_vars)
+        self.beta = None if acbc is None else np.array(acbc.weights)
+        self.eta = None if acbc is None else acbc.eta
+        self.unsafe_box = [(model.state_vars.index(v), lo, hi) for v, (lo, hi) in model.Xu.intervals.items()]
+        self.tau = model.jump.tau
+        self.n_kept = n_kept
+        self.first_exceed = np.full(N, -1, dtype=np.int64)
+        self.first_unsafe = np.full(N, -1, dtype=np.int64)
+        self.k0 = 0
+        self.kept: list[tuple] = []
+
+    def _first(self, hits: np.ndarray, firsts: np.ndarray) -> None:
+        """Set ``firsts`` to the first hit's transition where unset."""
+        new = hits.any(0) & (firsts < 0)
+        firsts[new] = self.k0 + hits.argmax(0)[new]
+
+    def window(self, X: np.ndarray, z: np.ndarray) -> None:
+        """Decide the next len(z) transitions from their states X (used, n,
+        N) and counters z (used, N). The arrays may be reused afterwards."""
+        xs = [X[:, i] for i in range(X.shape[1])]
+        bval = None
+        if self.bfun is not None:
+            bval = self.beta[z] * self.bfun(xs)
+            self._first(~(bval < self.eta), self.first_exceed)
+        inside = np.ones(z.shape, dtype=bool)
+        for i, lo, hi in self.unsafe_box:
+            inside &= (lo <= xs[i]) & (xs[i] <= hi)
+        self._first(inside, self.first_unsafe)
+        if self.n_kept:
+            m = self.n_kept
+            self.kept.append((
+                z[:, :m].copy(),
+                X[:, :, :m].copy(),
+                None if bval is None else bval[:, :m].copy(),
+            ))
+        self.k0 += len(z)
+
+    def results(self, errors: Sequence[BlowUpError | None]) -> list[Trajectory | BlowUpError]:
+        """Per row, its ``BlowUpError`` if ``errors`` holds one, else its
+        ``Trajectory``, with records for the first ``n_kept`` rows."""
+        if self.n_kept:
+            z_all, x_all, b_all = zip(*self.kept)
+            z_kept = np.concatenate(z_all)
+            # per kept row, its value at each transition; z is 0 at transition 0
+            times = np.cumsum(np.where(z_kept != 0, self.tau, 0.0), axis=0).T.tolist()
+            zs = z_kept.T.tolist()
+            xs = np.concatenate(x_all).transpose(2, 0, 1).tolist()
+            bvals = None if self.bfun is None else np.concatenate(b_all).T.tolist()
+        out: list[Trajectory | BlowUpError] = []
+        for row, error in enumerate(errors):
+            if error is not None:
+                out.append(error)
+                continue
+            records = ()
+            if row < self.n_kept:
+                records = tuple(
+                    TransitionRecord(
+                        k,
+                        t,
+                        zk,
+                        "init" if not k else FLOW if zk else JUMP,
+                        tuple(x),
+                        None if bvals is None else bvals[row][k],
+                    )
+                    for k, (t, zk, x) in enumerate(zip(times[row], zs[row], xs[row]))
+                )
+            out.append(
+                Trajectory(
+                    records=records,
+                    first_unsafe=None if self.first_unsafe[row] < 0 else int(self.first_unsafe[row]),
+                    first_exceed=None if self.first_exceed[row] < 0 else int(self.first_exceed[row]),
+                )
+            )
+        return out
 
 
 def simulate(
@@ -273,8 +362,12 @@ def simulate(
     certificate that does not fit the model raises ``ValueError`` (see
     ``check_config``).
 
-    This is the reference for the batched engine behind ``trajectories``,
-    which must give bitwise equal trajectories.
+    This steps one trajectory on Python floats, through ``flow_step`` and
+    ``jump_step``, and hands its whole run to ``_Outcomes`` as one window.
+    It is the reference for the batched engine behind ``trajectories``,
+    which must give bitwise equal trajectories: for the stepping (kernels,
+    noise layout, counter and blow-ups) and for the windowing, since a
+    block hands over windows of ``WINDOW`` transitions.
     """
     jp, sv = model.jump, model.state_vars
     check_config(model, config, acbc)
@@ -290,40 +383,16 @@ def simulate(
         pt = model.X0.sample(rng)
         x = tuple(pt[v] for v in sv)
     z = 0
-    time = 0.0
 
     flow_fns = [p.compiled(sv) for p in cand.nu_flow]
     jump_fns = [p.compiled(sv) for p in cand.nu_jump]
-    if acbc is not None:
-        bfun = acbc.base.Bbar.compiled(sv)
-        beta = acbc.weights
-    unsafe_box = _unsafe_box(model)
 
     flows = jumps = 0
     gaps = _draw_jump_chunk(rng, config.schedule, jp, 0, W)
     gap = gaps[0]
 
-    first_unsafe: int | None = None
-    first_exceed: int | None = None
-    records: list[TransitionRecord] = []
-
-    def record(k: int, scenario: str) -> None:
-        nonlocal first_unsafe, first_exceed
-        bval = None
-        if acbc is not None:
-            bval = beta[z] * bfun(x)
-            if first_exceed is None and not bval < acbc.eta:
-                first_exceed = k
-        if first_unsafe is None:
-            for i, lo, hi in unsafe_box:
-                if not lo <= x[i] <= hi:
-                    break
-            else:
-                first_unsafe = k
-        records.append(TransitionRecord(k, time, z, scenario, x, bval))
-
-    record(0, "init")
-    for k in range(1, config.horizon_T + 1):
+    xs, zs = [x], [z]
+    for _ in range(config.horizon_T):
         if z == gap:
             nu = tuple(f(x) for f in jump_fns)
             x = jump_step(model, x, nu, W[jumps % JUMP_CHUNK])
@@ -333,7 +402,6 @@ def simulate(
             if not e:
                 gaps = _draw_jump_chunk(rng, config.schedule, jp, jumps, W)
             gap = gaps[e]
-            record(k, JUMP)
         else:
             e = flows % C
             if not e:
@@ -342,10 +410,13 @@ def simulate(
             x = flow_step(model, x, nu, jp.tau, S, dW[e], dP[e])
             flows += 1
             z += 1
-            time += jp.tau
-            record(k, FLOW)
+        xs.append(x)
+        zs.append(z)
 
-    return Trajectory(tuple(records), first_unsafe, first_exceed)
+    outcomes = _Outcomes(model, acbc, 1, 1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        outcomes.window(np.array(xs, dtype=float)[:, :, None], np.array(zs)[:, None])
+    return outcomes.results([None])[0]
 
 
 # Trajectories integrated together by the batched engine; bounds its memory
@@ -361,9 +432,9 @@ BLOCK_SIZE = 256
 # every case, and a block of 16 lost case 1 in four.
 BATCH_MIN = 20
 
-# Transitions per window of the batched engine: it decides exceedance and
-# unsafe entry once per window, over WINDOW x N values per coordinate, so
-# its buffers do not grow with the horizon.
+# Transitions per window of the batched engine: it hands them to _Outcomes
+# at once, WINDOW x N values per coordinate, so its buffers do not grow with
+# the horizon.
 WINDOW = 64
 
 
@@ -432,14 +503,9 @@ def _simulate_block(
     leaves the block when its state stops being finite.
 
     Each transition writes its state and z to a buffer of ``WINDOW``
-    transitions. When the buffer is full, and at the end, one pass over it
-    decides certificate exceedance and unsafe entry for every row, and
-    keeps the kept rows' slices. Their records follow from these: after
-    transition 0, z > 0 marks a flow (which leaves z >= 1) and z == 0 a
-    jump (which resets it), and the time is the running sum of tau over the
-    flows, which ``cumsum`` adds in the order ``simulate`` does. Beside the
-    noise chunks, memory stays O(WINDOW N n + T keep) over a horizon of T
-    transitions.
+    transitions, which goes to ``_Outcomes`` when full and at the end.
+    Beside the noise chunks, memory stays O(WINDOW N n + T keep) over a
+    horizon of T transitions.
     """
     jp, sv, n = model.jump, model.state_vars, model.n
     N = stop - start
@@ -467,43 +533,11 @@ def _simulate_block(
     gap = gaps[rows, 0]
     alive = np.ones(N, dtype=bool)
     errors: list[BlowUpError | None] = [None] * N
-    first_exceed = np.full(N, -1, dtype=np.int64)
-    first_unsafe = np.full(N, -1, dtype=np.int64)
-    n_kept = max(0, min(keep, stop) - start)
+    outcomes = _Outcomes(model, acbc, N, max(0, min(keep, stop) - start))
 
-    bfun = acbc.base.Bbar.compiled(sv) if acbc is not None else None
-    beta = np.array(acbc.weights) if acbc is not None else None
-    unsafe_box = _unsafe_box(model)
-
-    # the window: per transition the state and z; per full window, the kept
-    # rows' slices of it
+    # the window: per transition the state and z
     Xw = np.empty((WINDOW, n, N))
     zw = np.empty((WINDOW, N), dtype=np.int64)
-    kept: list[tuple] = []
-
-    def first(hits: np.ndarray, firsts: np.ndarray, k0: int) -> None:
-        """Set ``firsts`` to k0 plus the first hit's slot where unset."""
-        new = hits.any(0) & (firsts < 0)
-        firsts[new] = k0 + hits.argmax(0)[new]
-
-    def decide(k0: int, used: int) -> None:
-        """Exceedance and unsafe entry over the window's first ``used``
-        transitions, which start at transition k0."""
-        xs = [Xw[:used, i] for i in range(n)]
-        bval = None
-        if bfun is not None:
-            bval = beta[zw[:used]] * bfun(xs)
-            first(~(bval < acbc.eta), first_exceed, k0)
-        inside = np.ones((used, N), dtype=bool)
-        for i, lo, hi in unsafe_box:
-            inside &= (lo <= xs[i]) & (xs[i] <= hi)
-        first(inside, first_unsafe, k0)
-        if n_kept:
-            kept.append((
-                zw[:used, :n_kept].copy(),
-                Xw[:used, :, :n_kept].copy(),
-                None if bval is None else bval[:, :n_kept].copy(),
-            ))
 
     def blow_up(bad: np.ndarray, error) -> None:
         """End the rows of mask ``bad``, each with ``error(row)``."""
@@ -520,7 +554,6 @@ def _simulate_block(
             return err.with_traceback(None)
         raise AssertionError("block and scalar flow kernels disagree")
 
-    k0 = 0
     slot = 0
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(config.horizon_T + 1):
@@ -567,47 +600,13 @@ def _simulate_block(
             zw[slot] = z
             slot += 1
             if slot == WINDOW:
-                decide(k0, slot)
-                k0, slot = k + 1, 0
+                outcomes.window(Xw, zw)
+                slot = 0
             if not np.count_nonzero(alive):
                 break
         if slot:
-            decide(k0, slot)
-
-    out: list[Trajectory | BlowUpError] = []
-    if n_kept:
-        z_all, x_all, b_all = zip(*kept)
-        z_kept = np.concatenate(z_all)
-        # per kept row, its value at each transition; z is 0 at transition 0
-        times = np.cumsum(np.where(z_kept != 0, jp.tau, 0.0), axis=0).T.tolist()
-        zs = z_kept.T.tolist()
-        xs = np.concatenate(x_all).transpose(2, 0, 1).tolist()
-        bvals = None if bfun is None else np.concatenate(b_all).T.tolist()
-    for row in range(N):
-        if errors[row] is not None:
-            out.append(errors[row])
-            continue
-        records = ()
-        if row < n_kept:
-            records = tuple(
-                TransitionRecord(
-                    k,
-                    t,
-                    zk,
-                    "init" if not k else FLOW if zk else JUMP,
-                    tuple(x),
-                    None if bvals is None else bvals[row][k],
-                )
-                for k, (t, zk, x) in enumerate(zip(times[row], zs[row], xs[row]))
-            )
-        out.append(
-            Trajectory(
-                records=records,
-                first_unsafe=None if first_unsafe[row] < 0 else int(first_unsafe[row]),
-                first_exceed=None if first_exceed[row] < 0 else int(first_exceed[row]),
-            )
-        )
-    return out
+            outcomes.window(Xw[:slot], zw[:slot])
+    return outcomes.results(errors)
 
 
 def trajectory_csv(model: SHSModel, traj: Trajectory) -> str:
@@ -624,15 +623,20 @@ def trajectory_csv(model: SHSModel, traj: Trajectory) -> str:
     return "\n".join(lines)
 
 
-def clopper_pearson(successes: int, trials: int, confidence: float = 0.99) -> tuple[float, float]:
-    """Exact binomial two-sided confidence interval, from ``betaincinv``,
-    which ``scipy.stats.beta.ppf`` calls too. It is imported on first use:
-    ``scipy.stats`` would add about a second to every start-up."""
+# The level of the report's ci99_* intervals.
+CONFIDENCE = 0.99
+
+
+def clopper_pearson(successes: int, trials: int) -> tuple[float, float]:
+    """Exact binomial two-sided ``CONFIDENCE`` interval, from
+    ``betaincinv``, which ``scipy.stats.beta.ppf`` calls too. It is imported
+    on first use: ``scipy.stats`` would add about a second to every
+    start-up."""
     from scipy.special import betaincinv
 
     if not 0 <= successes <= trials:
         raise ValueError("need 0 <= successes <= trials")
-    a = 1.0 - confidence
+    a = 1.0 - CONFIDENCE
     lo = 0.0 if successes == 0 else float(betaincinv(successes, trials - successes + 1, a / 2))
     hi = 1.0 if successes == trials else float(betaincinv(successes + 1, trials - successes, 1 - a / 2))
     return lo, hi

@@ -17,6 +17,7 @@ from shscert import (
     check_acbc_conditions,
     check_cbc,
     construct_acbc,
+    load_case,
 )
 
 X = Polynomial.variable("x")
@@ -149,6 +150,13 @@ class TestConstruction:
         assert set(doc) == set(kept) | set(Acbc.derived_keys)
         with pytest.raises(TypeError):
             Acbc(a.base, a.jump, a.eps1, a.eps2, a.regime)
+
+    @pytest.mark.parametrize("case_id", [1, 2, 3])
+    def test_decay_is_derived_and_not_written(self, case_id):
+        case = load_case(case_id)
+        a = construct_acbc(case.candidate, case.model.jump, case.eps1, case.eps2)
+        assert a.decay == math.exp(-case.candidate.kappa1 * case.model.jump.tau)
+        assert "decay" not in a.to_dict()
 
 
 class TestBeta:

@@ -132,7 +132,8 @@ class TestJumpSchedule:
             assert JumpSchedule.parse(text).describe() == text
 
     @pytest.mark.parametrize(
-        "schedule", [JumpSchedule.fixed(3), JumpSchedule.cyclic([1, 7, 2]), JumpSchedule.uniform()]
+        "schedule",
+        [JumpSchedule("fixed", (3,)), JumpSchedule("cyclic", (1, 7, 2)), JumpSchedule.uniform()],
     )
     def test_codec_round_trip(self, schedule):
         assert schedule.to_dict() == schedule.describe()
@@ -159,12 +160,12 @@ class TestJumpSchedule:
     def test_gap_range_validated(self):
         jp = JumpParams(0.1, 2, 5)
         with pytest.raises(ValueError, match="outside admissible range"):
-            JumpSchedule.fixed(1).validate_for(jp)
-        JumpSchedule.fixed(3).validate_for(jp)
+            JumpSchedule("fixed", (1,)).validate_for(jp)
+        JumpSchedule("fixed", (3,)).validate_for(jp)
 
     def test_cyclic_sequence(self):
         jp = JumpParams(0.1, 1, 7)
-        sched = JumpSchedule.cyclic([2, 5])
+        sched = JumpSchedule("cyclic", (2, 5))
         rng = np.random.default_rng(0)
         state = rng.bit_generator.state
         assert sched.draw_gaps(jp, 0, 5, rng) == [2, 5, 2, 5, 2]

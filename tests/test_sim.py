@@ -213,7 +213,7 @@ class TestSimulate:
 
     def test_fixed_start_overrides_sampling(self, case1):
         config = SimConfig(
-            horizon_T=5, master_seed=3, schedule=JumpSchedule.fixed(7), x0=(1.0,)
+            horizon_T=5, master_seed=3, schedule=JumpSchedule("fixed", (7,)), x0=(1.0,)
         )
         traj = simulate(case1.model, case1.candidate, config, traj_index=0)
         assert traj.records[0].x == (1.0,)
@@ -240,7 +240,7 @@ class TestSimulate:
             assert traj.first_unsafe is None
 
     def test_schedule_gap_outside_range_rejected(self, case1):
-        config = SimConfig(horizon_T=10, master_seed=0, schedule=JumpSchedule.fixed(9))
+        config = SimConfig(horizon_T=10, master_seed=0, schedule=JumpSchedule("fixed", (9,)))
         with pytest.raises(ValueError, match="outside admissible range"):
             simulate(case1.model, case1.candidate, config, traj_index=0)
 
@@ -248,7 +248,7 @@ class TestSimulate:
 class TestTrajectoryCsv:
     def test_header_and_shape(self, case1):
         acbc = construct_acbc(case1.candidate, case1.model.jump, 0.1, 8.0)
-        config = SimConfig(horizon_T=10, master_seed=0, schedule=JumpSchedule.fixed(3))
+        config = SimConfig(horizon_T=10, master_seed=0, schedule=JumpSchedule("fixed", (3,)))
         traj = simulate(case1.model, case1.candidate, config, acbc=acbc, traj_index=0)
         text = trajectory_csv(case1.model, traj)
         lines = text.strip().splitlines()
@@ -352,7 +352,7 @@ class TestMonteCarlo:
         # its weights end at q2 = 7, the model's counter runs to 12
         acbc = construct_acbc(case2.candidate, case2.model.jump, 0.1, 8.0)
         model = replace(case2.model, jump=JumpParams(0.1, 1, 12))
-        config = SimConfig(horizon_T=20, n_trajectories=runs, schedule=JumpSchedule.fixed(12))
+        config = SimConfig(horizon_T=20, n_trajectories=runs, schedule=JumpSchedule("fixed", (12,)))
         match = "lifted certificate's jump parameters .* differ from the model's"
         with pytest.raises(ValueError, match=match):
             monte_carlo(model, case2.candidate, acbc, config)
@@ -364,7 +364,7 @@ class TestMonteCarlo:
     def test_blowups_counted_conservatively(self, case2):
         acbc = construct_acbc(case2.candidate, case2.model.jump, 0.1, 8.0)
         config = SimConfig(
-            horizon_T=100, n_trajectories=5, master_seed=0, schedule=JumpSchedule.fixed(1)
+            horizon_T=100, n_trajectories=5, master_seed=0, schedule=JumpSchedule("fixed", (1,))
         )
         rep = monte_carlo(case2.model, case2.candidate, acbc, config)
         assert rep.blowup_count > 0
@@ -674,6 +674,89 @@ class TestBatchedEngine:
         assert rep.exceed_count == config.n_trajectories
 
 
+def assert_outcome_rule(model, acbc, traj):
+    """Recompute from the records alone, on Python floats, what each
+    record and the trajectory state: b = beta(z) Bbar(x) bit for bit (NaN
+    as NaN), the first k with ``not b < eta``, the first k with x in Xu,
+    the time as the running sum of tau over the flows, and the scenario."""
+    sv = model.state_vars
+    bfun = acbc.base.Bbar.compiled(sv)
+    exceed = unsafe = None
+    time = 0.0
+    for r in traj.records:
+        b = acbc.weights[r.z] * bfun(r.x)
+        assert repr(r.b_value) == repr(b), r.k
+        if exceed is None and not b < acbc.eta:
+            exceed = r.k
+        if unsafe is None and all(lo <= r.x[sv.index(v)] <= hi for v, (lo, hi) in model.Xu.intervals.items()):
+            unsafe = r.k
+        if r.scenario == FLOW:
+            time += model.jump.tau
+        assert r.scenario == ("init" if r.k == 0 else FLOW if r.z else JUMP)
+        assert repr(r.time) == repr(time)
+    assert (traj.first_exceed, traj.first_unsafe) == (exceed, unsafe)
+
+
+class TestOutcomeRule:
+    """What both engines decide from the stepped states, against a plain
+    recomputation from the records."""
+
+    @pytest.mark.parametrize("case_id", [1, 2, 3])
+    def test_bundled_cases(self, case_id):
+        case = load_case(case_id)
+        acbc = construct_acbc(case.candidate, case.model.jump, case.eps1, case.eps2)
+        n = sim.BATCH_MIN
+        config = SimConfig(horizon_T=100, n_trajectories=n, master_seed=7, schedule=case.schedule)
+        batch = _simulate_block(case.model, case.candidate, config, acbc, 0, n, keep=n)
+        scalar = [_outcome(lambda i=i: simulate(case.model, case.candidate, config, acbc, i)) for i in range(4)]
+        runs = [t for t in batch + scalar if isinstance(t, sim.Trajectory)]
+        assert len(runs) > n // 2
+        for traj in runs:
+            assert len(traj.records) == config.horizon_T + 1
+            assert_outcome_rule(case.model, acbc, traj)
+        if case_id == 2:
+            assert any(t.first_exceed is not None for t in runs)
+
+    def test_nan_certificate_value(self):
+        # the model and certificate of test_nan_certificate_value_counts_as_exceedance
+        m = scalar_model(f1=0.0 * X, f2=X, sigma=0.0, rho=0.0, rate=0.0, X=(0.0, 1e81))
+        cand = CbcCandidate(
+            X**4 - X**5, 1.0, 0.5, 0.5, 0.01, 0.3, 60.0,
+            (Polynomial.constant(0.0),), (Polynomial.constant(0.0),),
+        )
+        acbc = construct_acbc(cand, m.jump, 0.1, 8.0)
+        n = sim.BATCH_MIN
+        config = SimConfig(horizon_T=5, n_trajectories=n, x0=(1e80,))
+        runs = [simulate(m, cand, config, acbc=acbc)]
+        runs += _simulate_block(m, cand, config, acbc, 0, n, keep=n)
+        for traj in runs:
+            assert math.isnan(traj.records[0].b_value)
+            assert_outcome_rule(m, acbc, traj)
+
+    def test_simulate_steps_through_the_module_attributes(self, case2, monkeypatch):
+        # the benchmark traces sim.flow_step and sim.jump_step by replacing
+        # them on the module: each flow and each jump must call them once
+        calls = {FLOW: 0, JUMP: 0}
+
+        def counting(scenario, step):
+            def counted(*args, **kwargs):
+                calls[scenario] += 1
+                return step(*args, **kwargs)
+
+            return counted
+
+        monkeypatch.setattr(sim, "flow_step", counting(FLOW, sim.flow_step))
+        monkeypatch.setattr(sim, "jump_step", counting(JUMP, sim.jump_step))
+        acbc = construct_acbc(case2.candidate, case2.model.jump, case2.eps1, case2.eps2)
+        config = SimConfig(horizon_T=100, master_seed=7, schedule=JumpSchedule.parse("fixed:7"))
+        scenarios = []
+        for idx in range(3):
+            traj = simulate(case2.model, case2.candidate, config, acbc, idx)
+            scenarios += [r.scenario for r in traj.records]
+        assert calls == {FLOW: scenarios.count(FLOW), JUMP: scenarios.count(JUMP)}
+        assert calls[JUMP] > 0
+
+
 def _flows_before_blow_up(model, cand, config, idx) -> int:
     """Flows trajectory ``idx`` completes before its state stops being
     finite: the flows of its longest horizon that does not blow up, which
@@ -796,7 +879,7 @@ class TestStreamLayout:
         S, n = 20, 8
         C, Cj = sim._chunk_periods(S), sim.JUMP_CHUNK
         config = SimConfig(
-            horizon_T=100, n_trajectories=n, master_seed=13, schedule=JumpSchedule.fixed(1)
+            horizon_T=100, n_trajectories=n, master_seed=13, schedule=JumpSchedule("fixed", (1,))
         )
         streams = {}
 
