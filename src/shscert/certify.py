@@ -16,7 +16,7 @@ from typing import Sequence
 
 from .codec import Codec
 from .model import SHSModel
-from .poly import IntervalBox, NonnegReport, Polynomial, nonneg_on_box
+from .poly import IntervalBox, NonnegReport, Polynomial, exact_key, nonneg_on_box
 
 
 @dataclass(frozen=True)
@@ -181,12 +181,6 @@ def _bits(*xs: float) -> bytes:
     return struct.pack(f"{len(xs)}d", *xs)
 
 
-def _exact(p: Polynomial) -> tuple:
-    """Key equal for two polynomials only if their variables, ordered
-    terms and coefficient bits are; Polynomial.__eq__ ignores term order."""
-    return p.vars, tuple(p.terms), _bits(*p.terms.values())
-
-
 class _Last:
     """The last result of one computation, reused while its key repeats."""
 
@@ -213,11 +207,16 @@ class CbcChecker:
         nonneg:  Bbar
 
     On a miss it also reuses the last generator (keyed on Bbar and
-    nu_flow) and the last jump expectation (keyed on Bbar and nu_jump); the
-    univariate critical points are reused by poly itself. So a candidate
-    that shares part of its input with the previous one is checked faster,
-    and every report is bitwise equal to a fresh check. One entry per slot
-    keeps memory bounded.
+    nu_flow) and the last jump expectation (keyed on Bbar and nu_jump).
+    Below that, poly reuses work of its own: ``Polynomial.substitute`` takes
+    the powers of a recently substituted polynomial (a Poisson shift
+    x + rho, a closed-loop jump map f2(x, nu_jump(x), w)) from a memo, so a
+    new Bbar under the same controllers does not expand them again, and
+    ``min_on_interval`` reuses the critical points of a recent derivative
+    and interval. So a candidate that shares part of its input with the
+    previous one is checked faster, and every report is bitwise equal to a
+    fresh check. One entry per slot, and poly's bounded memos, keep memory
+    bounded.
     """
 
     def __init__(self, model: SHSModel, domain: IntervalBox | None = None):
@@ -229,9 +228,9 @@ class CbcChecker:
 
     def check(self, cand: CbcCandidate) -> CbcReport:
         model, dom, B = self.model, self.domain, cand.Bbar
-        bkey = _exact(B)
-        fkey = (bkey, tuple(map(_exact, cand.nu_flow)))
-        jkey = (bkey, tuple(map(_exact, cand.nu_jump)))
+        bkey = exact_key(B)
+        fkey = (bkey, tuple(map(exact_key, cand.nu_flow)))
+        jkey = (bkey, tuple(map(exact_key, cand.nu_jump)))
 
         def flow():
             return flow_condition(cand, self._gen.get(fkey, generator, model, B, cand.nu_flow))

@@ -81,13 +81,8 @@ class Polynomial:
         what ``__init__`` keeps of such input, the nonzero ``float``
         coefficients in term order, without its checks."""
         p = object.__new__(cls)
-        clean: dict[tuple[int, ...], float] = {}
-        for exp, coef in terms.items():
-            c = float(coef)
-            if c != 0.0:
-                clean[exp] = c
         p.vars = variables
-        p.terms = clean
+        p.terms = {exp: float(c) for exp, c in terms.items() if c != 0.0}
         p._compiled = {}
         p._effective = None
         return p
@@ -138,24 +133,19 @@ class Polynomial:
         if self.vars == other.vars:
             return self.vars, self.terms, other.terms
         allvars = tuple(sorted(set(self.vars) | set(other.vars)))
-
-        def remap(p: "Polynomial") -> dict:
-            if p.vars == allvars:
-                return p.terms
-            pos = [allvars.index(v) for v in p.vars]
-            out: dict[tuple[int, ...], float] = {}
-            for exp, c in p.terms.items():
-                key = [0] * len(allvars)
-                for i, e in enumerate(exp):
-                    key[pos[i]] = e
-                out[tuple(key)] = c
-            return out
-
-        return allvars, remap(self), remap(other)
+        return allvars, _remap(self, allvars), _remap(other, allvars)
 
     # -- arithmetic -------------------------------------------------------
 
     def __add__(self, other) -> "Polynomial":
+        if isinstance(other, (int, float)):
+            # the general loop below, with the constant's one term inline
+            out = dict(self.terms)
+            c = float(other)
+            if c != 0.0:
+                zero = (0,) * len(self.vars)
+                out[zero] = out.get(zero, 0.0) + c
+            return Polynomial._unchecked(self.vars, out)
         other = _as_poly(other)
         allvars, a, b = self._aligned(other)
         out = dict(a)
@@ -180,10 +170,24 @@ class Polynomial:
         other = _as_poly(other)
         allvars, a, b = self._aligned(other)
         out: dict[tuple[int, ...], float] = {}
-        for ea, ca in a.items():
-            for eb, cb in b.items():
-                key = tuple(map(operator.add, ea, eb))
-                out[key] = out.get(key, 0.0) + ca * cb
+        get = out.get
+        # one loop per arity, each in the general loop's order: the same
+        # products added to the same sums in the same order
+        if len(allvars) == 1:
+            for (i,), ca in a.items():
+                for (j,), cb in b.items():
+                    key = (i + j,)
+                    out[key] = get(key, 0.0) + ca * cb
+        elif len(allvars) == 2:
+            for (i, k), ca in a.items():
+                for (j, l), cb in b.items():
+                    key = (i + j, k + l)
+                    out[key] = get(key, 0.0) + ca * cb
+        else:
+            for ea, ca in a.items():
+                for eb, cb in b.items():
+                    key = tuple(map(operator.add, ea, eb))
+                    out[key] = get(key, 0.0) + ca * cb
         return Polynomial._unchecked(allvars, out)
 
     __rmul__ = __mul__
@@ -315,22 +319,27 @@ class Polynomial:
         return Polynomial._unchecked(self.vars, out)
 
     def substitute(self, mapping: Mapping[str, "Polynomial | float"]) -> "Polynomial":
-        """Simultaneously replace variables by polynomials (exact composition)."""
-        # each variable's repeated squares, formed once and shared by
-        # every power of it that __pow__ would form from them
-        squares = {v: [_as_poly(q)] for v, q in mapping.items()}
-        result = Polynomial.constant(0.0)
+        """Simultaneously replace variables by polynomials (exact composition).
+
+        Bitwise the sum, in term order, of each term's coefficient times the
+        powers of its variables' substitutes, as ``+``, ``*`` and ``**``
+        form them. The powers of a substituted polynomial come from a small
+        memo keyed on its exact bits (``_powers``), so a polynomial
+        substituted again, as a jump map is for every new certificate, is
+        not expanded again.
+        """
+        powers = {v: _powers(exact_key(_as_poly(q))) for v, q in mapping.items()}
+        terms = []
         for exp, coef in self.terms.items():
-            term = Polynomial.constant(coef)
+            term = None
             for v, e in zip(self.vars, exp):
                 if not e:
                     continue
-                if v in squares:
-                    term = term * _power(squares[v], e)
-                else:
-                    term = term * Polynomial._unchecked((v,), {(e,): 1.0})
-            result = result + term
-        return result
+                pw = powers[v].get(e) if v in powers else Polynomial._unchecked((v,), {(e,): 1.0})
+                # pw * coef is Polynomial.constant(coef) * pw, bit for bit
+                term = pw * coef if term is None else term * pw
+            terms.append(Polynomial.constant(coef) if term is None else term)
+        return _sum(terms)
 
     def expect(self, moments: Mapping[str, "NoiseMoments"]) -> "Polynomial":
         """Integrate out noise variables using their raw moments.
@@ -470,6 +479,80 @@ def _power(squares: list[Polynomial], k: int) -> Polynomial:
         k >>= 1
         j += 1
     return result
+
+
+def exact_key(p: Polynomial) -> tuple:
+    """Key equal for two polynomials only if their variables, ordered terms
+    and coefficient bits are. Polynomial.__eq__ and __hash__ ignore term
+    order, which changes the bits of sums and products."""
+    return p.vars, tuple(p.terms), struct.pack(f"{len(p.terms)}d", *p.terms.values())
+
+
+class _Powers:
+    """The powers of one polynomial that substitute has formed, each by
+    ``_power`` from the repeated squares it keeps."""
+
+    def __init__(self, base: Polynomial):
+        self.squares = [base]
+        self.by_exponent: dict[int, Polynomial] = {}
+
+    def get(self, k: int) -> Polynomial:
+        pw = self.by_exponent.get(k)
+        if pw is None:
+            pw = self.by_exponent[k] = _power(self.squares, k)
+        return pw
+
+
+# Substituted polynomials whose powers _powers keeps, least recently used
+# out first. A search substitutes the same controllers, Poisson shifts and
+# closed-loop jump maps for one certificate after another. Measured working
+# sets: the case-1 repair reuses only entries among its last 4 (78 % of its
+# mappings hit, at 4 entries as at 32), the benchmark's cli-session meets 13
+# distinct substituted polynomials in 600 requests and mc-repro 10, so all
+# of them stay.
+POWER_MEMO = 32
+
+
+@functools.lru_cache(maxsize=POWER_MEMO)
+def _powers(key: tuple) -> _Powers:
+    """The powers of the polynomial whose ``exact_key`` is ``key``, rebuilt
+    from the key's bits. No caller sees the polynomials kept here: substitute
+    only multiplies them into new ones."""
+    variables, exps, bits = key
+    coefs = struct.unpack(f"{len(exps)}d", bits)
+    return _Powers(Polynomial._unchecked(variables, dict(zip(exps, coefs))))
+
+
+def _remap(p: Polynomial, allvars: tuple[str, ...]) -> dict[tuple[int, ...], float]:
+    """p's terms with exponents aligned to ``allvars``, a superset of p's
+    variables, in p's term order."""
+    if p.vars == allvars:
+        return p.terms
+    pos = [allvars.index(v) for v in p.vars]
+    out: dict[tuple[int, ...], float] = {}
+    for exp, c in p.terms.items():
+        key = [0] * len(allvars)
+        for i, e in enumerate(exp):
+            key[pos[i]] = e
+        out[tuple(key)] = c
+    return out
+
+
+def _sum(polys: Sequence[Polynomial]) -> Polynomial:
+    """``Polynomial.constant(0.0) + polys[0] + polys[1] + ...`` bit for bit,
+    in one dict: each sum is formed as ``+`` forms it, and a coefficient
+    that cancels to exactly 0 is dropped, so a later term puts its key back
+    at the end of the term order, as it does after ``+`` dropped it."""
+    allvars = tuple(sorted(set().union(*(p.vars for p in polys))))
+    out: dict[tuple[int, ...], float] = {}
+    for p in polys:
+        for exp, c in _remap(p, allvars).items():
+            s = out.get(exp, 0.0) + c
+            if s == 0.0:
+                del out[exp]
+            else:
+                out[exp] = s
+    return Polynomial._unchecked(allvars, out)
 
 
 def _as_poly(x) -> Polynomial:

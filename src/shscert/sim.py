@@ -45,7 +45,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -369,6 +369,18 @@ def simulate(
     noise layout, counter and blow-ups) and for the windowing, since a
     block hands over windows of ``WINDOW`` transitions.
     """
+    return _simulate(model, cand, config, acbc, traj_index, records=True)
+
+
+def _simulate(
+    model: SHSModel,
+    cand: CbcCandidate,
+    config: SimConfig,
+    acbc: Acbc | None,
+    traj_index: int,
+    records: bool,
+) -> Trajectory:
+    """``simulate``, with the trajectory's records only if ``records``."""
     jp, sv = model.jump, model.state_vars
     check_config(model, config, acbc)
     rng = trajectory_rng(config.master_seed, traj_index)
@@ -413,7 +425,7 @@ def simulate(
         xs.append(x)
         zs.append(z)
 
-    outcomes = _Outcomes(model, acbc, 1, 1)
+    outcomes = _Outcomes(model, acbc, 1, int(records))
     with np.errstate(over="ignore", invalid="ignore"):
         outcomes.window(np.array(xs, dtype=float)[:, :, None], np.array(zs)[:, None])
     return outcomes.results([None])[0]
@@ -452,8 +464,9 @@ def trajectories(
     first ``keep`` carry their records; the others carry only their
     first-exceed and first-unsafe indices. Blocks of ``BLOCK_SIZE``
     trajectories run on the batched engine, which steps a whole block as
-    arrays; a block of fewer than ``BATCH_MIN`` runs on ``simulate``. Both
-    give the same result for every index.
+    arrays; a block of fewer than ``BATCH_MIN`` runs one trajectory at a
+    time on ``simulate``'s path, which builds records for kept rows only.
+    Both give the same result for every index.
     """
     check_config(model, config, acbc)
     n = config.n_trajectories
@@ -463,12 +476,15 @@ def trajectories(
             yield from _simulate_block(model, cand, config, acbc, start, stop, keep)
             continue
         for idx in range(start, stop):
+            # kept rows run through simulate itself, which the benchmark traces
             try:
-                traj = simulate(model, cand, config, acbc=acbc, traj_index=idx)
+                if idx < keep:
+                    traj = simulate(model, cand, config, acbc=acbc, traj_index=idx)
+                else:
+                    traj = _simulate(model, cand, config, acbc, idx, records=False)
             except BlowUpError as e:
-                yield e.with_traceback(None)
-                continue
-            yield traj if idx < keep else replace(traj, records=())
+                traj = e.with_traceback(None)
+            yield traj
 
 
 def _simulate_block(

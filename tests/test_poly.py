@@ -5,6 +5,7 @@ import json
 import math
 import struct
 from fractions import Fraction
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -1176,3 +1177,186 @@ class TestHash:
         assert hash(Polynomial((), {})) == hash(Polynomial(("x",), {}))
         assert hash(Polynomial.constant(2.0)) == hash(Polynomial(("x",), {(0,): 2.0}))
         assert len({Polynomial(("x", "y"), {(1, 0): 1.0}), X}) == 1
+
+
+# -- substitution against the kernel before its powers memo ------------------
+#
+# The references below are the earlier substitute and product: every term
+# starts as Polynomial.constant(coef), takes each power by square-and-multiply
+# afresh, and is added to the running sum with +; the product runs one loop
+# for any number of variables. The kernel must give the same bits, with its
+# powers memo cold and warm.
+
+
+def _ref_unchecked(variables, terms):
+    p = object.__new__(Polynomial)
+    clean = {}
+    for exp, coef in terms.items():
+        c = float(coef)
+        if c != 0.0:
+            clean[exp] = c
+    p.vars, p.terms, p._compiled, p._effective = variables, clean, {}, None
+    return p
+
+
+def _ref_aligned(a, b):
+    if a.vars == b.vars:
+        return a.vars, a.terms, b.terms
+    allvars = tuple(sorted(set(a.vars) | set(b.vars)))
+
+    def remap(p):
+        pos = [allvars.index(v) for v in p.vars]
+        out = {}
+        for exp, c in p.terms.items():
+            key = [0] * len(allvars)
+            for i, e in enumerate(exp):
+                key[pos[i]] = e
+            out[tuple(key)] = c
+        return out
+
+    return allvars, remap(a), remap(b)
+
+
+def _ref_add(a, b):
+    allvars, ta, tb = _ref_aligned(a, b)
+    out = dict(ta)
+    for exp, c in tb.items():
+        out[exp] = out.get(exp, 0.0) + c
+    return _ref_unchecked(allvars, out)
+
+
+def _ref_mul(a, b):
+    allvars, ta, tb = _ref_aligned(a, b)
+    out = {}
+    for ea, ca in ta.items():
+        for eb, cb in tb.items():
+            key = tuple(map(lambda i, j: i + j, ea, eb))
+            out[key] = out.get(key, 0.0) + ca * cb
+    return _ref_unchecked(allvars, out)
+
+
+def _ref_power(squares, k):
+    result, j = None, 0
+    while k:
+        if j == len(squares):
+            squares.append(_ref_mul(squares[-1], squares[-1]))
+        if k & 1:
+            result = squares[j] if result is None else _ref_mul(result, squares[j])
+        k >>= 1
+        j += 1
+    return result
+
+
+def _ref_substitute_term_by_term(p, mapping):
+    squares = {
+        v: [q if isinstance(q, Polynomial) else _ref_unchecked((), {(): float(q)})]
+        for v, q in mapping.items()
+    }
+    result = _ref_unchecked((), {})
+    for exp, coef in p.terms.items():
+        term = _ref_unchecked((), {(): coef})
+        for v, e in zip(p.vars, exp):
+            if e:
+                pw = _ref_power(squares[v], e) if v in squares else _ref_unchecked((v,), {(e,): 1.0})
+                term = _ref_mul(term, pw)
+        result = _ref_add(result, term)
+    return result
+
+
+# small integers and halves cancel exactly; 1e-200 squared underflows to a
+# signed zero and 1e200 squared overflows to inf (and opposite infinities
+# sum to nan)
+EXACT_COEFS = st.one_of(
+    st.sampled_from((1.0, -1.0, 0.5, -0.5, 2.0, -2.0, 3.0, 1e-200, -1e-200, 1e200, -1e200)),
+    COEFS,
+)
+
+
+@st.composite
+def ordered_polynomials(draw, names=("x", "y", "z", "w")):
+    """A polynomial over up to three of ``names``, its terms in a drawn
+    order."""
+    vs = draw(st.lists(st.sampled_from(names), min_size=1, max_size=3, unique=True))
+    exps = st.tuples(*[st.integers(0, 4)] * len(vs)).filter(lambda e: sum(e) <= 5)
+    terms = list(draw(st.dictionaries(exps, EXACT_COEFS, max_size=6)).items())
+    return Polynomial(vs, dict(draw(st.permutations(terms))))
+
+
+# float substitutes, signed zeros among them
+MAPPED_FLOATS = st.sampled_from((0.0, -0.0, 1.5, -2.0, 1e-200, 1e200))
+
+
+@st.composite
+def mappings(draw):
+    """Substitutes for a subset of x, y and z (w is never mapped)."""
+    keys = draw(st.lists(st.sampled_from(("x", "y", "z")), max_size=3, unique=True))
+    return {k: draw(st.one_of(ordered_polynomials(), MAPPED_FLOATS)) for k in keys}
+
+
+XY = Polynomial(("x", "y"), {(1, 1): 1.0, (2, 0): 1.0})
+
+
+class TestSubstitutionMemo:
+    @settings(max_examples=400, deadline=None)
+    @given(p=ordered_polynomials(), mapping=mappings())
+    # two mapped variables in one term, whose products cancel to exactly 0
+    @example(p=XY, mapping={"x": X, "y": -X})
+    # both signed zeros as substitutes; w stays unmapped
+    @example(p=Polynomial(("w", "x", "y"), {(1, 1, 0): 2.0, (0, 0, 1): 1.0}), mapping={"x": -0.0, "y": 0.0})
+    # y cancels, then comes back at the end of the term order
+    @example(
+        p=Polynomial(("x", "y", "z"), {(1, 0, 0): 1.0, (0, 1, 0): -1.0, (0, 0, 0): 1.0, (0, 0, 1): 1.0}),
+        mapping={"x": Polynomial.variable("y"), "z": Polynomial.variable("y")},
+    )
+    def test_bits_match_term_by_term_with_the_memo_cold_and_warm(self, p, mapping):
+        want = _layout(_ref_substitute_term_by_term(p, mapping))
+        poly._powers.cache_clear()
+        assert _layout(p.substitute(mapping)) == want
+        assert _layout(p.substitute(mapping)) == want
+        assert poly._powers.cache_info().hits >= len(mapping)
+
+    @settings(max_examples=300, deadline=None)
+    @given(p=ordered_polynomials(), q=ordered_polynomials(), c=st.one_of(EXACT_COEFS, MAPPED_FLOATS))
+    def test_products_and_scalar_sums_match_the_general_loops(self, p, q, c):
+        assert _layout(p * q) == _layout(_ref_mul(p, q))
+        constant = _ref_unchecked((), {(): c})
+        assert _layout(p + c) == _layout(c + p) == _layout(_ref_add(p, constant))
+
+    def test_equal_polynomials_in_another_term_order_get_their_own_entry(self):
+        q1 = Polynomial(("x",), {(1,): 1.0, (0,): 0.1})
+        q2 = Polynomial(("x",), {(0,): 0.1, (1,): 1.0})
+        assert q1 == q2 and hash(q1) == hash(q2)
+        p = 0.9 * X**3
+        poly._powers.cache_clear()
+        got = [p.substitute({"x": q}) for q in (q1, q2)]
+        info = poly._powers.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (0, 2, 2)
+        for r, q in zip(got, (q1, q2)):
+            assert _layout(r) == _layout(_ref_substitute_term_by_term(p, {"x": q}))
+        # the term order of the substitute is that of the result
+        assert list(got[0].terms) == [(3,), (2,), (1,), (0,)]
+        assert list(got[1].terms) == [(0,), (1,), (2,), (3,)]
+
+    def test_memo_stops_at_its_bound(self):
+        poly._powers.cache_clear()
+        for i in range(poly.POWER_MEMO + 10):
+            (X**3).substitute({"x": X + float(i)})
+        info = poly._powers.cache_info()
+        assert info.maxsize == poly.POWER_MEMO and info.currsize == poly.POWER_MEMO
+        # the newest substitute is kept and the oldest went first
+        (X**3).substitute({"x": X + float(poly.POWER_MEMO + 9)})
+        assert poly._powers.cache_info().hits == info.hits + 1
+        (X**3).substitute({"x": X + 0.0})
+        assert poly._powers.cache_info().misses == info.misses + 1
+
+    def test_nothing_outside_poly_reads_the_memo(self):
+        root = Path(poly.__file__).resolve().parents[2]
+        sources = [
+            *root.glob("src/shscert/*.py"), *root.glob("perfbench/*.py"),
+            *root.glob("demos/*.py"), *root.glob("tools/*.py"),
+        ]
+        assert len(sources) > 10
+        for path in sources:
+            if path.name != "poly.py":
+                text = path.read_text()
+                assert "_powers" not in text and "POWER_MEMO" not in text, path

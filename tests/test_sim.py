@@ -756,6 +756,25 @@ class TestOutcomeRule:
         assert calls == {FLOW: scenarios.count(FLOW), JUMP: scenarios.count(JUMP)}
         assert calls[JUMP] > 0
 
+    def test_small_block_builds_records_for_kept_rows_only(self, case2, monkeypatch):
+        acbc = construct_acbc(case2.candidate, case2.model.jump, case2.eps1, case2.eps2)
+        config = SimConfig(horizon_T=100, n_trajectories=5, master_seed=7, schedule=case2.schedule)
+        want = [simulate(case2.model, case2.candidate, config, acbc, idx) for idx in range(5)]
+        built, record = [], sim.TransitionRecord
+
+        def counted(*args):
+            built.append(args[0])
+            return record(*args)
+
+        monkeypatch.setattr(sim, "TransitionRecord", counted)
+        got = list(trajectories(case2.model, case2.candidate, config, acbc, keep=2))
+        assert len(built) == 2 * (config.horizon_T + 1)
+        assert [t.records for t in got] == [want[0].records, want[1].records, (), (), ()]
+        assert [(t.first_exceed, t.first_unsafe) for t in got] == [
+            (t.first_exceed, t.first_unsafe) for t in want
+        ]
+        assert any(t.first_exceed is not None for t in got[2:])
+
 
 def _flows_before_blow_up(model, cand, config, idx) -> int:
     """Flows trajectory ``idx`` completes before its state stops being

@@ -10,8 +10,11 @@ so a drift of the machine weighs on both sides alike. The output records
 the machine, both git SHAs (marked ``-dirty`` for a checkout with
 uncommitted edits), each run's gated end-to-end metrics (the
 ``end_to_end`` names of HEAD's BENCHMARK.json) with its counts of
-operations attempted and failed, and per metric the median and quartiles
-of each side and the number of pairs the head wins. ``--out`` is written
+operations attempted and failed, its uncalibrated metrics and the median
+of its calibration's speed factor, and per metric, calibrated and
+uncalibrated, the median and quartiles of each side and the number of
+pairs the head wins. A speed factor that differs between the sides moves
+the calibrated metrics but not the uncalibrated ones. ``--out`` is written
 after every pair, so a run cut short keeps the pairs it finished. After
 the pairs of a workload, one ``--trace 1`` run per side on the first
 pair's seed adds the per-layer metrics of its traced replay, with the
@@ -65,11 +68,14 @@ def spread(values: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3}
 
 
-def summarize(pairs: list[dict], gated: dict[str, str]) -> dict:
+def summarize(pairs: list[dict], gated: dict[str, str], suffix: str = "") -> dict:
+    """Per gated metric, the comparison of the pairs' ``base<suffix>`` and
+    ``head<suffix>`` values: "" for the calibrated metrics, "_raw" for the
+    uncalibrated ones."""
     out = {}
     for name, better in gated.items():
-        base = [p["base"][name] for p in pairs]
-        head = [p["head"][name] for p in pairs]
+        base = [p["base" + suffix][name] for p in pairs]
+        head = [p["head" + suffix][name] for p in pairs]
         sign = 1.0 if better == "higher" else -1.0
         b, h = spread(base), spread(head)
         out[name] = {
@@ -121,6 +127,10 @@ def main(argv: list[str] | None = None) -> int:
                 doc["machine"] = doc["machine"] or run["report"]["machine"]
                 metrics = run["result"]["metrics"]
                 pair[side] = {name: metrics[name]["value"] for name in gated}
+                pair[f"{side}_raw"] = {
+                    name: m["value"] for name, m in run["report"]["raw_metrics"].items()
+                }
+                pair[f"{side}_speed_factor"] = run["report"]["speed_factor"]["median"]
                 pair[f"{side}_correct"] = run["result"]["correct"]
                 pair[f"{side}_ops"] = {k: run["result"][k] for k in ("attempted", "failed")}
             pairs.append(pair)
@@ -128,6 +138,11 @@ def main(argv: list[str] | None = None) -> int:
             entry = doc["workloads"][workload] = {"pairs": pairs}
             if len(pairs) > 1:  # quartiles need two runs a side
                 entry["summary"] = summarize(pairs, gated)
+                entry["raw_summary"] = summarize(pairs, gated, "_raw")
+                entry["speed_factor"] = {
+                    side: spread([p[f"{side}_speed_factor"] for p in pairs])
+                    for side in ("base", "head")
+                }
             args.out.write_text(json.dumps(doc, indent=2) + "\n")
         trace = {"seed": args.seed}
         for side in ("base", "head"):
