@@ -767,7 +767,10 @@ def sturm_root_count(p: Polynomial, a: float, b: float) -> int:
 def _sign_bisect(rc: list[float], lo: float, hi: float) -> float | None:
     """Bisect [lo, hi] on the sign of the polynomial rc (descending) down
     to ROOT_WIDTH: the midpoint of the last bracket, or a midpoint where rc
-    is exactly 0. None where the signs at lo and hi do not differ strictly.
+    is exactly 0. None where the signs at lo and hi do not differ strictly,
+    or where both values are within SIGN_TOL of 0: the Sturm counts take
+    such a value for a root at that end, and count the one at hi but not
+    the one at lo, which this sign change may bracket instead.
     """
     flo, fhi = 0.0, 0.0
     for coef in rc:
@@ -775,6 +778,8 @@ def _sign_bisect(rc: list[float], lo: float, hi: float) -> float | None:
         fhi = fhi * hi + coef
     # the signs, not the product: a product can underflow to 0
     if not (flo < 0.0 < fhi or fhi < 0.0 < flo):
+        return None
+    if max(abs(flo), abs(fhi)) <= SIGN_TOL:
         return None
     up = flo < 0.0
     while hi - lo > ROOT_WIDTH:

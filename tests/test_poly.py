@@ -850,8 +850,8 @@ def _ref_sturm_chain(c):
 
 def _ref_isolate_roots(c, a, b, width=poly.ROOT_WIDTH):
     """Sturm bisection until a bracket holds one distinct root; then, where
-    the square-free part of c has strictly opposite signs at the ends,
-    bisection on its sign, stopping at an exact 0."""
+    the square-free part of c has strictly opposite signs at the ends, not
+    both within SIGN_TOL of 0, bisection on its sign, stopping at an exact 0."""
     chain = [d[::-1] for d in poly._sturm_chain(poly._trim(c))]
     if len(chain[0]) <= 1:
         return []
@@ -868,7 +868,8 @@ def _ref_isolate_roots(c, a, b, width=poly.ROOT_WIDTH):
             return []
         if hi - lo <= width:
             return [0.5 * (lo + hi)]
-        if vlo - vhi == 1 and sign(lo) * sign(hi) == -1:
+        clear = max(abs(_ref_polyval(chain[0], x)) for x in (lo, hi)) > poly.SIGN_TOL
+        if vlo - vhi == 1 and clear and sign(lo) * sign(hi) == -1:
             s = sign(lo)
             while hi - lo > width:
                 mid = 0.5 * (lo + hi)
@@ -1103,6 +1104,11 @@ class TestRootIsolation:
                3.6404076412266493, 4.801211634311189],
         lead=-5.713145863513655,
         interval=(-0.38390569135881236, 5.867860350872549),
+    )
+    @example(  # 0.25 lost: its sign change taken for the root at 0, within SIGN_TOL of a
+        roots=[0.0, 0.25000000000000006],
+        lead=-1.0,
+        interval=(-2.2250738585072014e-308, 1.0),
     )
     def test_each_root_once_within_1e_9(self, roots, lead, interval):
         a, b = interval
