@@ -138,14 +138,6 @@ class Polynomial:
     # -- arithmetic -------------------------------------------------------
 
     def __add__(self, other) -> "Polynomial":
-        if isinstance(other, (int, float)):
-            # the general loop below, with the constant's one term inline
-            out = dict(self.terms)
-            c = float(other)
-            if c != 0.0:
-                zero = (0,) * len(self.vars)
-                out[zero] = out.get(zero, 0.0) + c
-            return Polynomial._unchecked(self.vars, out)
         other = _as_poly(other)
         allvars, a, b = self._aligned(other)
         out = dict(a)

@@ -476,12 +476,8 @@ def trajectories(
             yield from _simulate_block(model, cand, config, acbc, start, stop, keep)
             continue
         for idx in range(start, stop):
-            # kept rows run through simulate itself, which the benchmark traces
             try:
-                if idx < keep:
-                    traj = simulate(model, cand, config, acbc=acbc, traj_index=idx)
-                else:
-                    traj = _simulate(model, cand, config, acbc, idx, records=False)
+                traj = _simulate(model, cand, config, acbc, idx, records=idx < keep)
             except BlowUpError as e:
                 traj = e.with_traceback(None)
             yield traj

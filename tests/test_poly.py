@@ -1105,11 +1105,6 @@ class TestRootIsolation:
         lead=-5.713145863513655,
         interval=(-0.38390569135881236, 5.867860350872549),
     )
-    @example(  # 0.25 lost: its sign change taken for the root at 0, within SIGN_TOL of a
-        roots=[0.0, 0.25000000000000006],
-        lead=-1.0,
-        interval=(-2.2250738585072014e-308, 1.0),
-    )
     def test_each_root_once_within_1e_9(self, roots, lead, interval):
         a, b = interval
         got = poly._isolate_roots(_from_roots(roots, lead), a, b)
@@ -1117,6 +1112,16 @@ class TestRootIsolation:
             if a + 1e-6 < r < b - 1e-6:
                 near = [x for x in got if abs(x - r) < 0.125]
                 assert len(near) == 1 and abs(near[0] - r) <= 1e-9, (r, got)
+
+    def test_root_beside_an_end_within_sign_tol_is_kept(self):
+        # Both ends of the bracket (a, 0.25] evaluate within SIGN_TOL of 0.
+        # The Sturm count there counts the root at 0.25; the strict sign
+        # change between the ends is the uncounted root at 0, just right of
+        # a, and bisecting on it lost the root at 0.25.
+        a, b = -2.2250738585072014e-308, 1.0
+        got = poly._isolate_roots(_from_roots([0.0, 0.25000000000000006], -1.0), a, b)
+        near = [x for x in got if abs(x - 0.25) < 0.125]
+        assert len(near) == 1 and abs(near[0] - 0.25) <= 1e-9, got
 
     def test_sign_counts_stop_once_each_root_is_bracketed(self, monkeypatch):
         # p' = (x - 1)(x - 2)(x - 3): a Sturm count at every bisection step
@@ -1364,5 +1369,7 @@ class TestSubstitutionMemo:
         assert len(sources) > 10
         for path in sources:
             if path.name != "poly.py":
-                text = path.read_text()
+                # clearing the memo, as a benchmark may between two runs of
+                # one operation, reads nothing from it
+                text = path.read_text().replace("poly._powers.cache_clear()", "")
                 assert "_powers" not in text and "POWER_MEMO" not in text, path
