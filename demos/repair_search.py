@@ -25,4 +25,4 @@ report = check_cbc(case.model, cand)
 print("re-verified margins:")
 for cond in report.conditions:
     print(f"  {cond.condition:8s} {cond.status:8s} {cond.margin:+.6f}")
-assert report.min_margin > 0
+assert report.all_hold and report.min_margin > 0

@@ -15,17 +15,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .certify import (
-    CbcCandidate,
-    CbcReport,
-    ConditionCheck,
-    flow_condition,
-    generator,
-    jump_expectation,
-)
+from .certify import CbcCandidate, CbcReport, _report, flow_condition, generator, jump_expectation
 from .codec import Codec
 from .model import FLOW, JUMP, JumpParams, SHSModel
-from .poly import nonneg_on_box
 
 R1 = "R1"
 R2 = "R2"
@@ -167,6 +159,4 @@ def check_acbc_conditions(model: SHSModel, acbc: Acbc) -> CbcReport:
             conditions.append((f"flow[z={z}]", level - flowed, X))
         if jp.admits(JUMP, z):
             conditions.append((f"jump[z={z}]", level - beta[0] * jexp, X))
-    return CbcReport(
-        tuple(ConditionCheck.of(name, nonneg_on_box(expr, box)) for name, expr, box in conditions), X
-    )
+    return _report(conditions, X)

@@ -16,7 +16,7 @@ from typing import Sequence
 
 from .codec import Codec
 from .model import SHSModel
-from .poly import IntervalBox, NonnegReport, Polynomial, exact_key, nonneg_on_box
+from .poly import IntervalBox, Polynomial, exact_key, nonneg_on_box
 
 
 @dataclass(frozen=True)
@@ -135,10 +135,6 @@ class ConditionCheck(Codec):
     margin: float
     witness: dict[str, float] | None = None
 
-    @classmethod
-    def of(cls, condition: str, report: NonnegReport) -> "ConditionCheck":
-        return cls(condition, report.status, report.margin, report.witness)
-
 
 @dataclass(frozen=True)
 class CbcReport(Codec):
@@ -167,9 +163,18 @@ class CbcReport(Codec):
 
     @property
     def min_margin(self) -> float:
-        """The smallest margin, or NaN when any margin is NaN."""
-        margins = [c.margin for c in self.conditions]
-        return math.nan if any(map(math.isnan, margins)) else min(margins)
+        return _least([c.margin for c in self.conditions])
+
+
+def _least(margins: list[float]) -> float:
+    """The smallest margin, or NaN when any margin is NaN."""
+    return math.nan if any(map(math.isnan, margins)) else min(margins)
+
+
+def _report(conditions, domain: IntervalBox) -> CbcReport:
+    """Decide each (name, polynomial, box) condition: every status is set here."""
+    checks = (ConditionCheck(name, **vars(nonneg_on_box(p, box))) for name, p, box in conditions)
+    return CbcReport(tuple(checks), domain)
 
 
 def flow_condition(cand: CbcCandidate, gen: Polynomial) -> Polynomial:
@@ -196,10 +201,11 @@ class _Last:
 
 
 class CbcChecker:
-    """Checks candidates of one model on one domain, as check_cbc does.
+    """Computes the least margin of candidates of one model on one domain:
+    the search's score. It decides no status; check_cbc does.
 
-    Each condition keeps its last outcome, keyed on the exact bits of the
-    inputs it reads, and is decided again only when one of them changes:
+    Each condition keeps its last margin, keyed on the exact bits of the
+    inputs it reads, and is computed again only when one of them changes:
 
         initial: Bbar, alphabar          unsafe: Bbar, etabar
         flow:    Bbar, nu_flow, kappa1, gamma1
@@ -214,9 +220,9 @@ class CbcChecker:
     new Bbar under the same controllers does not expand them again, and
     ``min_on_interval`` reuses the critical points of a recent derivative
     and interval. So a candidate that shares part of its input with the
-    previous one is checked faster, and every report is bitwise equal to a
-    fresh check. One entry per slot, and poly's bounded memos, keep memory
-    bounded.
+    previous one is scored faster, and every margin is bitwise equal to a
+    fresh ``check_cbc(...).min_margin``. One entry per slot, and poly's
+    bounded memos, keep memory bounded.
     """
 
     def __init__(self, model: SHSModel, domain: IntervalBox | None = None):
@@ -224,9 +230,11 @@ class CbcChecker:
         self.domain = domain if domain is not None else model.X
         self._gen = _Last()
         self._jexp = _Last()
-        self._last = defaultdict(_Last)  # one outcome per condition
+        self._last = defaultdict(_Last)  # one margin per condition
 
-    def check(self, cand: CbcCandidate) -> CbcReport:
+    def _conditions(self, cand: CbcCandidate) -> tuple:
+        """(name, key, build, box) of each condition: build returns the
+        polynomial to be nonnegative on box, key the bits of what it reads."""
         model, dom, B = self.model, self.domain, cand.Bbar
         bkey = exact_key(B)
         fkey = (bkey, tuple(map(exact_key, cand.nu_flow)))
@@ -239,22 +247,20 @@ class CbcChecker:
             jexp = self._jexp.get(jkey, jump_expectation, model, B, cand.nu_jump)
             return cand.kappa2 * B + cand.gamma2 - jexp
 
-        conditions = (
+        return (
             ("initial", (bkey, _bits(cand.alphabar)), lambda: cand.alphabar - B, model.X0),
             ("unsafe", (bkey, _bits(cand.etabar)), lambda: B - cand.etabar, model.Xu),
             ("flow", (fkey, _bits(cand.kappa1, cand.gamma1)), flow, dom),
             ("jump", (jkey, _bits(cand.kappa2, cand.gamma2)), jump, dom),
             ("nonneg", bkey, lambda: B, dom),
         )
-        return CbcReport(
-            tuple(
-                self._last[name].get(
-                    key, lambda: ConditionCheck.of(name, nonneg_on_box(build(), box))
-                )
-                for name, key, build, box in conditions
-            ),
-            dom,
-        )
+
+    def margin(self, cand: CbcCandidate) -> float:
+        """The least of the five margins, NaN when any is NaN."""
+        return _least([
+            self._last[name].get(key, lambda: nonneg_on_box(build(), box).margin)
+            for name, key, build, box in self._conditions(cand)
+        ])
 
 
 def check_cbc(
@@ -267,7 +273,9 @@ def check_cbc(
     jump: kappa2 B + gamma2 - E[B after jump] on the domain;
     nonneg: B on the domain. The domain defaults to the working box X.
     """
-    return CbcChecker(model, domain).check(cand)
+    checker = CbcChecker(model, domain)
+    conditions = checker._conditions(cand)
+    return _report(((name, build(), box) for name, _, build, box in conditions), checker.domain)
 
 
 @dataclass(frozen=True)

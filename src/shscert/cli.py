@@ -81,6 +81,8 @@ def _parse_domain(text: str, state_vars) -> IntervalBox:
     missing = [v for v in state_vars if v not in intervals]
     if missing:
         raise CliError(EXIT_BAD_INPUT, f"domain {text!r} misses state variable(s) {missing}")
+    if extra := [v for v in intervals if v not in state_vars]:
+        raise CliError(EXIT_BAD_INPUT, f"domain {text!r} names non-state variable(s) {extra}")
     try:
         return IntervalBox(intervals)
     except ValueError as e:

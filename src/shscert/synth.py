@@ -1,11 +1,12 @@
 """Randomized search for certificate candidates.
 
-The verifier's condition margins give a scalar feasibility objective
-(min margin over the five checks, positive = feasible). The search runs
-multi-start random initialization followed by per-coordinate
+The search scores a candidate by the least of its five condition
+margins, which ``certify.CbcChecker`` computes without deciding a status.
+It runs multi-start random initialization followed by per-coordinate
 golden-section refinement, optionally warm-started from a user-supplied
-candidate. Everything is driven by one seed and re-verifies the final
-candidate independently before calling it feasible.
+candidate, and stops at the first positive score. Everything is driven
+by one seed. The final candidate is reported feasible only when a fresh
+``check_cbc`` decides every condition "holds" with a positive margin.
 """
 
 from __future__ import annotations
@@ -55,6 +56,8 @@ class SynthTemplate(Codec):
             raise ValueError("budget must be >= 0")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
+        if unknown := sorted(set(self.ranges) - set(_CONSTANTS)):
+            raise ValueError(f"ranges name unknown constant(s) {unknown}; expected {_CONSTANTS}")
         merged = dict(DEFAULT_RANGES)
         merged.update(self.ranges)
         object.__setattr__(self, "ranges", merged)
@@ -74,7 +77,8 @@ class SynthTemplate(Codec):
 
 
 def margin_objective(model: SHSModel, cand: CbcCandidate) -> float:
-    """Smallest of the five certificate-condition margins (positive = feasible)."""
+    """Least condition margin of a fresh check_cbc, NaN when any is NaN. A
+    positive value proves nothing when a condition is inconclusive."""
     return check_cbc(model, cand).min_margin
 
 
@@ -145,7 +149,7 @@ class _Search:
             return _INVALID
         self.evals += 1
         try:
-            return self.checker.check(cand).min_margin
+            return self.checker.margin(cand)
         except (ValueError, OverflowError):
             return _INVALID
 
@@ -253,10 +257,11 @@ def search(
     """Look for a feasible candidate within the template's budget.
 
     Starts from the warm start when given, otherwise from random draws;
-    each start is refined coordinate-by-coordinate against the margin
-    objective. Deterministic for a fixed seed. The best candidate is
-    re-verified with an independent check before being reported feasible;
-    running out of budget yields status "infeasible-at-budget" instead of
+    each start is refined coordinate-by-coordinate until its least
+    condition margin turns positive. Deterministic for a fixed seed. The
+    best candidate is feasible only when a fresh check_cbc decides all
+    five conditions "holds" with a positive least margin; otherwise, as
+    when the budget runs out, the status is "infeasible-at-budget", not
     an exception. A warm start that does not fit the template or the
     model raises ValueError before the first evaluation.
     """
@@ -283,13 +288,7 @@ def search(
     cand = s.build(best_theta) if best_theta is not None else None
     if cand is None:
         return SynthResult(None, False, -math.inf, s.evals, restarts, "infeasible-at-budget")
-    verified = margin_objective(model, cand)
-    feasible = verified > 0
-    return SynthResult(
-        candidate=cand,
-        feasible=feasible,
-        margin=verified,
-        evaluations=s.evals,
-        restarts=restarts,
-        status="feasible" if feasible else "infeasible-at-budget",
-    )
+    report = check_cbc(model, cand)
+    feasible = report.all_hold and report.min_margin > 0
+    status = "feasible" if feasible else "infeasible-at-budget"
+    return SynthResult(cand, feasible, report.min_margin, s.evals, restarts, status)

@@ -277,10 +277,11 @@ class TestMalformedInput:
             {"budget": float("inf")},
             {"ranges": {"kappa1": [0, float("inf")]}},
             {"seed": -1},
+            {"ranges": {"kapa1": [5, 6]}},
         ],
         ids=[
             "range-as-number", "list", "null-budget", "infinite-budget", "infinite-range",
-            "negative-seed",
+            "negative-seed", "unknown-range-name",
         ],
     )
     def test_bad_template_exit_three(self, artifacts, tmp_path, capsys, template):
@@ -352,8 +353,9 @@ class TestMalformedInput:
         [
             ("x=5:1", "invalid domain 'x=5:1': empty interval for 'x': [5.0, 1.0]"),
             ("y=0:1", "domain 'y=0:1' misses state variable(s) ['x']"),
+            ("x=0:8,y=0:1", "domain 'x=0:8,y=0:1' names non-state variable(s) ['y']"),
         ],
-        ids=["reversed", "other-variable"],
+        ids=["reversed", "other-variable", "extra-variable"],
     )
     def test_bad_domain_exit_three(self, artifacts, tmp_path, capsys, domain, message):
         code = main([

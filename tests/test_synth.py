@@ -4,7 +4,17 @@ from dataclasses import replace
 
 import pytest
 
-from shscert import SynthResult, SynthTemplate, check_cbc, margin_objective, search
+from shscert import (
+    CbcCandidate,
+    Polynomial,
+    SynthResult,
+    SynthTemplate,
+    check_cbc,
+    margin_objective,
+    search,
+)
+from shscert.model import JumpParams, NoiseConfig, NoiseMoments, SHSModel
+from shscert.poly import IntervalBox
 from conftest import allclose
 from test_certify import _two_state
 
@@ -21,6 +31,10 @@ class TestTemplate:
     def test_level_ranges_must_overlap_feasibly(self):
         with pytest.raises(ValueError, match="etabar range"):
             SynthTemplate(ranges={"etabar": (0.0, 0.1), "alphabar": (0.5, 1.0)})
+
+    def test_unknown_range_name_rejected(self):
+        with pytest.raises(ValueError, match=r"unknown constant\(s\) \['kapa1'\]"):
+            SynthTemplate(ranges={"kapa1": (5.0, 6.0)})
 
     def test_round_trip(self):
         t = SynthTemplate(cert_degree=6, budget=123, seed=9)
@@ -105,6 +119,32 @@ class TestSearch:
         assert not r.feasible
         assert r.status == "infeasible-at-budget"
         assert r.candidate is not None
+
+    def test_positive_margin_without_proof_is_not_feasible(self, monkeypatch):
+        # every condition holds but nonneg, which the enclosure leaves
+        # inconclusive at a positive margin: the score stops the search,
+        # and the final check_cbc refuses to call the candidate feasible
+        from shscert import synth
+
+        x, y, zero = Polynomial.variable("x"), Polynomial.variable("y"), Polynomial.constant(0.0)
+        model = SHSModel(
+            state_vars=("x", "y"), input_vars=("u",), noise_vars=("w",),
+            f1=(zero, zero), sigma=((zero,), (zero,)), rho=((), ()), rates=(),
+            f2=(x, y), noise=NoiseConfig((NoiseMoments.standard_normal(4),)),
+            jump=JumpParams(0.1, 1, 3),
+            X=IntervalBox({"x": (0.0, 8.0), "y": (0.0, 8.0)}),
+            X0=IntervalBox({"x": (0.0, 1.0), "y": (0.0, 1.0)}),
+            Xu=IntervalBox({"x": (7.0, 8.0), "y": (0.0, 1.0)}),
+        )
+        cand = CbcCandidate((x - y) ** 2 + 1e-9, 0.0, 1.0, 0.1, 0.1, 2.0, 10.0, (zero,), (zero,))
+        rep = check_cbc(model, cand)
+        assert [c.status for c in rep.conditions] == ["holds"] * 4 + ["inconclusive"]
+        assert rep["nonneg"].margin == margin_objective(model, cand) == 1e-9
+        monkeypatch.setattr(synth._Search, "build", lambda self, theta: cand)
+        r = search(model, SynthTemplate(budget=50, seed=0))
+        assert (r.feasible, r.status, r.margin, r.evaluations) == (
+            False, "infeasible-at-budget", 1e-9, 1
+        )
 
     def test_evaluation_decides_only_changed_conditions(self, case2, monkeypatch):
         # a golden-section step moves one constant or coefficient, so most
