@@ -1,7 +1,12 @@
 """Barrier-certificate safety toolkit for controlled jump-diffusion systems
-with scheduled stochastic jumps: exact univariate certificate checking,
-lifting to the counter-augmented system, closed-form finite-horizon safety
-bounds, and seeded Monte Carlo validation."""
+with scheduled stochastic jumps: certificate checking (univariate
+conditions by their float minimum at Sturm-isolated critical points,
+which is not yet a proof, see ROADMAP.md item 1; multivariate ones by a
+proved Bernstein enclosure), lifting to the counter-augmented system,
+closed-form finite-horizon safety bounds, and seeded Monte Carlo
+validation."""
+
+import importlib
 
 from .augment import Acbc, check_acbc_conditions, construct_acbc
 from .bound import SafetyBound, compute_delta, compute_delta_for
@@ -15,7 +20,7 @@ from .certify import (
     generator,
     jump_expectation,
 )
-from .model import JumpParams, JumpSchedule, SHSModel
+from .model import BlowUpError, JumpParams, JumpSchedule, SHSModel
 from .poly import (
     IntervalBox,
     NoiseMoments,
@@ -25,21 +30,27 @@ from .poly import (
     nonneg_on_box,
     sturm_root_count,
 )
-from .sim import (
-    BlowUpError,
-    McReport,
-    SimConfig,
-    Trajectory,
-    clopper_pearson,
-    flow_step,
-    jump_step,
-    monte_carlo,
-    simulate,
-    trajectory_csv,
-)
-from .synth import SynthResult, SynthTemplate, margin_objective, search
 
 __version__ = "0.1.0"
+
+# sim and synth import numpy, which costs more than the rest of start-up;
+# their names are loaded on first use (PEP 562)
+_LAZY = dict.fromkeys(
+    ("McReport", "SimConfig", "Trajectory", "clopper_pearson", "flow_step", "jump_step",
+     "monte_carlo", "simulate", "trajectory_csv"),
+    "sim",
+) | dict.fromkeys(("SynthResult", "SynthTemplate", "margin_objective", "search"), "synth")
+
+
+def __getattr__(name: str):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f".{_LAZY[name]}", __name__), name)
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_LAZY})
+
 
 __all__ = [
     "Acbc",

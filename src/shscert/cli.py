@@ -24,23 +24,19 @@ import sys
 import time
 from dataclasses import replace
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from . import __version__
 from .augment import Acbc, check_acbc_conditions, construct_acbc
 from .bound import compute_delta, compute_delta_for
 from .cases import load_case
 from .certify import CbcCandidate, check_cbc
-from .model import JumpSchedule, SHSModel
+from .model import BlowUpError, JumpSchedule, SHSModel
 from .poly import IntervalBox
-from .sim import (
-    BlowUpError,
-    SimConfig,
-    check_config,
-    monte_carlo,
-    trajectories,
-    trajectory_csv,
-)
-from .synth import SynthTemplate, search
+
+# sim and synth import numpy, so only the commands that run them import them
+if TYPE_CHECKING:
+    from .sim import SimConfig
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -204,7 +200,14 @@ def _sim_config(
 ) -> SimConfig:
     """The run's SimConfig, checked against model together with acbc:
     --schedule, when given, overrides ``schedule``, and ``x0`` is the text
-    of --x0. A value that does not fit is malformed input."""
+    of --x0. A value that does not fit is malformed input, and so is a
+    negative --keep-trajectories."""
+    from .sim import SimConfig, check_config
+
+    if args.keep_trajectories < 0:
+        raise CliError(
+            EXIT_BAD_INPUT, f"--keep-trajectories must be >= 0, got {args.keep_trajectories}"
+        )
     try:
         config = SimConfig(
             horizon_T=horizon,
@@ -221,12 +224,14 @@ def _sim_config(
 
 
 def cmd_simulate(args: argparse.Namespace, run: _Run) -> int:
+    from .sim import monte_carlo, trajectories, trajectory_csv
+
     model = run.load(args.model, SHSModel, "model")
     cand = run.load(args.candidate, CbcCandidate, "candidate")
     acbc = run.load(args.acbc, Acbc, "lifted certificate") if args.acbc else None
     config = _sim_config(args, model, args.horizon, x0=args.x0, acbc=acbc)
 
-    keep = max(0, min(args.runs, args.keep_trajectories))
+    keep = min(args.runs, args.keep_trajectories)
     report = None
     if acbc is not None and args.runs > 1:
         report = monte_carlo(model, cand, acbc, config, keep=keep)
@@ -258,6 +263,8 @@ def cmd_simulate(args: argparse.Namespace, run: _Run) -> int:
 
 
 def cmd_synthesize(args: argparse.Namespace, run: _Run) -> int:
+    from .synth import SynthTemplate, search
+
     model = run.load(args.model, SHSModel, "model")
     if args.template:
         template = run.load(args.template, SynthTemplate, "template")
@@ -282,6 +289,8 @@ def cmd_synthesize(args: argparse.Namespace, run: _Run) -> int:
 
 
 def cmd_repro(args: argparse.Namespace, run: _Run) -> int:
+    from .sim import monte_carlo, trajectory_csv
+
     case = load_case(args.case)
     config = _sim_config(args, case.model, case.horizon, case.schedule)
     summary: dict = {"case": case.case_id, "seed": args.seed}

@@ -12,11 +12,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .codec import Codec, decode
 from .poly import IntervalBox, NoiseMoments, Polynomial, bind_names, generated
+
+if TYPE_CHECKING:  # numpy is imported only where the block flow kernel uses it
+    import numpy as np
 
 
 FLOW = "flow"
@@ -229,6 +231,8 @@ def _flow_kernel(model: SHSModel, block: bool = False):
     some row counted. No substep tests finiteness: every update has the form
     ``x_i + ...``, so a non-finite coordinate stays non-finite, and the caller
     checks the state once at the end of the period."""
+    import numpy as np
+
     n, b, r = model.n, model.brownian_dim, model.poisson_dim
     xs = [f"x{i}" for i in range(n)]
     us = [f"u{j}" for j in range(model.m)]

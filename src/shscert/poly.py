@@ -1,11 +1,16 @@
-"""Sparse polynomial algebra with exact univariate nonnegativity checks.
+"""Sparse polynomial algebra with univariate and multivariate
+nonnegativity checks.
 
 Coefficients are plain doubles. Univariate questions (root counting,
-interval minimization) are answered through Sturm sequences built from
-normalized pseudo-remainders, so the answers are exact up to the stated
-sign tolerance and the root-isolation width. Multivariate nonnegativity
-is checked by Bernstein enclosure with subdivision: its "holds" rests on a
-proved lower bound, and it is deliberately tri-state.
+interval minimization) are answered through Sturm sequences built in
+floating point from normalized pseudo-remainders, with an absolute sign
+cut-off (SIGN_TOL) and a root-isolation width (ROOT_WIDTH). A univariate
+minimum is therefore a float value taken at float-isolated critical
+points: an estimate from above, not a proved bound, and a univariate
+"holds" accepts such a minimum down to -1e-9 (ROADMAP.md, item 1, plans
+the proof). Multivariate nonnegativity is checked by Bernstein enclosure
+with subdivision: its "holds" rests on a proved lower bound, and it is
+deliberately tri-state.
 
 Numeric evaluation goes through generated straight-line Python:
 ``Polynomial.source`` writes a polynomial as one expression over names the
@@ -24,11 +29,12 @@ import math
 import operator
 import struct
 from dataclasses import dataclass
-from typing import Collection, Iterable, Mapping, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Collection, Iterable, Mapping, Sequence
 
 from .codec import Codec, decode
+
+if TYPE_CHECKING:  # numpy is imported only where the Bernstein enclosure uses it
+    import numpy as np
 
 # Any sign decision closer to zero than this is treated as zero, both in
 # Sturm chains and in coefficient bookkeeping.
@@ -909,7 +915,9 @@ class NonnegReport(Codec):
     """Outcome of a nonnegativity check over a box.
 
     status is one of "holds", "fails", "inconclusive". In the univariate
-    case margin is the exact interval minimum. In the multivariate case a
+    case margin is min_on_interval's float minimum, taken at float-isolated
+    critical points, so an estimate of the interval minimum from above, not
+    a proved bound (ROADMAP.md, item 1). In the multivariate case a
     "holds" margin is the Bernstein enclosure's proved lower bound, a
     "fails" margin the negative value at the witness, and an
     "inconclusive" margin the least value evaluated, an upper estimate of
@@ -926,7 +934,9 @@ class NonnegReport(Codec):
 def nonneg_on_box(p: Polynomial, box: IntervalBox) -> NonnegReport:
     """Check p >= 0 on the box.
 
-    Univariate polynomials are decided exactly through min_on_interval.
+    Univariate polynomials are decided by min_on_interval's float minimum:
+    "holds" at a minimum of -1e-9 or more, which is not a proof
+    (ROADMAP.md, item 1).
     Multivariate ones get a Bernstein enclosure search (see ``_enclose``)
     and may come back "inconclusive".
     """
@@ -990,6 +1000,8 @@ def _bernstein_matrix(d: int, lo: float, hi: float) -> tuple[np.ndarray, int]:
     t^j = sum over i >= j of comb(i, j) / comb(d, j) b_i(t); q = d! s^d
     clears the denominators.
     """
+    import numpy as np
+
     (a, sa), (h, sh) = lo.as_integer_ratio(), hi.as_integer_ratio()
     s = max(sa, sh)  # both are powers of two
     a, w = a * (s // sa), h * (s // sh) - a * (s // sa)
@@ -1022,6 +1034,8 @@ def _bernstein(
     one correctly rounded: off by at most half an ulp of itself, and so by
     at most an ulp of the largest magnitude, subnormals included.
     """
+    import numpy as np
+
     idx = [p.vars.index(v) for v in eff]
     den = max(c.as_integer_ratio()[1] for c in p.terms.values())
     nums = np.zeros([max(e[i] for e in p.terms) + 1 for i in idx], dtype=object)
@@ -1042,6 +1056,8 @@ def _halving_matrix(d: int) -> np.ndarray:
     coefficients on the lower half of the interval, rows d+1..2d+1 those on
     the upper half. Entry (i, j) is comb(i, j) / 2**i, exact while comb fits
     53 bits; the upper half is the lower one reversed."""
+    import numpy as np
+
     lower = np.array([[math.comb(i, j) / 2**i for j in range(d + 1)] for i in range(d + 1)])
     return np.concatenate([lower, lower[::-1, ::-1]])
 
@@ -1058,6 +1074,8 @@ def _halves(
     of that product, d + 2 smallest subnormals cover underflow in the
     d + 1 products of a row and in that product, and the sum is rounded up.
     """
+    import numpy as np
+
     d = coeffs.shape[axis] - 1
     both = halving @ coeffs.swapaxes(axis, -2)
     lower = both[..., : d + 1, :].swapaxes(axis, -2)
@@ -1088,6 +1106,8 @@ def _enclose(
     After BOX_BUDGET boxes, or at a box too narrow to halve, the result is
     "inconclusive" with the least value evaluated.
     """
+    import numpy as np
+
     f = p.compiled(eff)
     if all(lo == hi for lo, hi in bounds):
         at = tuple(lo for lo, _ in bounds)

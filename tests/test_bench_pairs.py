@@ -35,6 +35,7 @@ def _run(monkeypatch, tmp_path, faults: dict):
                 "repro_traj_per_s": {"value": float(seed)},
             }
             report["speed_factor"] = {"median": factor, "min": factor, "max": factor}
+            report["setup_pairs_s"] = [[0.1 * seed, 0.2 * factor]] * 3
         return {"report": report, "result": result}
 
     monkeypatch.setattr(tool, "run_once", run_once)
@@ -67,6 +68,14 @@ def test_incorrect_run_exits_one(monkeypatch, tmp_path, capsys):
     code, doc = _run(monkeypatch, tmp_path, {("base", 5): {"correct": False}})
     assert code == 1 and doc["workloads"]["w"]["pairs"][0]["base_correct"] is False
     assert capsys.readouterr().err == "w seed 5 base: correct False, 0 failed operations\n"
+
+
+def test_raw_set_up_times_kept_per_side(monkeypatch, tmp_path):
+    _, doc = _run(monkeypatch, tmp_path, {})
+    first, second = doc["workloads"]["w"]["pairs"]
+    assert first["base_setup_pairs_s"] == [[0.5, 0.2]] * 3
+    assert first["head_setup_pairs_s"] == [[0.5, 0.4]] * 3
+    assert second["head_setup_pairs_s"] == [[0.1 * 6, 0.2]] * 3
 
 
 def test_raw_metrics_and_speed_factor_kept_and_summarized(monkeypatch, tmp_path):

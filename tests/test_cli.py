@@ -479,8 +479,12 @@ class TestMalformedInput:
             (["--schedule", "bogus"], "cannot parse schedule 'bogus'"),
             (["--schedule", "fixed:9"], "schedule gap 9 outside admissible range"),
             (["--seed", "-1"], "master_seed must be >= 0"),
+            (["--keep-trajectories", "-1"], "--keep-trajectories must be >= 0, got -1"),
         ],
-        ids=["no-runs", "no-substeps", "unparsed-schedule", "inadmissible-gap", "negative-seed"],
+        ids=[
+            "no-runs", "no-substeps", "unparsed-schedule", "inadmissible-gap", "negative-seed",
+            "negative-keep",
+        ],
     )
     def test_bad_repro_run_options_exit_three(self, tmp_path, capsys, option, message):
         # checked before the first stage, as simulate checks them
@@ -488,6 +492,15 @@ class TestMalformedInput:
         assert code == 3
         out, err = capsys.readouterr()
         assert out == "" and message in err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_negative_keep_trajectories_exit_three(self, artifacts, tmp_path, capsys):
+        code = main([
+            "simulate", str(artifacts / "model1.json"), str(artifacts / "cand1.json"),
+            "--runs", "2", "--horizon", "3", "--keep-trajectories", "-1", "--out", str(tmp_path),
+        ])
+        assert code == 3
+        assert capsys.readouterr().err == "error: --keep-trajectories must be >= 0, got -1\n"
         assert list(tmp_path.iterdir()) == []
 
 
@@ -508,6 +521,53 @@ class TestStartUp:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "[]\n"
+
+    def test_one_state_commands_load_no_numpy(self, artifacts, inconclusive_files, tmp_path):
+        # numpy costs about half of start-up; only the commands that compute
+        # with arrays load it, and they still run after the others in one process
+        code = (
+            "import sys, shscert.cli\n"
+            "from shscert.cases import list_cases, load_case\n"
+            "main = shscert.cli.main\n"
+            "model, cand, model2, cand2, out = sys.argv[1:]\n"
+            "acbc = out + '/acbc.json'\n"
+            "[load_case(c) for c in list_cases()]\n"
+            "codes = [\n"
+            "    main(['verify', model, cand, '--out', out]),\n"
+            "    main(['augment', model, cand, '--eps2', '8', '--check', '--out', out]),\n"
+            "    main(['bound', acbc, '--horizon', '100', '--out', out]),\n"
+            "]\n"
+            "loaded = sorted(m for m in ('numpy', 'shscert.sim', 'shscert.synth') if m in sys.modules)\n"
+            "after = [\n"
+            "    main(['simulate', model, cand, '--acbc', acbc, '--runs', '25', '--horizon', '40',\n"
+            "          '--out', out]),\n"
+            "    main(['verify', model2, cand2, '--out', out]),\n"
+            "]\n"
+            "print(codes, loaded, after)\n"
+        )
+        files = [artifacts / "model1.json", artifacts / "cand1.json"]
+        files += [inconclusive_files / "model.json", inconclusive_files / "cand.json", tmp_path]
+        env = {**os.environ, "PYTHONPATH": str(Path(shscert.__file__).resolve().parents[1])}
+        proc = subprocess.run(
+            [sys.executable, "-c", code, *map(str, files)],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        # the block engine runs 25 trajectories; the two-state verify is
+        # inconclusive after the Bernstein enclosure's subdivision
+        assert proc.stdout.splitlines()[-1] == "[1, 1, 0] [] [0, 2]"
+
+    def test_every_public_name_resolves(self):
+        from shscert import sim, synth
+
+        namespace: dict = {}
+        exec("from shscert import *", namespace)
+        for name in shscert.__all__:
+            assert getattr(shscert, name) is namespace[name]
+        assert shscert.monte_carlo is sim.monte_carlo and shscert.search is synth.search
+        assert set(shscert.__all__) <= set(dir(shscert))
+        with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
+            shscert.no_such_name
 
 
 class TestPipelineRoundTrip:

@@ -10,8 +10,10 @@ so a drift of the machine weighs on both sides alike. The output records
 the machine, both git SHAs (marked ``-dirty`` for a checkout with
 uncommitted edits), each run's gated end-to-end metrics (the
 ``end_to_end`` names of HEAD's BENCHMARK.json) with its counts of
-operations attempted and failed, its uncalibrated metrics and the median
-of its calibration's speed factor, and per metric, calibrated and
+operations attempted and failed, its uncalibrated metrics, the median
+of its calibration's speed factor and its raw ``setup_pairs_s`` (the
+package's and the set-up reference's fresh set-up times in seconds, from
+which ``setup_s`` is calibrated), and per metric, calibrated and
 uncalibrated, the median and quartiles of each side and the number of
 pairs the head wins. A speed factor that differs between the sides moves
 the calibrated metrics but not the uncalibrated ones. ``--out`` is written
@@ -131,6 +133,7 @@ def main(argv: list[str] | None = None) -> int:
                     name: m["value"] for name, m in run["report"]["raw_metrics"].items()
                 }
                 pair[f"{side}_speed_factor"] = run["report"]["speed_factor"]["median"]
+                pair[f"{side}_setup_pairs_s"] = run["report"]["setup_pairs_s"]
                 pair[f"{side}_correct"] = run["result"]["correct"]
                 pair[f"{side}_ops"] = {k: run["result"][k] for k in ("attempted", "failed")}
             pairs.append(pair)
