@@ -21,6 +21,13 @@ from .codec import Codec
 from .model import SHSModel
 from .poly import Polynomial, min_on_interval
 
+# The search never simulates. Loading sim with it keeps `import shscert.synth`
+# loading every module perfbench/tracer.py wraps, as `import shscert.cli` did
+# before cli imported sim lazily: `Tracer.install` looks each one up in
+# sys.modules. Drop this import once the tracer imports what it wraps
+# (ROADMAP.md, item 9).
+from . import sim  # noqa: F401  isort: skip
+
 _INVALID = -1.0e9
 
 DEFAULT_RANGES: dict[str, tuple[float, float]] = {

@@ -7,6 +7,8 @@ function would otherwise break only the benchmark's tracer, not these tests.
 from __future__ import annotations
 
 import importlib
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -47,3 +49,20 @@ def test_traced_name_resolves(module, attr):
 def test_workload_method_exists(module, cls, method):
     owner = getattr(importlib.import_module(f"shscert.{module}"), cls)
     assert callable(getattr(owner, method))
+
+
+def test_install_test_imports_load_every_traced_layer():
+    # perfbench's install test imports only these modules before
+    # Tracer.install, which looks up every traced layer in sys.modules
+    code = (
+        "import sys, shscert\n"
+        "from shscert import certify, cli, synth\n"
+        f"print([m for m in {list(_traced())!r} if 'shscert.' + m not in sys.modules])\n"
+    )
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"

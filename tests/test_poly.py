@@ -13,7 +13,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from shscert import load_case, poly
+from shscert import _enclosure, load_case, poly
 from shscert.poly import (
     IntervalBox,
     NoiseMoments,
@@ -536,7 +536,7 @@ class TestBernsteinEnclosure:
     @given(p=BOX_POLYS, data=st.data())
     def test_float_coefficients_within_the_error_bound(self, p, data):
         bounds = [data.draw(BOX_INTERVALS) for _ in p.vars]
-        coeffs, err = poly._bernstein(p, p.vars, bounds)
+        coeffs, err = _enclosure.bernstein(p, p.vars, bounds)
         exact = [(Fraction(lo), Fraction(hi)) for lo, hi in bounds]
         self.assert_within(coeffs, err, _exact_bernstein(p, exact))
         for _ in range(data.draw(st.integers(1, 4))):
@@ -544,8 +544,8 @@ class TestBernsteinEnclosure:
             if not wide:
                 break
             axis = data.draw(st.sampled_from(wide))
-            halving = poly._halving_matrix(coeffs.shape[axis] - 1)
-            lower, upper, err = poly._halves(coeffs, err, axis, halving)
+            halving = _enclosure.halving_matrix(coeffs.shape[axis] - 1)
+            lower, upper, err = _enclosure.halves(coeffs, err, axis, halving)
             lo, hi = exact[axis]
             mid = (lo + hi) / 2
             if data.draw(st.booleans()):
