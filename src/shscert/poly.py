@@ -9,8 +9,8 @@ minimum is therefore a float value taken at float-isolated critical
 points: an estimate from above, not a proved bound, and a univariate
 "holds" accepts such a minimum down to -1e-9 (ROADMAP.md, item 1, plans
 the proof). Multivariate nonnegativity is checked by Bernstein enclosure
-with subdivision: its "holds" rests on a proved lower bound, and it is
-deliberately tri-state.
+with subdivision (``_enclosure``): its "holds" rests on a proved lower
+bound, and it is deliberately tri-state.
 
 Numeric evaluation goes through generated straight-line Python:
 ``Polynomial.source`` writes a polynomial as one expression over names the

@@ -21,12 +21,11 @@ from .codec import Codec
 from .model import SHSModel
 from .poly import Polynomial, min_on_interval
 
-# The search never simulates. Loading sim with it keeps `import shscert.synth`
-# loading every module perfbench/tracer.py wraps, as `import shscert.cli` did
-# before cli imported sim lazily: `Tracer.install` looks each one up in
-# sys.modules. Drop this import once the tracer imports what it wraps
+# The search never simulates. sim is imported so that `import shscert.synth`
+# loads every module perfbench/tracer.py wraps: Tracer.install looks each
+# one up in sys.modules. Drop it once the tracer imports what it wraps
 # (ROADMAP.md, item 9).
-from . import sim  # noqa: F401  isort: skip
+from . import sim  # noqa: F401
 
 _INVALID = -1.0e9
 
