@@ -208,7 +208,7 @@ class SHSModel(Codec):
 
 def _unpack(names: list[str], seq: str, depth: int = 1) -> str:
     """``a, b, = seq`` at the given indent, or an empty line for no names."""
-    return "    " * depth + "".join(f"{v}, " for v in names) + f"= {seq}" if names else ""
+    return "    " * depth + _names(names) + f"= {seq}" if names else ""
 
 
 def _flow_kernel(model: SHSModel, block: bool = False):
@@ -222,17 +222,10 @@ def _flow_kernel(model: SHSModel, block: bool = False):
     state-free rho entry.
 
     With ``block`` the same expressions run a period of many rows at once
-    (``SHSModel.block_flow``): the state and input are columns, ``dW`` and
-    ``dP`` are (substeps, b, N) and (substeps, r, N) arrays, and the kernel
-    returns the columns at the end of the period. A state-free sigma entry's
-    products with all the period's increments are formed up front, the same
-    products the scalar kernel forms one substep at a time. Count j updates
-    ``where(dP_j != 0, y_i + rho_ij dP_j, y_i)``, and only on substeps where
-    some row counted. No substep tests finiteness: every update has the form
-    ``x_i + ...``, so a non-finite coordinate stays non-finite, and the caller
-    checks the state once at the end of the period."""
-    import numpy as np
-
+    (``SHSModel.block_flow``, see ``_block_source``): the state and input
+    are columns (an input may also be a float), ``dW`` and ``dP`` are
+    (substeps, b, N) and (substeps, r, N) arrays, and the kernel returns new
+    columns at the end of the period."""
     n, b, r = model.n, model.brownian_dim, model.poisson_dim
     xs = [f"x{i}" for i in range(n)]
     us = [f"u{j}" for j in range(model.m)]
@@ -240,65 +233,227 @@ def _flow_kernel(model: SHSModel, block: bool = False):
     state = {v: names[v] for v in model.state_vars}
     consts: dict[str, float] = {}
     hoisted: dict[str, str] = {}
-    head = ["def flow(x, u, h, sqh, dW, dP, substeps):", _unpack(xs, "x"), _unpack(us, "u")]
-    body = ["    for s in range(substeps):"]
-    if block:
-        dws = [f"dW[s, {j}]" for j in range(b)]
-        head += [f"    c{j} = counted(dP, {j})" for j in range(r)]
-    else:
-        dws = [f"dw{j}" for j in range(b)]
-        body += [_unpack(dws, "dW[s]", 2), _unpack([f"dp{j}" for j in range(r)], "dP[s]", 2)]
+    # the state-free products, by the name the kernels read them under
+    sigmas: dict[str, tuple[int, str]] = {}  # k<i>_<j>: (j, sigma_ij * sqh)
+    rhos: dict[str, str] = {}  # r<i>_<j>: rho_ij
+    dws = [f"dW[s, {j}]" if block else f"dw{j}" for j in range(b)]
+    updates = []  # per coordinate, the text of y_i
     for i in range(n):
         drift = model.f1[i].source(names, consts, model.input_vars, hoisted)
-        line = f"        y{i} = x{i} + h * ({drift})"
+        line = f"x{i} + h * ({drift})"
         for j, sig in enumerate(model.sigma[i]):
             if sig.effective_vars():
                 line += f" + ({sig.source(state, consts)}) * sqh * {dws[j]}"
-            elif block:
-                head.append(f"    k{i}_{j} = ({sig.source({}, consts)}) * sqh * dW[:, {j}]")
-                line += f" + k{i}_{j}[s]"
             else:
-                head.append(f"    k{i}_{j} = ({sig.source({}, consts)}) * sqh")
-                line += f" + k{i}_{j} * dw{j}"
-        body.append(line)
-    head += [f"    {name} = {text}" for text, name in hoisted.items()]
+                sigmas[f"k{i}_{j}"] = j, f"({sig.source({}, consts)}) * sqh"
+                line += f" + k{i}_{j}[s]" if block else f" + k{i}_{j} * dw{j}"
+        updates.append(line)
+    counts = []  # per channel j, per coordinate i, the text of rho_ij dP_j
     for j in range(r):
-        rhos = []
+        terms = []
         for i in range(n):
             rho = model.rho[i][j]
             if rho.effective_vars():
-                rhos.append(f"({rho.source(state, consts)})")
+                terms.append(f"({rho.source(state, consts)}) * dp{j}")
             else:
-                head.append(f"    r{i}_{j} = ({rho.source({}, consts)})")
-                rhos.append(f"r{i}_{j}")
-        if block:
-            body += [f"        if c{j}[s]:", f"            dp{j} = dP[s, {j}]", f"            on{j} = dp{j} != 0"]
-            body += [
-                f"            y{i} = where(on{j}, y{i} + {rho} * dp{j}, y{i})"
-                for i, rho in enumerate(rhos)
-            ]
-        else:
-            body.append(f"        if dp{j}:")
-            body += [f"            y{i} = y{i} + {rho} * dp{j}" for i, rho in enumerate(rhos)]
-    body.append(f"        {''.join(f'{x}, ' for x in xs)}= {''.join(f'y{i}, ' for i in range(n))}")
-    if not block:
-        body += [
-            f"        if not ({' and '.join(f'isfinite({x})' for x in xs)}):",
-            "            raise BlowUpError(s)",
-        ]
-    body.append(f"    return ({''.join(f'{x}, ' for x in xs)})")
-    namespace = dict(
-        consts, range=range, isfinite=math.isfinite, BlowUpError=BlowUpError,
-        where=np.where, counted=_counted,
-    )
+                rhos[f"r{i}_{j}"] = f"({rho.source({}, consts)})"
+                terms.append(f"r{i}_{j} * dp{j}")
+        counts.append(terms)
+    if block:
+        import numpy as np
+
+        source = _block_source(xs, us, updates, counts, sigmas, rhos, hoisted)
+        namespace = dict(
+            consts, range=range, empty=np.empty, full=np.full, add=np.add, multiply=np.multiply,
+            not_equal=np.not_equal, counted=_counted, pool={},
+        )
+        return generated(source, namespace, "flow")
+    head = ["def flow(x, u, h, sqh, dW, dP, substeps):", _unpack(xs, "x"), _unpack(us, "u")]
+    head += [f"    {name} = {text}" for name, (_, text) in sigmas.items()]
+    head += [f"    {name} = {text}" for text, name in hoisted.items()]
+    head += [f"    {name} = {text}" for name, text in rhos.items()]
+    body = ["    for s in range(substeps):", _unpack(dws, "dW[s]", 2), _unpack([f"dp{j}" for j in range(r)], "dP[s]", 2)]
+    body += [f"        y{i} = {line}" for i, line in enumerate(updates)]
+    for j, terms in enumerate(counts):
+        body.append(f"        if dp{j}:")
+        body += [f"            y{i} = y{i} + {term}" for i, term in enumerate(terms)]
+    body += [
+        f"        {_names(xs)}= {_names(f'y{i}' for i in range(n))}",
+        f"        if not ({' and '.join(f'isfinite({x})' for x in xs)}):",
+        "            raise BlowUpError(s)",
+        f"    return ({_names(xs)})",
+    ]
+    namespace = dict(consts, range=range, isfinite=math.isfinite, BlowUpError=BlowUpError)
     return generated("\n".join(head + body) + "\n", namespace, "flow")
 
 
-def _counted(dP: np.ndarray, j: int) -> list[bool]:
-    """Per substep, whether any row's count j is nonzero. Called here rather
-    than in the generated code: numpy may import a module on a method's
-    first call, which code without builtins cannot."""
-    return dP[:, j].any(1).tolist()
+def _block_source(
+    xs: list[str],
+    us: list[str],
+    updates: list[str],
+    counts: list[list[str]],
+    sigmas: dict[str, tuple[int, str]],
+    rhos: dict[str, str],
+    hoisted: dict[str, str],
+) -> str:
+    """The block flow kernel's source: the scalar kernel's expressions,
+    parsed and lowered by ``_Lowering`` to one ufunc call per operation,
+    each writing through its positional ``out`` into a preallocated column.
+
+    Each operand of a substep is a column of N rows: the state, a slice of
+    the noise, or a buffer holding a value the scalar kernel reads as a
+    float, broadcast once: a literal, h, sqh, a state-free rho entry or
+    ``_k`` constant per (N, h), and an input or a hoisted input product per
+    call (an input may be a float or a column). A state-free sigma entry's
+    products with all the period's increments are formed once per call, the
+    same products the scalar kernel forms one substep at a time. Count j
+    updates ``add(y_i, rho_ij * dp_j, y_i, where=dp_j != 0)``, and only on
+    substeps where some row counted.
+
+    The buffers, ``empty`` and ``full`` columns and (substeps, N) arrays, are
+    made on the first call with a given (N, h, sqh, substeps) and kept in
+    ``pool`` between calls with that key; a call takes its set out of the
+    pool while it runs, so calls never share one. Each substep writes the
+    new state into one of two buffers per coordinate, never into the
+    caller's columns, and the kernel returns copies of the last ones. No
+    substep tests finiteness: every update has the form ``x_i + ...``, so a
+    non-finite coordinate stays non-finite, and the caller checks the state
+    once at the end of the period."""
+    low = _Lowering({*xs, *(f"dp{j}" for j in range(len(counts)))})
+    loop = ["    for s in range(substeps):"]
+    for i, update in enumerate(updates):
+        lines, _ = low.lower(update, f"y{i}")
+        loop += [f"        {line}" for line in lines]
+    for j, terms in enumerate(counts):
+        loop += [f"        if c{j}[s]:", f"            dp{j} = dP[s, {j}]"]
+        for i, term in enumerate(terms):
+            lines, t = low.lower(term)
+            loop += [f"            {line}" for line in lines + [f"add(y{i}, {t}, y{i}, where=on[s, {j}])"]]
+            low.release(t)
+    # the state now in y, and the other buffer up for the next substep
+    ys, ws = [f"y{i}" for i in range(len(xs))], [f"w{i}" for i in range(len(xs))]
+    loop.append(f"        {_names(xs + ys + ws)}= {_names(ys + ws + ys)}")
+
+    per_call = {u: u for u in us} | {name: text for text, name in hoisted.items()}
+    bufs = {t: "empty(N)" for t in low.temps} | {y: "empty(N)" for y in ys + ws}
+    bufs |= {col: f"full(N, {text})" for text, col in low.literals.items()}
+    fills = []
+    for name, col in low.broadcast.items():
+        if name in per_call:
+            bufs[col] = "empty(N)"
+            fills.append(f"    {col}[:] = {per_call[name]}")
+        else:
+            bufs[col] = f"full(N, {rhos.get(name, name)})"
+    for name, (j, text) in sigmas.items():
+        bufs |= {name: "empty((substeps, N))", f"{name}c": text}
+        fills.append(f"    multiply({name}c, dW[:, {j}], {name})")
+    if counts:
+        bufs["on"] = f"empty((substeps, {len(counts)}, N), 'bool')"
+        fills.append("    not_equal(dP, 0, on)")
+        fills += [f"    c{j} = counted(on, {j})" for j in range(len(counts))]
+    head = [
+        "def flow(x, u, h, sqh, dW, dP, substeps):",
+        "    key = dW.shape[2], h, sqh, substeps",
+        "    bufs = pool.pop(key, None)",
+        "    if bufs is None:",
+        "        N = key[0]",
+        f"        bufs = {_names(bufs.values())}",
+        f"    {_names(bufs)}= bufs",
+        _unpack(xs, "x"),
+        _unpack(us, "u"),
+    ]
+    tail = ["    pool.clear()", "    pool[key] = bufs", f"    return ({_names(f'{x}.copy()' for x in xs)})"]
+    return "\n".join(head + fills + loop + tail) + "\n"
+
+
+def _names(items) -> str:
+    """``a, b, `` from the items: a tuple's text, of any length."""
+    return "".join(f"{v}, " for v in items)
+
+
+# the ufunc of each operator that ``Polynomial.source`` writes
+_UFUNCS = {"Add": "add", "Mult": "multiply"}
+
+
+class _Lowering:
+    """Three-address code for expressions over columns: each binary
+    operation becomes one ufunc call writing into a temporary column
+    (``t<k>``), or into the given destination for the outermost one, in the
+    order Python evaluates the expression, so the operations and their
+    order, and with them every bit, stay those of the expression. Names in
+    ``columns`` are columns already; any other name (h, an input, ``p<i>``,
+    ``r<i>_<j>``, ``_k<i>``) reads a broadcast column ``b_<name>``, and a
+    literal a column ``l<k>``. A subscript (a slice of the noise) is an
+    operand as written. ``_chain``'s split form ``(acc := ..., acc := acc
+    ..., ...)[-1]`` binds each piece to its accumulator in turn."""
+
+    def __init__(self, columns: set[str]):
+        self.columns = columns
+        self.temps: list[str] = []
+        self.free: list[str] = []
+        self.literals: dict[str, str] = {}
+        self.broadcast: dict[str, str] = {}
+        self.bound: dict[str, str] = {}  # each _chain accumulator's column
+        self.lines: list[str] = []
+
+    def lower(self, text: str, dest: str | None = None) -> tuple[list[str], str]:
+        """The lines computing ``text`` and the column its value lands in:
+        ``dest`` when given, else a temporary that stays taken until
+        ``release``."""
+        import ast
+
+        self.lines = []
+        return self.lines, self._value(ast.parse(text, mode="eval").body, dest)
+
+    def release(self, name: str) -> None:
+        """Free ``name`` for reuse when it is a temporary."""
+        if name in self.temps:
+            self.free.append(name)
+
+    def _value(self, node, dest: str | None = None) -> str:
+        import ast
+
+        if isinstance(node, ast.BinOp):
+            a, b = self._value(node.left), self._value(node.right)
+            self.release(a)
+            self.release(b)
+            out = dest or self._temp()
+            self.lines.append(f"{_UFUNCS[type(node.op).__name__]}({a}, {b}, {out})")
+            return out
+        if isinstance(node, ast.Constant):
+            return self._literal(node.value)
+        if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub) and isinstance(node.operand, ast.Constant):
+            return self._literal(-node.operand.value)
+        if isinstance(node, ast.Name):
+            if node.id in self.bound:
+                return self.bound.pop(node.id)
+            if node.id in self.columns:
+                return node.id
+            return self.broadcast.setdefault(node.id, f"b_{node.id}")
+        if isinstance(node, ast.Subscript) and isinstance(node.value, ast.Tuple):  # _chain's pieces
+            for piece in node.value.elts:
+                self.bound[piece.target.id] = self._value(piece.value)
+            return self.bound.pop(node.value.elts[-1].target.id)
+        if isinstance(node, ast.Subscript):
+            return ast.unparse(node)
+        raise ValueError(f"cannot lower {ast.unparse(node)!r}")
+
+    def _literal(self, value: float) -> str:
+        return self.literals.setdefault(repr(value), f"l{len(self.literals)}")
+
+    def _temp(self) -> str:
+        if self.free:
+            return self.free.pop()
+        self.temps.append(f"t{len(self.temps)}")
+        return self.temps[-1]
+
+
+def _counted(on: np.ndarray, j: int) -> list[bool]:
+    """Per substep, whether any row's count j is nonzero, from the mask
+    ``on`` of nonzero counts. Called here rather than in the generated code:
+    numpy may import a module on a method's first call, which code without
+    builtins cannot."""
+    return on[:, j].any(1).tolist()
 
 
 def _jump_kernel(model: SHSModel):

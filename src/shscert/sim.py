@@ -44,6 +44,7 @@ does not grow with the horizon, and from the whole run of ``simulate``.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Iterator, Sequence
@@ -81,7 +82,7 @@ class SimConfig:
             raise ValueError("master_seed must be < 2**64")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class TransitionRecord(Codec):
     k: int
     time: float
@@ -89,6 +90,12 @@ class TransitionRecord(Codec):
     scenario: str
     x: tuple[float, ...]
     b_value: float | None = field(default=None, metadata={"key": "B_value"})
+
+    def __init__(self, k: int, time: float, z: int, scenario: str, x: tuple[float, ...], b_value: float | None = None):
+        # one update of the instance dict, where the frozen dataclass's own
+        # __init__ calls object.__setattr__ once per field: a Monte Carlo run
+        # builds records by the thousand
+        vars(self).update(k=k, time=time, z=z, scenario=scenario, x=x, b_value=b_value)
 
 
 @dataclass(frozen=True)
@@ -178,12 +185,14 @@ def _draw_flow_chunk(rng: np.random.Generator, means: list[float], dW: np.ndarra
 
 def _draw_jump_chunk(
     rng: np.random.Generator, schedule: JumpSchedule, jump: JumpParams, first: int, W: np.ndarray
-) -> list[int]:
+) -> Sequence[int]:
     """Draw one jump chunk for jumps ``first`` .. ``first`` + JUMP_CHUNK - 1:
-    the gaps before them (one draw for a uniform schedule, see
-    ``JumpSchedule.draw_gaps``), which it returns, then their standard
-    normal jump noise W (JUMP_CHUNK, w)."""
-    gaps = schedule.draw_gaps(jump, first, JUMP_CHUNK, rng)
+    a uniform schedule's gaps before them, in one draw (see
+    ``JumpSchedule.draw_gaps``), then their standard normal jump noise W
+    (JUMP_CHUNK, w). Returns the gap table these jumps read, jump i the gap
+    ``table[i % len(table)]``: the drawn gaps, or a fixed or cyclic
+    schedule's own gaps, which read nothing from the stream."""
+    gaps = schedule.draw_gaps(jump, first, JUMP_CHUNK, rng) if schedule.policy == "uniform" else schedule.gaps
     if W.size:
         rng.standard_normal(out=W)
     return gaps
@@ -323,17 +332,11 @@ class _Outcomes:
                 continue
             records = ()
             if row < self.n_kept:
-                records = tuple(
-                    TransitionRecord(
-                        k,
-                        t,
-                        zk,
-                        "init" if not k else FLOW if zk else JUMP,
-                        tuple(x),
-                        None if bvals is None else bvals[row][k],
-                    )
-                    for k, (t, zk, x) in enumerate(zip(times[row], zs[row], xs[row]))
-                )
+                scenarios = ["init", *((JUMP, FLOW)[zk > 0] for zk in zs[row][1:])]
+                records = tuple(map(
+                    TransitionRecord, range(len(zs[row])), times[row], zs[row], scenarios,
+                    map(tuple, xs[row]), itertools.repeat(None) if bvals is None else bvals[row],
+                ))
             out.append(
                 Trajectory(
                     records=records,
@@ -410,10 +413,9 @@ def _simulate(
             x = jump_step(model, x, nu, W[jumps % JUMP_CHUNK])
             z = 0
             jumps += 1
-            e = jumps % JUMP_CHUNK
-            if not e:
+            if not jumps % JUMP_CHUNK:
                 gaps = _draw_jump_chunk(rng, config.schedule, jp, jumps, W)
-            gap = gaps[e]
+            gap = gaps[jumps % len(gaps)]
         else:
             e = flows % C
             if not e:
@@ -541,8 +543,9 @@ def _simulate_block(
     z = np.zeros(N, dtype=np.int64)
     flows = np.zeros(N, dtype=np.int64)
     jumps = np.zeros(N, dtype=np.int64)
+    # per row, the gap table of its jump chunk (see _draw_jump_chunk)
     gaps = np.array([_draw_jump_chunk(g, schedule, jp, 0, W[row]) for row, g in enumerate(rngs)])
-    gap = gaps[rows, 0]
+    gap = gaps[:, 0]
     alive = np.ones(N, dtype=bool)
     errors: list[BlowUpError | None] = [None] * N
     outcomes = _Outcomes(model, acbc, N, max(0, min(keep, stop) - start))
@@ -567,29 +570,35 @@ def _simulate_block(
         raise AssertionError("block and scalar flow kernels disagree")
 
     slot = 0
+    live = N
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(config.horizon_T + 1):
             if k:
-                jumped = alive & (z == gap)
-                flowing = alive & ~jumped
+                jumped = z == gap
+                jumped &= alive
+                # masks and merges only when some live rows flow and others jump
+                n_jumped = np.count_nonzero(jumped)
+                mixed = 0 < n_jumped < live
                 new = cols
-                if np.count_nonzero(flowing):
+                if n_jumped < live:
+                    flowing = alive & ~jumped if mixed else alive
                     e = flows % C
                     for row in (flowing & (e == 0)).nonzero()[0].tolist():
                         _draw_flow_chunk(rngs[row], means, dW[row], dP[row])
                     dw, dp = dW[rows, e], dP[rows, e]
-                    dp[~flowing] = 0
+                    if mixed:
+                        dp[~flowing] = 0
                     nu = [f(cols) for f in flow_fns]
                     # the kernel takes (substeps, b, N) and (substeps, r, N)
                     out = model.block_flow(cols, nu, h, sqh, dw.transpose(1, 2, 0), dp.transpose(1, 2, 0), S)
                     bad = flowing & ~functools.reduce(np.logical_and, map(np.isfinite, out))
                     if np.count_nonzero(bad):
                         blow_up(bad, lambda row: scalar_error(row, dw, dp))
-                        flowing &= alive
-                    new = [np.where(flowing, y, x) for y, x in zip(out, cols)]
+                        flowing = flowing & alive
+                    new = [np.where(flowing, y, x) for y, x in zip(out, cols)] if mixed else out
                     flows += flowing
                     z += flowing
-                if np.count_nonzero(jumped):
+                if n_jumped:
                     e = jumps % JUMP_CHUNK
                     nu = [f(cols) for f in jump_fns]
                     w = W[rows, e]
@@ -599,13 +608,16 @@ def _simulate_block(
                     if np.count_nonzero(bad):
                         blow_up(bad, lambda row: BlowUpError(0, "jump map produced a non-finite state"))
                         jumped &= alive
-                    new = [np.where(jumped, y, x) for y, x in zip(out, new)]
+                    if mixed:
+                        new = [np.where(jumped, y, x) for y, x in zip(out, new)]
+                    else:
+                        new = [np.full(N, y) if isinstance(y, float) else y for y in out]
                     jumps += jumped
                     z[jumped] = 0
                     e = jumps % JUMP_CHUNK
                     for row in (jumped & (e == 0)).nonzero()[0].tolist():
                         gaps[row] = _draw_jump_chunk(rngs[row], schedule, jp, int(jumps[row]), W[row])
-                    gap = gaps[rows, e]
+                    gap = gaps[rows, jumps % gaps.shape[1]]
                 cols = new
             for i, col in enumerate(cols):
                 Xw[slot, i] = col
@@ -614,7 +626,8 @@ def _simulate_block(
             if slot == WINDOW:
                 outcomes.window(Xw, zw)
                 slot = 0
-            if not np.count_nonzero(alive):
+            live = np.count_nonzero(alive)
+            if not live:
                 break
         if slot:
             outcomes.window(Xw[:slot], zw[:slot])

@@ -4,9 +4,10 @@ The search scores a candidate by the least of its five condition
 margins, which ``certify.CbcChecker`` computes without deciding a status.
 It runs multi-start random initialization followed by per-coordinate
 golden-section refinement, optionally warm-started from a user-supplied
-candidate, and stops at the first positive score. Everything is driven
-by one seed. The final candidate is reported feasible only when a fresh
-``check_cbc`` decides every condition "holds" with a positive margin.
+candidate. Each positive score is checked by ``check_cbc``, and the
+search stops at the first candidate that check proves: every condition
+"holds" with a positive least margin. Only such a candidate is reported
+feasible. Everything is driven by one seed.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .certify import CbcCandidate, CbcChecker, check_cbc
+from .certify import CbcCandidate, CbcChecker, CbcReport, check_cbc
 from .codec import Codec
 from .model import SHSModel
 from .poly import Polynomial, min_on_interval
@@ -109,6 +110,8 @@ class _Search:
         self.t = template
         self.rng = np.random.default_rng(template.seed)
         self.evals = 0
+        # the first candidate check_cbc proves, with its report
+        self.proof: tuple[CbcCandidate, CbcReport] | None = None
         # one checker per search: each evaluation reuses the previous one's work
         self.checker = CbcChecker(model)
         self.nb = template.cert_degree + 1
@@ -158,6 +161,18 @@ class _Search:
             return self.checker.margin(cand)
         except (ValueError, OverflowError):
             return _INVALID
+
+    def proves(self, theta: np.ndarray, score: float) -> bool:
+        """Whether theta, of score ``score``, encodes a candidate that
+        ``check_cbc`` proves; the first such is kept in ``proof``. A score
+        that is not positive proves nothing and is not checked."""
+        if not score > 0:
+            return False
+        cand = self.build(theta)
+        report = check_cbc(self.model, cand)
+        if report.all_hold and report.min_margin > 0:
+            self.proof = cand, report
+        return self.proof is not None
 
     def derive_levels(self, theta: np.ndarray) -> None:
         """Set alphabar/etabar just inside the certificate's actual extrema."""
@@ -214,16 +229,17 @@ class _Search:
         return value - w, value + w
 
     def refine(self, theta: np.ndarray, score: float, budget: int) -> tuple[np.ndarray, float]:
-        """Cyclic per-coordinate golden-section ascent until the margin turns
-        positive, a sweep stalls, or the budget runs out."""
+        """Cyclic per-coordinate golden-section ascent until ``check_cbc``
+        proves the candidate (see ``proves``), a sweep stalls, or the budget
+        runs out."""
         invphi = (math.sqrt(5.0) - 1.0) / 2.0
         # constants are cheap knobs; try them before touching coefficients
         order = list(range(self.ncoef, self.size)) + list(range(self.ncoef))
         improved = True
-        while improved and score <= 0 and self.evals < budget:
+        while improved and self.proof is None and self.evals < budget:
             improved = False
             for i in order:
-                if self.evals >= budget or score > 0:
+                if self.evals >= budget or self.proof is not None:
                     break
                 lo, hi = self.bracket(i, theta[i])
 
@@ -252,6 +268,7 @@ class _Search:
                     theta[i] = best_v
                     score = best_s
                     improved = True
+                    self.proves(theta, score)
         return theta, score
 
 
@@ -263,13 +280,15 @@ def search(
     """Look for a feasible candidate within the template's budget.
 
     Starts from the warm start when given, otherwise from random draws;
-    each start is refined coordinate-by-coordinate until its least
-    condition margin turns positive. Deterministic for a fixed seed. The
-    best candidate is feasible only when a fresh check_cbc decides all
-    five conditions "holds" with a positive least margin; otherwise, as
-    when the budget runs out, the status is "infeasible-at-budget", not
-    an exception. A warm start that does not fit the template or the
-    model raises ValueError before the first evaluation.
+    each start is refined coordinate-by-coordinate until check_cbc proves
+    it: all five conditions "holds" with a positive least margin. Each
+    positive score is checked so, and the search stops at the first
+    candidate proved, which is reported feasible with that check's margin.
+    Otherwise, when the budget runs out, the best-scoring candidate is
+    reported with the status "infeasible-at-budget" and the margin of a
+    check_cbc of it, not an exception. Deterministic for a fixed seed. A
+    warm start that does not fit the template or the model raises
+    ValueError before the first evaluation.
     """
     s = _Search(model, template)
     best_theta: np.ndarray | None = None
@@ -283,18 +302,17 @@ def search(
         score = s.score(theta)
         if score > best_score:
             best_score, best_theta = score, theta.copy()
-        if s.evals < template.budget:
+        if not s.proves(theta, score) and s.evals < template.budget:
             theta, score = s.refine(theta, score, template.budget)
             if score > best_score:
                 best_score, best_theta = score, theta.copy()
-        if best_score > 0:
-            break
+        if s.proof is not None:
+            cand, report = s.proof
+            return SynthResult(cand, True, report.min_margin, s.evals, restarts, "feasible")
         theta = None
 
     cand = s.build(best_theta) if best_theta is not None else None
     if cand is None:
         return SynthResult(None, False, -math.inf, s.evals, restarts, "infeasible-at-budget")
-    report = check_cbc(model, cand)
-    feasible = report.all_hold and report.min_margin > 0
-    status = "feasible" if feasible else "infeasible-at-budget"
-    return SynthResult(cand, feasible, report.min_margin, s.evals, restarts, status)
+    margin = check_cbc(model, cand).min_margin
+    return SynthResult(cand, False, margin, s.evals, restarts, "infeasible-at-budget")

@@ -25,7 +25,7 @@ from shscert import (
     simulate,
     trajectory_csv,
 )
-from shscert import load_case, sim
+from shscert import load_case, poly, sim
 from shscert.model import FLOW, JUMP, NoiseConfig, SHSModel
 from shscert.poly import IntervalBox, NoiseMoments
 from shscert.sim import _simulate_block, trajectories, trajectory_rng
@@ -1135,3 +1135,104 @@ class TestGeneratedCode:
         for _ in range(4):
             x = x + h * fn((x, 0.2))
         assert flow_step(model, (0.5,), (0.2,), 0.1, 4, *period_noise(model, np.random.default_rng(0), 0.1, 4)) == (x,)
+
+
+def _block_period(model, x, u, tau, substeps, rng, rate_scale=1.0):
+    """One period of N rows on ``block_flow`` and, row by row, on
+    ``scalar_flow``: (block columns, scalar rows). ``u`` is a list of
+    columns or floats; the counts are Poisson of mean rate_scale * rate h."""
+    N = len(x[0])
+    h = tau / substeps
+    dW = rng.standard_normal((substeps, model.brownian_dim, N))
+    dP = rng.poisson(rate_scale * np.asarray(model.rates)[None, :, None] * h, (substeps, model.poisson_dim, N))
+    cols = model.block_flow(x, u, h, math.sqrt(h), dW, dP, substeps)
+    rows = [
+        model.scalar_flow(
+            [float(c[row]) for c in x], [float(np.broadcast_to(v, N)[row]) for v in u], h, math.sqrt(h),
+            dW[:, :, row].tolist(), dP[:, :, row].tolist(), substeps,
+        )
+        for row in range(N)
+    ]
+    return cols, rows
+
+
+def _assert_rows_equal(cols, rows):
+    """Block columns equal the scalar rows bit for bit (NaN matching NaN)."""
+    got = np.array([c.tolist() for c in cols]).T
+    assert got.shape == (len(rows), len(rows[0]))
+    assert got.tobytes() == np.array(rows).tobytes()
+
+
+class TestBlockKernel:
+    """``SHSModel.block_flow``, the in-place kernel lowered from the scalar
+    kernel's expressions, against ``scalar_flow`` row by row."""
+
+    def test_two_states_with_a_float_input_equal_scalar(self):
+        # state-dependent sigma and rho, two Brownian motions and two
+        # Poisson channels, under a constant controller's float; counts ten
+        # times the model's rates, so that most substeps count somewhere
+        model, _ = _noisy_plane()
+        rng = np.random.default_rng(11)
+        x = [rng.uniform(-1.5, 1.5, 40), rng.uniform(-1.5, 1.5, 40)]
+        for u in ([0.3], [rng.uniform(-1.0, 1.0, 40)]):
+            cols, rows = _block_period(model, x, u, 0.1, 20, rng, rate_scale=10.0)
+            _assert_rows_equal(cols, rows)
+        assert any(r[1] != x[1][i] for i, r in enumerate(rows))
+
+    def test_long_drift_equals_scalar(self):
+        # 3000 terms, split by _chain into pieces of an accumulator
+        rng = np.random.default_rng(5)
+        terms = {(i, j): float(rng.normal()) / math.factorial(i + j) for i in range(60) for j in range(50)}
+        model = scalar_model(Polynomial(("x", "nu"), terms), X, sigma=0.3, rate=2.0)
+        assert len(terms) > poly.CHAIN_LEN
+        x = [rng.uniform(0.0, 1.0, 16)]
+        cols, rows = _block_period(model, x, [0.2], 0.1, 4, rng)
+        _assert_rows_equal(cols, rows)
+
+    def test_inputs_are_left_unchanged(self):
+        model, _ = _noisy_plane()
+        rng = np.random.default_rng(12)
+        x = [rng.uniform(-1.5, 1.5, 24), rng.uniform(-1.5, 1.5, 24)]
+        u = [rng.uniform(-1.0, 1.0, 24)]
+        h = 0.1 / 20
+        dW = rng.standard_normal((20, 2, 24))
+        dP = rng.poisson(0.5, (20, 2, 24))
+        before = [a.copy() for a in (*x, *u, dW, dP)]
+        for _ in range(3):
+            cols = model.block_flow(x, u, h, math.sqrt(h), dW, dP, 20)
+            assert not any(np.shares_memory(c, a) for c in cols for a in (*x, *u))
+        for a, b in zip((*x, *u, dW, dP), before, strict=True):
+            assert a.tobytes() == b.tobytes()
+        # the columns a call returns are its own: the next call, fed with
+        # them, leaves them as they were
+        again = [c.copy() for c in cols]
+        model.block_flow(cols, u, h, math.sqrt(h), dW, dP, 20)
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(cols, again))
+
+    def test_calls_with_other_rows_steps_or_substeps_get_fresh_buffers(self):
+        model, _ = _noisy_plane()
+        rng = np.random.default_rng(13)
+        for N, tau, substeps in [(5, 0.1, 20), (7, 0.1, 20), (7, 0.2, 20), (7, 0.1, 3), (5, 0.1, 20), (1, 0.1, 20)]:
+            x = [rng.uniform(-1.5, 1.5, N), rng.uniform(-1.5, 1.5, N)]
+            cols, rows = _block_period(model, x, [rng.uniform(-1.0, 1.0, N)], tau, substeps, rng, rate_scale=10.0)
+            _assert_rows_equal(cols, rows)
+
+    @pytest.mark.parametrize("schedule", ["fixed:7", "fixed:1"])
+    def test_non_finite_period_names_its_substep(self, case1, schedule):
+        # under a fixed schedule every live row flows, or every one jumps,
+        # at each transition, so the block moves them without masks; a row
+        # whose period ends non-finite still takes its substep from the
+        # scalar kernel
+        model = _overflowing("drift")
+        zero = (Polynomial.constant(0.0),)
+        ctrl = replace(case1.candidate, nu_flow=zero, nu_jump=zero)
+        n = 64
+        config = SimConfig(
+            horizon_T=6, n_trajectories=n, master_seed=2, substeps_per_tau=10,
+            schedule=JumpSchedule.parse(schedule),
+        )
+        batch = _simulate_block(model, ctrl, config, None, 0, n, keep=n)
+        for i, got in enumerate(batch):
+            assert_same(model, got, _outcome(lambda: simulate(model, ctrl, config, traj_index=i)))
+        steps = {t.step for t in batch if isinstance(t, BlowUpError)}
+        assert len(steps) > 1 and any(isinstance(t, sim.Trajectory) for t in batch)

@@ -122,8 +122,9 @@ class TestSearch:
 
     def test_positive_margin_without_proof_is_not_feasible(self, monkeypatch):
         # every condition holds but nonneg, which the enclosure leaves
-        # inconclusive at a positive margin: the score stops the search,
-        # and the final check_cbc refuses to call the candidate feasible
+        # inconclusive at a positive margin: no positive score stops the
+        # search, which spends its budget, and the final check_cbc refuses
+        # to call the candidate feasible
         from shscert import synth
 
         x, y, zero = Polynomial.variable("x"), Polynomial.variable("y"), Polynomial.constant(0.0)
@@ -143,8 +144,23 @@ class TestSearch:
         monkeypatch.setattr(synth._Search, "build", lambda self, theta: cand)
         r = search(model, SynthTemplate(budget=50, seed=0))
         assert (r.feasible, r.status, r.margin, r.evaluations) == (
-            False, "infeasible-at-budget", 1e-9, 1
+            False, "infeasible-at-budget", 1e-9, 50
         )
+
+    def test_proved_candidate_is_checked_once(self, case1, monkeypatch):
+        # the check that proves the repaired candidate is the one reported
+        from shscert import synth
+
+        reports = []
+
+        def recorded(*args):
+            reports.append(check_cbc(*args))
+            return reports[-1]
+
+        monkeypatch.setattr(synth, "check_cbc", recorded)
+        r = search(case1.model, SynthTemplate(budget=100_000, seed=1), warm_start=case1.candidate)
+        assert r.feasible and len(reports) == 1
+        assert r.margin == reports[0].min_margin
 
     def test_evaluation_decides_only_changed_conditions(self, case2, monkeypatch):
         # a golden-section step moves one constant or coefficient, so most
