@@ -26,14 +26,18 @@ transitions of the same trajectory over any longer horizon.
 and jump-map kernels ``SHSModel.scalar_flow`` and ``SHSModel.jump_map``,
 generated once per model and cached on it; ``trajectories``, behind
 ``monte_carlo``, steps blocks of them together as state columns. At each
-transition a block splits its rows by masks into those that jump and those
-that flow, runs the jump kernel and the block variant of the flow kernel
-(``SHSModel.block_flow``) once each on the whole columns, and merges the
-results. Both engines give the same trajectories bitwise, because both
-read the same noise and evaluate every polynomial with the order of
-operations of ``Polynomial.source``. The block kernel skips the
-per-substep finiteness test; the block checks once per period and leaves
-the substep of a blow-up to the scalar kernel.
+transition a block runs the jump kernel and the block variant of the flow
+kernel (``SHSModel.block_flow``) once each on the whole columns, where
+some rows jump and others flow; it splits the rows by masks and merges the
+results only then, not when every live row flows or every one jumps, as
+under a fixed schedule. The block kernel is the scalar kernel's
+expressions lowered to one in-place ufunc call per operation on columns
+made once per block, so a substep allocates no array data. Both engines
+give the same trajectories bitwise, because both read the same noise and
+evaluate every polynomial with the operations and order of
+``Polynomial.source``. The block kernel skips the per-substep finiteness
+test; the block checks once per period and leaves the substep of a blow-up
+to the scalar kernel.
 
 Neither engine decides anything from the states it steps: ``_Outcomes``
 computes beta(z) B(x), decides exceedance and unsafe entry and builds the
@@ -497,18 +501,24 @@ def _simulate_block(
     """Trajectories start..stop-1, stepped together as n state columns of
     N rows.
 
-    Each row counts its own flows and jumps. A row draws each chunk from
-    its own stream when ``simulate`` would, through the same
+    Each row counts its own flows and jumps. A row draws each chunk from its
+    own stream when ``simulate`` would, through the same
     ``_draw_flow_chunk`` and ``_draw_jump_chunk``, into its slice of noise
-    arrays allocated once per block. Each transition splits the rows by
-    masks, ``jumped = alive & (z == gap)`` and ``flowing = alive &
-    ~jumped``, runs ``SHSModel.block_flow`` and ``SHSModel.jump_map`` on the
-    whole columns, each row at its own count, and merges their results with
-    ``where``. Both kernels evaluate every value with the expressions and
-    order of operations of the scalar kernels, so each row equals the scalar
-    trajectory bitwise. Rows that do not move keep their state, and those
-    not flowing see zero Poisson counts, so they compute on finite values
-    only, and their results are discarded.
+    arrays allocated once per block; under a fixed or cyclic schedule every
+    row reads the schedule's own gaps, drawn by none. Each transition finds
+    the rows that jump, ``jumped = alive & (z == gap)``, and runs
+    ``SHSModel.block_flow`` and ``SHSModel.jump_map`` on the whole columns,
+    each row at its own count. When every live row flows, or every one
+    jumps, the kernel's columns are the new state. Otherwise the flowing
+    rows are ``alive & ~jumped``, those not flowing see zero Poisson counts,
+    and ``where`` merges the two kernels' results, so rows that do not move
+    keep their state. Rows that left the block are stepped along, on
+    whatever values they hold, and their results are never read. Both
+    kernels evaluate every value with the expressions and order of
+    operations of the scalar kernels, so each row equals the scalar
+    trajectory bitwise. ``block_flow`` runs each substep as in-place ufunc
+    calls into buffers it keeps per (N, h), and returns fresh columns (see
+    ``model._block_source``).
 
     The block kernel tests no substep for finiteness. Since a non-finite
     coordinate stays non-finite, the state is checked once at the end of the

@@ -163,9 +163,10 @@ class _Search:
             return _INVALID
 
     def proves(self, theta: np.ndarray, score: float) -> bool:
-        """Whether theta, of score ``score``, encodes a candidate that
-        ``check_cbc`` proves; the first such is kept in ``proof``. A score
-        that is not positive proves nothing and is not checked."""
+        """Check the candidate theta encodes with ``check_cbc`` when its
+        score is positive, keep it and the report in ``proof`` when the
+        check proves it, and return whether a proof is held. A score that
+        is not positive proves nothing and is not checked."""
         if not score > 0:
             return False
         cand = self.build(theta)
