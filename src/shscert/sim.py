@@ -48,7 +48,6 @@ does not grow with the horizon, and from the whole run of ``simulate``.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Iterator, Sequence
@@ -339,7 +338,7 @@ class _Outcomes:
                 scenarios = ["init", *((JUMP, FLOW)[zk > 0] for zk in zs[row][1:])]
                 records = tuple(map(
                     TransitionRecord, range(len(zs[row])), times[row], zs[row], scenarios,
-                    map(tuple, xs[row]), itertools.repeat(None) if bvals is None else bvals[row],
+                    map(tuple, xs[row]), [None] * len(zs[row]) if bvals is None else bvals[row],
                 ))
             out.append(
                 Trajectory(
