@@ -522,10 +522,11 @@ class JumpSchedule:
                     f"[{jump.q1}, {jump.q2}]"
                 )
 
-    def draw_gaps(self, jump: JumpParams, first: int, count: int, rng: np.random.Generator) -> list[int]:
-        """Gaps before jumps ``first`` .. ``first + count - 1`` (the first
-        jump is jump 0); a uniform schedule draws all of them from rng in
-        one call."""
+    def gap_table(self, jump: JumpParams, count: int, rng: np.random.Generator) -> list[int] | tuple[int, ...]:
+        """The gaps that the next ``count`` jumps read, the i-th of them
+        ``table[i % len(table)]``: a fixed or cyclic schedule's own gaps,
+        which read nothing from rng, or ``count`` uniform gaps in
+        {q1, ..., q2}, drawn from rng in one call."""
         if self.policy == "uniform":
             return rng.integers(jump.q1, jump.q2 + 1, count).tolist()
-        return [self.gaps[i % len(self.gaps)] for i in range(first, first + count)]
+        return self.gaps

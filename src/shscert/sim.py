@@ -85,7 +85,7 @@ class SimConfig:
             raise ValueError("master_seed must be < 2**64")
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class TransitionRecord(Codec):
     k: int
     time: float
@@ -93,12 +93,6 @@ class TransitionRecord(Codec):
     scenario: str
     x: tuple[float, ...]
     b_value: float | None = field(default=None, metadata={"key": "B_value"})
-
-    def __init__(self, k: int, time: float, z: int, scenario: str, x: tuple[float, ...], b_value: float | None = None):
-        # one update of the instance dict, where the frozen dataclass's own
-        # __init__ calls object.__setattr__ once per field: a Monte Carlo run
-        # builds records by the thousand
-        vars(self).update(k=k, time=time, z=z, scenario=scenario, x=x, b_value=b_value)
 
 
 @dataclass(frozen=True)
@@ -187,15 +181,16 @@ def _draw_flow_chunk(rng: np.random.Generator, means: list[float], dW: np.ndarra
 
 
 def _draw_jump_chunk(
-    rng: np.random.Generator, schedule: JumpSchedule, jump: JumpParams, first: int, W: np.ndarray
+    rng: np.random.Generator, schedule: JumpSchedule, jump: JumpParams, W: np.ndarray
 ) -> Sequence[int]:
-    """Draw one jump chunk for jumps ``first`` .. ``first`` + JUMP_CHUNK - 1:
-    a uniform schedule's gaps before them, in one draw (see
-    ``JumpSchedule.draw_gaps``), then their standard normal jump noise W
-    (JUMP_CHUNK, w). Returns the gap table these jumps read, jump i the gap
-    ``table[i % len(table)]``: the drawn gaps, or a fixed or cyclic
-    schedule's own gaps, which read nothing from the stream."""
-    gaps = schedule.draw_gaps(jump, first, JUMP_CHUNK, rng) if schedule.policy == "uniform" else schedule.gaps
+    """Draw one jump chunk for the next JUMP_CHUNK jumps: the schedule's gap
+    table for them (``JumpSchedule.gap_table``: one draw for a uniform
+    schedule, none for a fixed or cyclic one), then their standard normal
+    jump noise W (JUMP_CHUNK, w). Returns the gap table: the trajectory's
+    jump i, counted from its first jump, reads ``table[i % len(table)]``,
+    this chunk's own draw for a uniform schedule and the gap at i's place in
+    the cycle for the others."""
+    gaps = schedule.gap_table(jump, JUMP_CHUNK, rng)
     if W.size:
         rng.standard_normal(out=W)
     return gaps
@@ -375,6 +370,7 @@ def simulate(
     noise layout, counter and blow-ups) and for the windowing, since a
     block hands over windows of ``WINDOW`` transitions.
     """
+    check_config(model, config, acbc)
     return _simulate(model, cand, config, acbc, traj_index, records=True)
 
 
@@ -386,9 +382,9 @@ def _simulate(
     traj_index: int,
     records: bool,
 ) -> Trajectory:
-    """``simulate``, with the trajectory's records only if ``records``."""
+    """``simulate`` on a config its caller has checked, with the
+    trajectory's records only if ``records``."""
     jp, sv = model.jump, model.state_vars
-    check_config(model, config, acbc)
     rng = trajectory_rng(config.master_seed, traj_index)
     S = config.substeps_per_tau
     C = _chunk_periods(S)
@@ -406,7 +402,7 @@ def _simulate(
     jump_fns = [p.compiled(sv) for p in cand.nu_jump]
 
     flows = jumps = 0
-    gaps = _draw_jump_chunk(rng, config.schedule, jp, 0, W)
+    gaps = _draw_jump_chunk(rng, config.schedule, jp, W)
     gap = gaps[0]
 
     xs, zs = [x], [z]
@@ -417,7 +413,7 @@ def _simulate(
             z = 0
             jumps += 1
             if not jumps % JUMP_CHUNK:
-                gaps = _draw_jump_chunk(rng, config.schedule, jp, jumps, W)
+                gaps = _draw_jump_chunk(rng, config.schedule, jp, W)
             gap = gaps[jumps % len(gaps)]
         else:
             e = flows % C
@@ -443,10 +439,10 @@ BLOCK_SIZE = 256
 # Fewer trajectories than this run one by one on ``simulate``. A block pays a
 # fixed cost per period, the numpy calls of its kernel, which its cheaper
 # rows repay from about 16-20 of them. Best of 15 on cases 1-3 under their
-# own schedules (T = 100, 2 cores): a block of 16 took 18/13/9 ms against
-# 17/16/13 ms for 16 ``simulate`` calls, and a block of 20 18/17/9 ms
-# against 19/21/15 ms. In five such rounds a block of 20 was the faster on
-# every case, and a block of 16 lost case 1 in four.
+# own schedules (T = 100, 2 cores): a block of 16 took 12.4/9.1/6.2 ms
+# against 12.1/12.7/9.4 ms for 16 ``simulate`` calls, and lost or tied
+# case 1 in all of five such rounds; a block of 20 took 13.3/9.7/6.3 ms
+# against 20.6/15.2/10.8 ms, and won every case in four of five rounds.
 BATCH_MIN = 20
 
 # Transitions per window of the batched engine: it hands them to _Outcomes
@@ -553,7 +549,7 @@ def _simulate_block(
     flows = np.zeros(N, dtype=np.int64)
     jumps = np.zeros(N, dtype=np.int64)
     # per row, the gap table of its jump chunk (see _draw_jump_chunk)
-    gaps = np.array([_draw_jump_chunk(g, schedule, jp, 0, W[row]) for row, g in enumerate(rngs)])
+    gaps = np.array([_draw_jump_chunk(g, schedule, jp, W[row]) for row, g in enumerate(rngs)])
     gap = gaps[:, 0]
     alive = np.ones(N, dtype=bool)
     errors: list[BlowUpError | None] = [None] * N
@@ -625,7 +621,7 @@ def _simulate_block(
                     z[jumped] = 0
                     e = jumps % JUMP_CHUNK
                     for row in (jumped & (e == 0)).nonzero()[0].tolist():
-                        gaps[row] = _draw_jump_chunk(rngs[row], schedule, jp, int(jumps[row]), W[row])
+                        gaps[row] = _draw_jump_chunk(rngs[row], schedule, jp, W[row])
                     gap = gaps[rows, jumps % gaps.shape[1]]
                 cols = new
             for i, col in enumerate(cols):

@@ -1,13 +1,15 @@
 """Randomized search for certificate candidates.
 
 The search scores a candidate by the least of its five condition
-margins, which ``certify.CbcChecker`` computes without deciding a status.
-It runs multi-start random initialization followed by per-coordinate
+margins, which ``certify.CbcChecker`` computes without deciding a status;
+a parameter vector that encodes no candidate scores -inf. It runs
+multi-start random initialization followed by per-coordinate
 golden-section refinement, optionally warm-started from a user-supplied
 candidate. Each positive score is checked by ``check_cbc``, and the
 search stops at the first candidate that check proves: every condition
 "holds" with a positive least margin. Only such a candidate is reported
-feasible. Everything is driven by one seed.
+feasible; otherwise the best score is the reported margin. Everything is
+driven by one seed.
 """
 
 from __future__ import annotations
@@ -27,8 +29,6 @@ from .poly import Polynomial, min_on_interval
 # one up in sys.modules. Drop it once the tracer imports what it wraps
 # (ROADMAP.md, item 9).
 from . import sim  # noqa: F401
-
-_INVALID = -1.0e9
 
 DEFAULT_RANGES: dict[str, tuple[float, float]] = {
     "kappa1": (-1.0, 1.0),
@@ -155,12 +155,12 @@ class _Search:
     def score(self, theta: np.ndarray) -> float:
         cand = self.build(theta)
         if cand is None:
-            return _INVALID
+            return -math.inf
         self.evals += 1
         try:
             return self.checker.margin(cand)
         except (ValueError, OverflowError):
-            return _INVALID
+            return -math.inf
 
     def proves(self, theta: np.ndarray, score: float) -> bool:
         """Check the candidate theta encodes with ``check_cbc`` when its
@@ -286,10 +286,10 @@ def search(
     positive score is checked so, and the search stops at the first
     candidate proved, which is reported feasible with that check's margin.
     Otherwise, when the budget runs out, the best-scoring candidate is
-    reported with the status "infeasible-at-budget" and the margin of a
-    check_cbc of it, not an exception. Deterministic for a fixed seed. A
-    warm start that does not fit the template or the model raises
-    ValueError before the first evaluation.
+    reported with the status "infeasible-at-budget" and its score as the
+    margin (no candidate and -inf when none was built), not an exception.
+    Deterministic for a fixed seed. A warm start that does not fit the
+    template or the model raises ValueError before the first evaluation.
     """
     s = _Search(model, template)
     best_theta: np.ndarray | None = None
@@ -313,7 +313,4 @@ def search(
         theta = None
 
     cand = s.build(best_theta) if best_theta is not None else None
-    if cand is None:
-        return SynthResult(None, False, -math.inf, s.evals, restarts, "infeasible-at-budget")
-    margin = check_cbc(model, cand).min_margin
-    return SynthResult(cand, False, margin, s.evals, restarts, "infeasible-at-budget")
+    return SynthResult(cand, False, best_score, s.evals, restarts, "infeasible-at-budget")

@@ -163,24 +163,36 @@ class TestJumpSchedule:
             JumpSchedule("fixed", (1,)).validate_for(jp)
         JumpSchedule("fixed", (3,)).validate_for(jp)
 
-    def test_cyclic_sequence(self):
+    def test_fixed_and_cyclic_tables_are_their_own_gaps(self):
         jp = JumpParams(0.1, 1, 7)
-        sched = JumpSchedule("cyclic", (2, 5))
         rng = np.random.default_rng(0)
         state = rng.bit_generator.state
-        assert sched.draw_gaps(jp, 0, 5, rng) == [2, 5, 2, 5, 2]
-        assert sched.draw_gaps(jp, 3, 4, rng) == [5, 2, 5, 2]
+        assert JumpSchedule.parse("fixed:3").gap_table(jp, 20, rng) == (3,)
+        assert JumpSchedule.parse("cyclic:2,5").gap_table(jp, 20, rng) == (2, 5)
         assert rng.bit_generator.state == state  # a fixed sequence draws nothing
 
     def test_uniform_gaps_stay_in_range_and_are_seeded(self):
         jp = JumpParams(0.1, 1, 7)
         sched = JumpSchedule.uniform()
         rng_a, rng_b = np.random.default_rng(42), np.random.default_rng(42)
-        g1 = sched.draw_gaps(jp, 0, 20, rng_a)
-        g2 = sched.draw_gaps(jp, 0, 20, rng_b)
+        g1 = sched.gap_table(jp, 20, rng_a)
+        g2 = sched.gap_table(jp, 20, rng_b)
         assert g1 == g2 == np.random.default_rng(42).integers(1, 8, 20).tolist()
         assert all(1 <= g <= 7 for g in g1)
         assert len(set(g1)) > 1
+
+    def test_nothing_outside_model_reads_the_policy(self):
+        # a schedule's gaps reach the simulator through gap_table, so a new
+        # policy changes model.py alone
+        from pathlib import Path
+
+        from shscert import model
+
+        sources = list(Path(model.__file__).parent.glob("*.py"))
+        assert len(sources) > 5
+        for path in sources:
+            if path.name != "model.py":
+                assert not re.search(r"\.policy\b", path.read_text()), path
 
 
 class TestCaseStudy:

@@ -816,6 +816,25 @@ class TestStreamLayout:
             for i, got in enumerate(batch):
                 assert_same(model, got, _outcome(lambda: simulate(model, cand, config, acbc, i)))
 
+    @pytest.mark.parametrize("block", [False, True])
+    def test_cyclic_gaps_run_on_across_jump_chunks(self, block):
+        # jump chunk 1 starts at jump 64, in the middle of a cycle of three
+        # (64 = 3 x 21 + 1): its jumps still read 5, 1, 2, ... from there
+        model, cand = _noisy_plane()
+        n = 8
+        config = SimConfig(
+            horizon_T=300, n_trajectories=n, master_seed=5, schedule=JumpSchedule.parse("cyclic:2,5,1")
+        )
+        if block:
+            runs = _simulate_block(model, cand, config, None, 0, n, keep=n)
+        else:
+            runs = [simulate(model, cand, config, traj_index=i) for i in range(n)]
+        for traj in runs:
+            # the flows before each jump: the counter just before it fires
+            gaps = [r.z for r, nxt in zip(traj.records, traj.records[1:]) if nxt.scenario == JUMP]
+            assert len(gaps) > sim.JUMP_CHUNK
+            assert gaps == [(2, 5, 1)[i % 3] for i in range(len(gaps))]
+
     def test_blow_up_in_second_chunk_leaves_neighbours_alone(self, case1):
         # x' = 60 (x^3 - x) holds |x| < 1 until the noise pushes it past 1
         model = scalar_model(60.0 * (X**3 - X), X, sigma=2.0, rate=0.0, X=(-8, 8), X0=(-0.5, 0.5))

@@ -162,6 +162,30 @@ class TestSearch:
         assert r.feasible and len(reports) == 1
         assert r.margin == reports[0].min_margin
 
+    def test_exhausted_search_checks_nothing_again(self, case2, monkeypatch):
+        # no score of this search turns positive, so nothing is checked, and
+        # the best score is the reported margin
+        from shscert import synth
+
+        reports = []
+
+        def recorded(*args):
+            reports.append(check_cbc(*args))
+            return reports[-1]
+
+        monkeypatch.setattr(synth, "check_cbc", recorded)
+        r = search(case2.model, SynthTemplate(budget=100, seed=1), warm_start=case2.candidate)
+        assert (r.status, r.evaluations, reports) == ("infeasible-at-budget", 100, [])
+        assert r.margin == float.fromhex("-0x1.87ba57284f2f4p+28")
+
+    def test_invalid_trials_rank_below_every_candidate(self, case2):
+        # every real score of this random-start search lies far below -1e9;
+        # a theta that builds no candidate must not outrank them
+        r = search(case2.model, SynthTemplate(budget=150, seed=0))
+        assert (r.status, r.evaluations) == ("infeasible-at-budget", 150)
+        assert r.candidate is not None and r.margin < -1e9
+        assert r.margin == check_cbc(case2.model, r.candidate).min_margin
+
     def test_evaluation_decides_only_changed_conditions(self, case2, monkeypatch):
         # a golden-section step moves one constant or coefficient, so most
         # evaluations decide one condition again; the re-verification decides five
