@@ -523,10 +523,10 @@ class JumpSchedule:
                 )
 
     def gap_table(self, jump: JumpParams, count: int, rng: np.random.Generator) -> list[int] | tuple[int, ...]:
-        """The gaps that the next ``count`` jumps read, the i-th of them
-        ``table[i % len(table)]``: a fixed or cyclic schedule's own gaps,
-        which read nothing from rng, or ``count`` uniform gaps in
-        {q1, ..., q2}, drawn from rng in one call."""
+        """The gaps of the next ``count`` jumps, as a table that a
+        trajectory's jump i reads at ``i % len(table)``: a fixed or cyclic
+        schedule's own gaps, which read nothing from rng, or ``count``
+        uniform gaps in {q1, ..., q2}, drawn from rng in one call."""
         if self.policy == "uniform":
             return rng.integers(jump.q1, jump.q2 + 1, count).tolist()
         return self.gaps

@@ -183,13 +183,11 @@ def _draw_flow_chunk(rng: np.random.Generator, means: list[float], dW: np.ndarra
 def _draw_jump_chunk(
     rng: np.random.Generator, schedule: JumpSchedule, jump: JumpParams, W: np.ndarray
 ) -> Sequence[int]:
-    """Draw one jump chunk for the next JUMP_CHUNK jumps: the schedule's gap
-    table for them (``JumpSchedule.gap_table``: one draw for a uniform
-    schedule, none for a fixed or cyclic one), then their standard normal
-    jump noise W (JUMP_CHUNK, w). Returns the gap table: the trajectory's
-    jump i, counted from its first jump, reads ``table[i % len(table)]``,
-    this chunk's own draw for a uniform schedule and the gap at i's place in
-    the cycle for the others."""
+    """Draw one jump chunk for the next JUMP_CHUNK jumps: their gap table
+    (``JumpSchedule.gap_table``: one draw for a uniform schedule, none
+    otherwise), then their standard normal jump noise W (JUMP_CHUNK, w).
+    Returns the gap table; the trajectory's jump i, counted from its first
+    jump, reads the gap ``table[i % len(table)]``."""
     gaps = schedule.gap_table(jump, JUMP_CHUNK, rng)
     if W.size:
         rng.standard_normal(out=W)

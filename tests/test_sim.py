@@ -244,6 +244,17 @@ class TestSimulate:
         with pytest.raises(ValueError, match="outside admissible range"):
             simulate(case1.model, case1.candidate, config, traj_index=0)
 
+    def test_config_checked_once_per_entry(self, case1, monkeypatch):
+        # trajectories checks its config once, not again for each of the
+        # small block's trajectories it runs on simulate's path
+        calls = []
+        check = sim.check_config
+        monkeypatch.setattr(sim, "check_config", lambda *args: calls.append(args) or check(*args))
+        config = SimConfig(horizon_T=5, n_trajectories=3)
+        assert len(list(trajectories(case1.model, case1.candidate, config))) == 3
+        simulate(case1.model, case1.candidate, config)
+        assert len(calls) == 2
+
 
 class TestTrajectoryCsv:
     def test_header_and_shape(self, case1):
